@@ -5,6 +5,7 @@ input, configuration echo, tool version, timestamp). CSV written to a file
 gets the manifest as a JSON sidecar next to it. Exit codes are stable:
 
     0  success
+    1  a result JSON cannot hold (a non-finite number)
     2  ingestion failure
     3  configuration error (bad flags, lambda < 0, U2 on categorical data)
     4  size cap exceeded (oracle)
@@ -214,7 +215,11 @@ def _trace_json(jr: JointRange, trace) -> list[dict]:
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2)
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError:
+        # Finite inputs can still overflow, e.g. a distortion between huge values.
+        raise PrivQuantError("a result is not a finite number; JSON cannot hold it") from None
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -133,7 +133,7 @@ class JointRange:
 
         Alphabets are assembled in first-appearance order, which keeps runs
         reproducible for a given input sequence. ``x_values`` optionally
-        attaches numeric values to X symbols by id.
+        attaches finite numeric values to X symbols by id.
         """
         s_index: dict[str, int] = {}
         x_index: dict[str, int] = {}
@@ -146,6 +146,9 @@ class JointRange:
         unknown = set(x_values) - set(x_index)
         if unknown:
             raise ContractViolation(f"x_values given for unknown ids: {sorted(unknown)}")
+        non_finite = sorted(i for i, v in x_values.items() if not math.isfinite(v))
+        if non_finite:
+            raise ContractViolation(f"x_values must be finite numbers: {non_finite}")
         s_syms = [Symbol(i) for i in s_index]
         x_syms = [Symbol(i, x_values.get(i)) for i in x_index]
         return cls(s_syms, x_syms, pairs)

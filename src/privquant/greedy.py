@@ -34,11 +34,17 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0
 from .errors import ConfigurationError
-from .graph import Decomposition, UnionFind, build_graph, finest_decomposition
+from .graph import (
+    Decomposition,
+    UnionFind,
+    build_graph,
+    finest_decomposition,
+    merge_update,
+)
 from .quantize import (
     CodewordPolicy,
     Quantization,
@@ -160,16 +166,17 @@ class _Cluster:
 class _State:
     """Cluster bookkeeping with O(1) merged-distortion for the default metric."""
 
-    def __init__(self, jr: JointRange, cfg: LagrangianConfig):
+    def __init__(self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
         self.jr = jr
-        self.cfg = cfg
-        self.needs_values = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
+        self.utility = utility
+        self.policy = policy
+        self.needs_values = utility.kind is UtilityKind.U2_MAX_DISTORTION
         self.values = jr.x_values()
         if self.needs_values and any(v is None for v in self.values):
             raise ConfigurationError(
                 "max-distortion utility needs numeric values on every X symbol"
             )
-        self.fast = cfg.utility.distance is absolute_difference
+        self.fast = utility.distance is absolute_difference
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
             v = self.values[x]
@@ -180,14 +187,13 @@ class _State:
     # -- distortion ----------------------------------------------------------
 
     def _dbar_of(self, members, total, vmin, vmax) -> float:
-        policy = self.cfg.policy
-        if policy is CodewordPolicy.CENTROID:
+        if self.policy is CodewordPolicy.CENTROID:
             cw = total / len(members)
         else:
             cw = self.values[members[0]]
         if self.fast:
             return max(cw - vmin, vmax - cw)
-        dist = self.cfg.utility.distance
+        dist = self.utility.distance
         return max(dist(self.values[x], cw) for x in members)
 
     def merged_dbar(self, a: int, b: int) -> float:
@@ -197,7 +203,7 @@ class _State:
         vmax = max(ca.vmax, cb.vmax)
         if self.fast:
             n = ca.size + cb.size
-            if self.cfg.policy is CodewordPolicy.CENTROID:
+            if self.policy is CodewordPolicy.CENTROID:
                 cw = total / n
             else:
                 cw = self.values[min(ca.members[0], cb.members[0])]
@@ -223,12 +229,8 @@ class _State:
 
     # -- measures of the current state ------------------------------------------
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
     def utility_value(self) -> float:
-        if self.cfg.utility.kind is UtilityKind.U1_RESOLUTION:
+        if self.utility.kind is UtilityKind.U1_RESOLUTION:
             largest = max(c.size for c in self.clusters.values())
             return h0(self.jr.n_x) - math.log2(largest)
         return -max(c.dbar for c in self.clusters.values())
@@ -241,7 +243,7 @@ class _State:
 
     def snapshot(self) -> Quantization:
         return Quantization.from_clusters(
-            self.jr, [c.members for c in self.clusters.values()], self.cfg.policy
+            self.jr, [c.members for c in self.clusters.values()], self.policy
         )
 
 
@@ -298,12 +300,116 @@ def _range_bottom3(state: _State) -> list[tuple[float, int]]:
 
 def _post_merge_utility(state: _State, a: int, b: int) -> float:
     """Utility of the quantization obtained by fusing clusters a and b."""
-    if state.cfg.utility.kind is UtilityKind.U1_RESOLUTION:
+    if state.utility.kind is UtilityKind.U1_RESOLUTION:
         merged = state.clusters[a].size + state.clusters[b].size
         largest = max(merged, int(_excluding(_size_top3(state), a, b, 0)))
         return h0(state.jr.n_x) - math.log2(largest)
     worst = max(state.merged_dbar(a, b), _excluding(_dbar_top3(state), a, b, 0.0))
     return -worst
+
+
+# ---------------------------------------------------------------------------
+# Lambda-free merge paths
+# ---------------------------------------------------------------------------
+#
+# Each algorithm is a generator of merge steps that ``_follow`` turns into a
+# run. Algorithms 1 and 2 never use lambda to pick a merge, only to decide
+# where a run stops, so their paths are lambda-free and a sweep follows one
+# path for a whole lambda grid (``_lambda_path``).
+
+
+class _Step(NamedTuple):
+    """One state of a merge path; the first step is the singleton start.
+
+    The state's Lagrangian is ``privacy - lam * utility``, where ``privacy``
+    is log2 of the component count on algorithm 2's path and L0 otherwise.
+    ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
+    algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
+    ``snapshot`` builds the state's quantization until the path advances.
+    """
+
+    merged: tuple[tuple[int, int], ...]
+    privacy: float
+    utility: float
+    dpriv: Optional[float]
+    component_count: Optional[int]
+    snapshot: Callable[[], Quantization]
+
+
+def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[float, float]:
+    """(decision, delta_l) of taking ``step`` after ``prev``; accepted iff the
+    decision value is negative.
+
+    Algorithm 1 compares the two Lagrangians. A component merge weighs its
+    privacy change against the utility change; algorithm 2 does so for
+    distortion utility on the decimal-log scale (see the module docstring).
+    """
+    if step.dpriv is None:
+        delta = (step.privacy - lam * step.utility) - (prev.privacy - lam * prev.utility)
+        return delta, delta
+    du = step.utility - prev.utility
+    delta = step.dpriv - lam * du
+    if kind is UtilityKind.U1_RESOLUTION:
+        return delta, delta
+    return step.dpriv * _DECIMAL_PER_BIT - lam * du, delta
+
+
+def _walk(path: Iterator[_Step], cfgs: Sequence[LagrangianConfig], forced: bool = False):
+    """Follow ``path`` for several lambdas at once. It advances while some
+    config accepts its steps (all of them, when ``forced``).
+
+    Returns the steps taken and their quantizations; per config, the index
+    of its last accepted step and the decision value that rejected the next
+    one (None if none did); and the path's termination (None if every config
+    stopped before the path ran out).
+    """
+    kind = cfgs[0].utility.kind
+    steps = [next(path)]
+    states = [steps[0].snapshot()]
+    stops = [0] * len(cfgs)
+    rejected: list[Optional[float]] = [None] * len(cfgs)
+    active = range(len(cfgs))
+    while True:
+        try:
+            step = next(path)
+        except StopIteration as end:
+            return steps, states, stops, rejected, end.value
+        if not forced:
+            for i in active:
+                decision = _decision(steps[-1], step, cfgs[i].lam, kind)[0]
+                if decision >= 0.0:
+                    rejected[i] = decision
+            active = [i for i in active if rejected[i] is None]
+            if not active:
+                return steps, states, stops, rejected, None
+        for i in active:
+            stops[i] = len(steps)
+        steps.append(step)
+        states.append(step.snapshot())
+
+
+def _follow(
+    path: Iterator[_Step],
+    cfg: LagrangianConfig,
+    singletons: Optional[Decomposition] = None,
+    forced: bool = False,
+) -> GreedyResult:
+    """One greedy run: ``path`` followed at ``cfg.lam``. With ``singletons``
+    the result carries the finest decomposition of its quantization."""
+    steps, states, _, (rejected,), end = _walk(path, [cfg], forced)
+    lam, kind = cfg.lam, cfg.utility.kind
+    trace = tuple(
+        TraceEntry(
+            t, q, s.privacy - lam * s.utility,
+            _decision(steps[t - 1], s, lam, kind)[1] if t else None,
+            s.merged, s.component_count, s.utility,
+        )
+        for t, (s, q) in enumerate(zip(steps, states))
+    )
+    q = states[-1]
+    termination = end if rejected is None else Termination.DELTA_L_NON_NEGATIVE
+    decomposition = None if singletons is None else merge_update(singletons, q)
+    return GreedyResult(q, trace, decomposition, termination, rejected_delta_l=rejected)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +426,7 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
     smaller partner id.
     """
     cx = state.clusters[cid]
-    u1 = state.cfg.utility.kind is UtilityKind.U1_RESOLUTION
+    u1 = state.utility.kind is UtilityKind.U1_RESOLUTION
     size_tops = _size_top3(state) if u1 else None
     best_key = None
     best = None
@@ -340,25 +446,11 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
     return best
 
 
-def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
-    """Greedy minimization of L0 - lambda * U by rounds of bulk merges.
-
-    Each outer iteration merges every cluster currently achieving the
-    smallest conditional range with its utility-maximizing partner, then
-    the full round is accepted only if the Lagrangian strictly dropped;
-    otherwise the previous quantization is returned.
-    """
-    state = _State(jr, cfg)
-    lag = state.leakage_l0() - cfg.lam * state.utility_value()
-    entries = [
-        TraceEntry(0, state.snapshot(), lag, None, (), None, state.utility_value())
-    ]
-    t = 0
-    while True:
-        if state.n_clusters == 1:
-            return GreedyResult(
-                entries[-1].quantization, tuple(entries), None, Termination.FULLY_MERGED
-            )
+def _min_l0_path(jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
+    """Algorithm 1's merge path, one step per round; returns its termination."""
+    state = _State(jr, utility, policy)
+    yield _Step((), state.leakage_l0(), state.utility_value(), None, None, state.snapshot)
+    while len(state.clusters) > 1:
         smallest = min(c.smask.bit_count() for c in state.clusters.values())
         pi = sorted(
             c.cid for c in state.clusters.values() if c.smask.bit_count() == smallest
@@ -376,33 +468,33 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
             state.merge(cid, partner)
             merged_pairs.append((cid, partner))
         if not merged_pairs:
-            return GreedyResult(
-                entries[-1].quantization,
-                tuple(entries),
-                None,
-                Termination.NO_ELIGIBLE_MERGE,
-            )
-        t += 1
-        u_val = state.utility_value()
-        new_lag = state.leakage_l0() - cfg.lam * u_val
-        delta = new_lag - lag
-        if delta >= 0.0:
-            return GreedyResult(
-                entries[-1].quantization,
-                tuple(entries),
-                None,
-                Termination.DELTA_L_NON_NEGATIVE,
-                rejected_delta_l=delta,
-            )
-        lag = new_lag
-        entries.append(
-            TraceEntry(t, state.snapshot(), lag, delta, tuple(merged_pairs), None, u_val)
+            return Termination.NO_ELIGIBLE_MERGE
+        yield _Step(
+            tuple(merged_pairs), state.leakage_l0(), state.utility_value(), None, None,
+            state.snapshot,
         )
+    return Termination.FULLY_MERGED
+
+
+def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
+    """Greedy minimization of L0 - lambda * U by rounds of bulk merges.
+
+    Each outer iteration merges every cluster currently achieving the
+    smallest conditional range with its utility-maximizing partner, then
+    the full round is accepted only if the Lagrangian strictly dropped;
+    otherwise the previous quantization is returned.
+    """
+    return _follow(_min_l0_path(jr, cfg.utility, cfg.policy), cfg)
 
 
 # ---------------------------------------------------------------------------
 # Algorithms 2 and 3: component-driven merging
 # ---------------------------------------------------------------------------
+
+
+def _singleton_decomposition(jr: JointRange) -> Decomposition:
+    """Finest decomposition of the singleton confusability graph."""
+    return finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
 
 
 class _Components:
@@ -411,76 +503,76 @@ class _Components:
     Seeded from the singleton confusability graph; fusing the components of
     two merged clusters keeps it equal to the finest decomposition of the
     current cluster graph (coarsening can only connect, never disconnect).
+    A cluster's id is one of its members, so the singleton block of that id
+    lies in the cluster's component.
     """
 
-    def __init__(self, jr: JointRange, state: _State):
-        dec = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
-        block_of = dec.block_of()
-        self.uf = UnionFind(len(dec.blocks))
-        self.block_of_cluster: dict[int, int] = {
-            cid: block_of[cid] for cid in state.clusters
-        }
-        self.x_count: dict[int, int] = {
-            pos: len(block) for pos, block in enumerate(dec.blocks)
-        }
-        self.count = len(dec.blocks)
+    def __init__(self, singletons: Decomposition):
+        self.block_of = singletons.block_of()
+        self.uf = UnionFind(len(singletons.blocks))
+        self.x_count = {pos: len(block) for pos, block in enumerate(singletons.blocks)}
+        self.count = len(singletons.blocks)
 
     def root(self, cid: int) -> int:
-        return self.uf.find(self.block_of_cluster[cid])
+        return self.uf.find(self.block_of[cid])
 
-    def size(self, cid: int) -> int:
-        return self.x_count[self.root(cid)]
-
-    def fuse(self, a: int, b: int, merged_cid: int) -> None:
+    def fuse(self, a: int, b: int) -> None:
         ra, rb = self.root(a), self.root(b)
         if ra == rb:
             raise AssertionError("candidate pair was not cross-component")
         self.uf.union(ra, rb)
-        keep = self.uf.find(ra)
-        self.x_count[keep] = self.x_count[ra] + self.x_count[rb]
-        pos = self.block_of_cluster.pop(a)
-        self.block_of_cluster.pop(b)
-        self.block_of_cluster[merged_cid] = pos
+        self.x_count[self.uf.find(ra)] = self.x_count[ra] + self.x_count[rb]
         self.count -= 1
-
-    def decomposition(self, state: _State) -> Decomposition:
-        blocks: dict[int, set[int]] = {}
-        for cid, cluster in state.clusters.items():
-            blocks.setdefault(self.root(cid), set()).update(cluster.members)
-        return Decomposition(
-            tuple(frozenset(b) for b in sorted(blocks.values(), key=min))
-        )
 
 
 def _cross_component_pairs(state: _State, comps: _Components):
-    cids = sorted(state.clusters)
-    roots = {cid: comps.root(cid) for cid in cids}
-    for i, a in enumerate(cids):
-        for b in cids[i + 1 :]:
-            if roots[a] != roots[b]:
-                yield a, b
+    """Cluster pairs (a < b) in different components, each with its tie key.
 
-
-def _component_tie_key(comps: _Components, a: int, b: int) -> tuple:
-    # Prefer pairs connecting the two largest components (larger first),
-    # then the smallest cluster ids.
-    sa, sb = comps.size(a), comps.size(b)
-    hi, lo = (sa, sb) if sa >= sb else (sb, sa)
-    return (-hi, -lo, a, b)
-
-
-def _component_merge_decision(
-    kind: UtilityKind, log_ratio_bits: float, lam: float, du: float
-) -> float:
-    """Decision value for a component-fusing merge; accept iff negative.
-
-    ``log_ratio_bits`` is log2((P-1)/P) and ``du`` the utility change. The
-    drop is weighed on a decimal-log scale; for log-valued utilities both
-    sides scale together, so the sign agrees with the bit-valued change.
+    The key prefers pairs connecting the two largest components (larger
+    first), then the smallest cluster ids. Component roots and sizes are
+    read once per scan.
     """
-    if kind is UtilityKind.U1_RESOLUTION:
-        return log_ratio_bits - lam * du
-    return log_ratio_bits * _DECIMAL_PER_BIT - lam * du
+    cids = sorted(state.clusters)
+    roots = [comps.root(cid) for cid in cids]
+    sizes = [comps.x_count[r] for r in roots]
+    for i, a in enumerate(cids):
+        ra, sa = roots[i], sizes[i]
+        for j in range(i + 1, len(cids)):
+            if roots[j] != ra:
+                b, sb = cids[j], sizes[j]
+                yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
+
+
+def _min_istar_path(
+    jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy, singletons: Decomposition
+):
+    """Algorithm 2's merge path, one cross-component merge per step; returns
+    its termination."""
+    state = _State(jr, utility, policy)
+    comps = _Components(singletons)
+    u1 = utility.kind is UtilityKind.U1_RESOLUTION
+    yield _Step(
+        (), math.log2(comps.count), state.utility_value(), None, comps.count, state.snapshot
+    )
+    while comps.count > 1:
+        best_key = None
+        best_pair = None
+        for a, b, tie in _cross_component_pairs(state, comps):
+            if u1:
+                primary = state.clusters[a].size + state.clusters[b].size
+            else:
+                primary = state.merged_dbar(a, b)
+            key = (primary, *tie)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_pair = (a, b)
+        a, b = best_pair
+        u_new = _post_merge_utility(state, a, b)
+        dpriv = math.log2((comps.count - 1) / comps.count)
+        comps.fuse(a, b)
+        state.merge(a, b)
+        yield _Step(((a, b),), math.log2(comps.count), u_new, dpriv, comps.count, state.snapshot)
+    return Termination.SINGLE_COMPONENT
 
 
 def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -492,55 +584,48 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     components), and the run stops when the accepted drop would be
     non-negative or one component remains.
     """
-    state = _State(jr, cfg)
-    comps = _Components(jr, state)
+    singletons = _singleton_decomposition(jr)
+    return _follow(_min_istar_path(jr, cfg.utility, cfg.policy, singletons), cfg, singletons)
+
+
+def _l0_zero_istar_path(jr: JointRange, cfg: LagrangianConfig, singletons: Decomposition):
+    """Algorithm 3's merge path at ``cfg.lam``, one cross-component merge per
+    step; returns its termination."""
+    state = _State(jr, cfg.utility, cfg.policy)
+    comps = _Components(singletons)
+    u1 = cfg.utility.kind is UtilityKind.U1_RESOLUTION
+    h0_x = h0(jr.n_x)
     u_old = state.utility_value()
-    lag = math.log2(comps.count) - cfg.lam * u_old
-    entries = [
-        TraceEntry(0, state.snapshot(), lag, None, (), comps.count, u_old)
-    ]
-    termination = Termination.SINGLE_COMPONENT
-    rejected = None
-    t = 0
+    yield _Step((), state.leakage_l0(), u_old, None, comps.count, state.snapshot)
     while comps.count > 1:
-        u1 = cfg.utility.kind is UtilityKind.U1_RESOLUTION
+        min_range_bits = state.min_range_bits()
+        range_bottoms = _range_bottom3(state)
+        size_tops = _size_top3(state) if u1 else None
+        dbar_tops = None if u1 else _dbar_top3(state)
         best_key = None
-        best_pair = None
-        for a, b in _cross_component_pairs(state, comps):
+        best = None
+        for a, b, tie in _cross_component_pairs(state, comps):
+            ca, cb = state.clusters[a], state.clusters[b]
+            merged_range = (ca.smask | cb.smask).bit_count()
+            rest = _excluding(range_bottoms, a, b, math.inf)
+            new_min = merged_range if rest == math.inf else min(merged_range, int(rest))
             if u1:
-                primary = state.clusters[a].size + state.clusters[b].size
+                largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
+                u_new = h0_x - math.log2(largest)
             else:
-                primary = state.merged_dbar(a, b)
-            key = (primary, *_component_tie_key(comps, a, b))
+                u_new = -max(state.merged_dbar(a, b), _excluding(dbar_tops, a, b, 0.0))
+            dpriv = min_range_bits - math.log2(new_min)
+            delta = dpriv + cfg.lam * (u_old - u_new)
+            range_sum = ca.smask.bit_count() + cb.smask.bit_count()
+            key = (delta, range_sum, *tie)
             if best_key is None or key < best_key:
                 best_key = key
-                best_pair = (a, b)
-        a, b = best_pair
-        u_new = _post_merge_utility(state, a, b)
-        log_ratio = math.log2((comps.count - 1) / comps.count)
-        delta = log_ratio - cfg.lam * (u_new - u_old)
-        decision = _component_merge_decision(
-            cfg.utility.kind, log_ratio, cfg.lam, u_new - u_old
-        )
-        if decision >= 0.0:
-            termination = Termination.DELTA_L_NON_NEGATIVE
-            rejected = decision
-            break
-        merged_cid = state.merge(a, b)
-        comps.fuse(a, b, merged_cid)
-        t += 1
-        u_old = u_new
-        lag = math.log2(comps.count) - cfg.lam * u_new
-        entries.append(
-            TraceEntry(t, state.snapshot(), lag, delta, ((a, b),), comps.count, u_new)
-        )
-    return GreedyResult(
-        entries[-1].quantization,
-        tuple(entries),
-        comps.decomposition(state),
-        termination,
-        rejected_delta_l=rejected,
-    )
+                best = (a, b, u_new, dpriv)
+        a, b, u_old, dpriv = best
+        comps.fuse(a, b)
+        state.merge(a, b)
+        yield _Step(((a, b),), state.leakage_l0(), u_old, dpriv, comps.count, state.snapshot)
+    return Termination.SINGLE_COMPONENT
 
 
 def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -552,54 +637,8 @@ def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyRes
     then smallest ids) and keeps merging, accepted or not, until a single
     component remains. The result is always perfectly indistinguishable.
     """
-    state = _State(jr, cfg)
-    comps = _Components(jr, state)
-    u_old = state.utility_value()
-    lag = state.leakage_l0() - cfg.lam * u_old
-    entries = [
-        TraceEntry(0, state.snapshot(), lag, None, (), comps.count, u_old)
-    ]
-    t = 0
-    while comps.count > 1:
-        u1 = cfg.utility.kind is UtilityKind.U1_RESOLUTION
-        min_range_bits = state.min_range_bits()
-        range_bottoms = _range_bottom3(state)
-        size_tops = _size_top3(state) if u1 else None
-        dbar_tops = None if u1 else _dbar_top3(state)
-        h0_x = h0(jr.n_x)
-        best_key = None
-        best = None
-        for a, b in _cross_component_pairs(state, comps):
-            ca, cb = state.clusters[a], state.clusters[b]
-            merged_range = (ca.smask | cb.smask).bit_count()
-            rest = _excluding(range_bottoms, a, b, math.inf)
-            new_min = merged_range if rest == math.inf else min(merged_range, int(rest))
-            if u1:
-                largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
-                u_new = h0_x - math.log2(largest)
-            else:
-                u_new = -max(state.merged_dbar(a, b), _excluding(dbar_tops, a, b, 0.0))
-            delta = (min_range_bits - math.log2(new_min)) + cfg.lam * (u_old - u_new)
-            range_sum = ca.smask.bit_count() + cb.smask.bit_count()
-            key = (delta, range_sum, *_component_tie_key(comps, a, b))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b, u_new, delta)
-        a, b, u_new, delta = best
-        merged_cid = state.merge(a, b)
-        comps.fuse(a, b, merged_cid)
-        t += 1
-        u_old = u_new
-        lag = state.leakage_l0() - cfg.lam * u_new
-        entries.append(
-            TraceEntry(t, state.snapshot(), lag, delta, ((a, b),), comps.count, u_new)
-        )
-    return GreedyResult(
-        entries[-1].quantization,
-        tuple(entries),
-        comps.decomposition(state),
-        Termination.SINGLE_COMPONENT,
-    )
+    singletons = _singleton_decomposition(jr)
+    return _follow(_l0_zero_istar_path(jr, cfg, singletons), cfg, singletons, forced=True)
 
 
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
@@ -609,3 +648,21 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
     if problem is Problem.MIN_ISTAR:
         return algorithm2_min_istar(jr, cfg)
     return algorithm3_l0_zero_istar(jr, cfg)
+
+
+def _lambda_path(
+    jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]
+) -> tuple[list[Quantization], list[int]]:
+    """Follow the merge path of algorithm 1 or 2 once for many lambdas.
+
+    The configs share one utility and policy. Returns the quantization of
+    every state reached and, per config, the index of the last state its run
+    accepts: ``run`` at that config traces exactly ``states[:stop + 1]``.
+    """
+    utility, policy = cfgs[0].utility, cfgs[0].policy
+    if problem is Problem.MIN_L0:
+        path = _min_l0_path(jr, utility, policy)
+    else:
+        path = _min_istar_path(jr, utility, policy, _singleton_decomposition(jr))
+    _, states, stops, _, _ = _walk(path, cfgs)
+    return states, stops

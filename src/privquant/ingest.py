@@ -4,7 +4,8 @@ The loader extracts one sensitive and one public column, drops rows where
 either cell matches a missing-value sentinel, and builds the alphabets in
 first-appearance order (deterministic for a given file). A column becomes
 numeric iff every retained cell parses as a decimal number; otherwise it
-stays categorical and distortion-based utility is unavailable for it.
+stays categorical and distortion-based utility is unavailable for it. A
+numeric column holding a non-finite value (``nan``, ``inf``) is an error.
 
 The default sentinels are "-9" (the UCI heart-disease convention), the
 empty string and "?". The exact filter behind any reference record count
@@ -14,6 +15,7 @@ should be pinned by the caller; everything here is configurable.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -133,6 +135,9 @@ def load_csv(
     x_values = None
     if all(_parses_as_number(tok) for tok in x_tokens):
         x_values = {tok: float(tok) for tok in x_tokens}
+        if not all(map(math.isfinite, x_values.values())):
+            bad = next(x for _, x in records if not math.isfinite(x_values[x]))
+            raise IngestError(f"public column value {bad!r} is not a finite number")
     jr = JointRange.from_id_pairs(records, x_values)
     return jr, stats(jr, records)
 

@@ -27,12 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0, l0
 from .errors import ContractViolation, InfeasibleError
 from .graph import maximin_information
-from .greedy import LagrangianConfig, Problem, run
+from .greedy import (
+    LagrangianConfig,
+    Problem,
+    _follow,
+    _l0_zero_istar_path,
+    _lambda_path,
+    _singleton_decomposition,
+)
 from .quantize import (
     CodewordPolicy,
     Quantization,
@@ -46,7 +53,6 @@ from .quantize import (
 __all__ = [
     "ParetoPoint",
     "Frontier",
-    "HEART_DISEASE_PRIOR_POINT",
     "default_lambda_grid",
     "sweep",
     "normalize",
@@ -54,12 +60,6 @@ __all__ = [
     "sweeney_baseline",
     "frontier_csv_rows",
 ]
-
-#: Reference (utility loss, normalized maximin leakage) operating point of a
-#: prior clustering method on the heart-disease benchmark; kept only for
-#: dominance comparisons against swept frontiers.
-HEART_DISEASE_PRIOR_POINT = (0.1326, 0.8538)
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -136,28 +136,34 @@ def sweep(
 ) -> Frontier:
     """Assemble the Pareto frontier of one problem over a lambda grid.
 
-    Runs the greedy algorithm once per distinct lambda, harvests candidate
-    quantizations (all trace states by default, terminal states only when
-    ``include_trace_states`` is off), deduplicates identical partitions and
-    coordinate ties, and drops dominated points.
+    For ``l0`` and ``istar`` lambda never picks a merge, only where a run
+    stops, so one merge path serves every distinct lambda; ``l0-zero-istar``
+    picks its merges by a lambda-dependent delta and runs once per distinct
+    lambda. Candidate quantizations are every run's trace states by default
+    (terminal states only when ``include_trace_states`` is off), each
+    credited to the first lambda of the grid whose run reaches it; identical
+    partitions and coordinate ties are deduplicated and dominated points
+    dropped.
     """
     grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
     if not grid:
         raise ContractViolation("lambda grid must be non-empty")
-    seen_lams = set()
+    cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
     candidates: dict[tuple, tuple[float, Quantization]] = {}
-    for lam in grid:
-        if lam in seen_lams:
-            continue
-        seen_lams.add(lam)
-        result = run(jr, problem, LagrangianConfig(lam, utility_choice, policy))
-        states: Iterable[Quantization]
-        if include_trace_states:
-            states = (entry.quantization for entry in result.trace)
-        else:
-            states = (result.quantization,)
-        for q in states:
-            candidates.setdefault(q.partition_key(), (lam, q))
+    if problem is Problem.MIN_L0_ZERO_ISTAR:
+        singletons = _singleton_decomposition(jr)
+        for cfg in cfgs:  # lambda steers algorithm 3's merges: one run each
+            result = _follow(_l0_zero_istar_path(jr, cfg, singletons), cfg, forced=True)
+            trace = [entry.quantization for entry in result.trace]
+            for q in trace if include_trace_states else trace[-1:]:
+                candidates.setdefault(q.partition_key(), (cfg.lam, q))
+    else:
+        states, stops = _lambda_path(jr, problem, cfgs)
+        reached = 0  # states[:reached] are credited already
+        for cfg, stop in zip(cfgs, stops):
+            for q in states[reached if include_trace_states else stop : stop + 1]:
+                candidates.setdefault(q.partition_key(), (cfg.lam, q))
+            reached = max(reached, stop + 1)
 
     scored = []
     for lam, q in candidates.values():

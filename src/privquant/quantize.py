@@ -38,7 +38,6 @@ __all__ = [
     "merge",
     "cluster_distortion",
     "utility",
-    "cluster_id_sets",
 ]
 
 
@@ -192,8 +191,3 @@ def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     if u.kind is UtilityKind.U1_RESOLUTION:
         return h0(jr.n_x) - math.log2(max(len(c) for c in q.clusters))
     return -max(cluster_distortion(q, min(c), u.distance) for c in q.clusters)
-
-
-def cluster_id_sets(jr: JointRange, q: Quantization) -> tuple[tuple[str, ...], ...]:
-    """Clusters as tuples of X symbol ids, for output and assertions."""
-    return tuple(jr.x_ids(c) for c in q.clusters)

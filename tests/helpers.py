@@ -4,8 +4,30 @@ from __future__ import annotations
 
 import random
 
-from privquant import JointRange, Quantization, Symbol
-from privquant.quantize import CodewordPolicy
+import math
+from typing import Iterable, Optional, Sequence
+
+from privquant import (
+    JointRange,
+    LagrangianConfig,
+    Problem,
+    Quantization,
+    Symbol,
+    h0,
+    l0,
+    maximin_information,
+    run,
+)
+from privquant.core import TOLERANCE
+from privquant.errors import ContractViolation
+from privquant.pareto import (
+    Frontier,
+    NormalizationContext,
+    ParetoPoint,
+    default_lambda_grid,
+    normalize,
+)
+from privquant.quantize import CodewordPolicy, UtilityChoice, UtilityKind, utility
 
 # Joint range shared by the example-based tests: 6 sensitive values, 7 public ones.
 TOY_PAIRS = [
@@ -74,3 +96,79 @@ def random_quantization(
     rng: random.Random, jr: JointRange, policy: CodewordPolicy = CodewordPolicy.CENTROID
 ) -> Quantization:
     return Quantization.from_clusters(jr, random_partition(rng, jr.n_x), policy)
+
+
+def raw_leakage(jr: JointRange, q: Quantization, problem: Problem) -> float:
+    if problem is Problem.MIN_ISTAR:
+        return maximin_information(jr, q)
+    return l0(jr, q)
+
+
+def reference_sweep(
+    jr: JointRange,
+    problem: Problem,
+    utility_choice: UtilityChoice,
+    lambda_grid: Optional[Sequence[float]] = None,
+    policy: CodewordPolicy = CodewordPolicy.CENTROID,
+    include_trace_states: bool = True,
+    dataset_id: Optional[str] = None,
+) -> Frontier:
+    """``sweep`` as one full greedy run per distinct lambda.
+
+    The reference the merge-path ``sweep`` is checked against: the
+    per-lambda loop ``sweep`` had before it walked one shared merge path.
+    """
+    grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
+    if not grid:
+        raise ContractViolation("lambda grid must be non-empty")
+    seen_lams = set()
+    candidates: dict[tuple, tuple[float, Quantization]] = {}
+    for lam in grid:
+        if lam in seen_lams:
+            continue
+        seen_lams.add(lam)
+        result = run(jr, problem, LagrangianConfig(lam, utility_choice, policy))
+        states: Iterable[Quantization]
+        if include_trace_states:
+            states = (entry.quantization for entry in result.trace)
+        else:
+            states = (result.quantization,)
+        for q in states:
+            candidates.setdefault(q.partition_key(), (lam, q))
+
+    scored = []
+    for lam, q in candidates.values():
+        leak = raw_leakage(jr, q, problem)
+        util = utility(jr, q, utility_choice)
+        scored.append((leak, -util, lam, q.partition_key(), q))
+    scored.sort(key=lambda row: row[:4])
+
+    survivors: list[tuple[float, float, float, Quantization]] = []
+    best_util = -math.inf
+    last_coords = None
+    for leak, neg_util, lam, _, q in scored:
+        util = -neg_util
+        if (leak, util) == last_coords:
+            continue  # same coordinates, keep the first representative
+        last_coords = (leak, util)
+        if util > best_util + TOLERANCE:
+            best_util = util
+            survivors.append((lam, leak, util, q))
+
+    singleton_leak = raw_leakage(
+        jr, Quantization.from_clusters(jr, [{x} for x in range(jr.n_x)], policy), problem
+    )
+    degenerate = singleton_leak <= TOLERANCE
+    u2_floor = None
+    if utility_choice.kind is UtilityKind.U2_MAX_DISTORTION:
+        u2_floor = min(util for _, _, util, _ in survivors)
+    ctx = NormalizationContext(singleton_leak, h0(jr.n_x), u2_floor, degenerate)
+
+    points = []
+    for lam, leak, util, q in survivors:
+        loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
+        points.append(ParetoPoint(lam, leak, leak_norm, util, loss, q))
+    points.sort(key=lambda p: p.loss_norm)
+    return Frontier(
+        tuple(points), problem, utility_choice.kind, degenerate, u2_floor, dataset_id
+    )

@@ -50,6 +50,26 @@ class TestStats:
 
 
 class TestQuantize:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_x_value_exits_2(self, capsys, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"s,x\n1,1.5\n2,{bad}\n3,2.5\n")
+        code, out, err = run_cli(
+            capsys, "quantize", "--input", str(path), "--s", "s", "--x", "x",
+            "--algorithm", "l0", "--utility", "u2",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: public column value {bad!r} is not a finite number\n"
+
+    def test_overflowing_result_is_one_line_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "quantize", "--pairs", "a:x1,b:x2,a:x3",
+            "--x-values", "x1=1.7e308,x2=-1.7e308,x3=1.7e308",
+            "--algorithm", "l0", "--utility", "u2", "--lambda", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_min_istar_matches_worked_example(self, capsys):
         payload = run_json(
             capsys,

@@ -59,6 +59,11 @@ class TestJointRangeConstruction:
         with pytest.raises(ContractViolation):
             JointRange.from_id_pairs([("a", "x")], {"nope": 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_from_id_pairs_rejects_non_finite_values(self, bad):
+        with pytest.raises(ContractViolation):
+            JointRange.from_id_pairs([("a", "x"), ("b", "y")], {"x": 1.0, "y": bad})
+
 
 class TestConditionalRanges:
     def test_single_observation(self, toy):

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from helpers import random_joint_range
+from helpers import random_joint_range, reference_sweep
 from privquant import (
+    ConfigurationError,
     ContractViolation,
     InfeasibleError,
     JointRange,
@@ -88,6 +89,12 @@ class TestSweep:
         with pytest.raises(ContractViolation):
             sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[])
 
+    @pytest.mark.parametrize("problem", list(Problem))
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_invalid_lambda_in_grid_rejected(self, toy, problem, bad):
+        with pytest.raises(ConfigurationError):
+            sweep(toy, problem, U1, lambda_grid=[0.1, 0.3, bad, 0.3])
+
     def test_points_round_trip_their_measures(self, toy):
         for problem in (Problem.MIN_L0, Problem.MIN_ISTAR):
             fr = sweep(toy, problem, U1, lambda_grid=[0.0, 0.1, 0.5, 2.0])
@@ -146,6 +153,34 @@ class TestSweep:
         fr = sweep(jr, Problem.MIN_L0, U1, lambda_grid=[0.0, 1.0])
         assert fr.degenerate
         assert all(p.leakage_raw == pytest.approx(0.0, abs=1e-12) for p in fr.points)
+
+
+class TestLambdaPathSweep:
+    """The merge-path sweep equals one greedy run per lambda, point for point."""
+
+    PATH_PROBLEMS = (Problem.MIN_L0, Problem.MIN_ISTAR)
+
+    @pytest.mark.parametrize("problem", PATH_PROBLEMS)
+    @pytest.mark.parametrize("u", [U1, U2], ids=["u1", "u2"])
+    @pytest.mark.parametrize("trace_states", [True, False])
+    def test_toy_default_grid(self, toy_v, problem, u, trace_states):
+        got = sweep(toy_v, problem, u, include_trace_states=trace_states)
+        assert got == reference_sweep(toy_v, problem, u, include_trace_states=trace_states)
+
+    def test_random_corpus_with_unsorted_duplicate_grids(self):
+        rng = random.Random(4242)
+        lams = [0.0, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]
+        for _ in range(60):
+            jr = random_joint_range(rng)
+            grid = [rng.choice(lams) for _ in range(rng.randint(1, 10))]
+            grid += [round(rng.uniform(0.0, 5.0), 3), grid[0]]
+            for problem in self.PATH_PROBLEMS:
+                for u in (U1, U2):
+                    for trace_states in (True, False):
+                        args = (jr, problem, u, grid)
+                        got = sweep(*args, include_trace_states=trace_states)
+                        want = reference_sweep(*args, include_trace_states=trace_states)
+                        assert got == want, (grid, problem, u.kind, trace_states)
 
 
 class TestNormalize:
