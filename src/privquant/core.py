@@ -75,6 +75,15 @@ def _check_alphabet(symbols: Sequence[Symbol], name: str) -> None:
         seen.add(sym.id)
 
 
+def finite_magnitude(values: Iterable[float]) -> bool:
+    """True iff ``sum(|v|)`` is a finite float. Then every cluster sum,
+    centroid and distortion (at most ``max - min``) of the values is finite."""
+    try:
+        return math.isfinite(math.fsum(map(abs, values)))
+    except OverflowError:
+        return False
+
+
 class JointRange:
     """Joint range of (S, X): which sensitive/public value pairs co-occur.
 
@@ -149,6 +158,8 @@ class JointRange:
         non_finite = sorted(i for i, v in x_values.items() if not math.isfinite(v))
         if non_finite:
             raise ContractViolation(f"x_values must be finite numbers: {non_finite}")
+        if not finite_magnitude(x_values.values()):
+            raise ContractViolation("x_values are too large: |x| sums past the float range")
         s_syms = [Symbol(i) for i in s_index]
         x_syms = [Symbol(i, x_values.get(i)) for i in x_index]
         return cls(s_syms, x_syms, pairs)

@@ -6,16 +6,15 @@ graph with an edge wherever two clusters' conditional S-ranges intersect
 number of perfectly distinguishable pieces of S: the maximin information is
 log2 of the component count.
 
-Components are found by iterative breadth-first search (no recursion-depth
-hazard); edges are detected with bitmask intersections of the conditional
-ranges. Two independent routes to the same partition are kept side by side
-on purpose:
+Components are found by union-find over X clusters; edges are detected with
+bitmask intersections of the conditional ranges. Two independent routes to
+the same partition are kept side by side on purpose:
 
-* ``finest_decomposition(build_graph(...))`` -- the BFS route used
-  everywhere in production code;
+* ``finest_decomposition(build_graph(...))`` and ``component_count`` --
+  union-find over the released clusters, used everywhere in production code;
 * ``overlap_partition_oracle`` -- a definitional union-find over the S
   alphabet (values are united whenever one released cluster covers both),
-  used by tests as a cross-check of the BFS route.
+  used by tests as a cross-check of the cluster route.
 
 ``merge_update`` coarsens an existing decomposition under a quantization
 without rebuilding the graph.
@@ -24,8 +23,9 @@ without rebuilding the graph.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Sequence
+
 from .core import JointRange
 from .errors import ContractViolation
 
@@ -34,6 +34,7 @@ __all__ = [
     "Decomposition",
     "UnionFind",
     "build_graph",
+    "component_count",
     "finest_decomposition",
     "maximin_information",
     "overlap_partition_oracle",
@@ -42,7 +43,7 @@ __all__ = [
 
 
 class UnionFind:
-    """Minimal union-find with path halving; used for overlap partitions."""
+    """Minimal union-find with path halving; the one component primitive."""
 
     __slots__ = ("parent",)
 
@@ -63,6 +64,13 @@ class UnionFind:
             if rb < ra:
                 ra, rb = rb, ra
             self.parent[rb] = ra
+
+    def blocks(self, parts: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
+        """Union of ``parts[i]`` per set of ``i``, ordered by smallest member."""
+        groups: dict[int, set[int]] = {}
+        for i, part in enumerate(parts):
+            groups.setdefault(self.find(i), set()).update(part)
+        return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
 
 
 def _canonical_clusters(q) -> tuple[frozenset[int], ...]:
@@ -87,13 +95,6 @@ class ConfusabilityGraph:
     @property
     def n_nodes(self) -> int:
         return len(self.clusters)
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.clusters]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -137,34 +138,29 @@ def build_graph(jr: JointRange, q) -> ConfusabilityGraph:
 
 
 def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
-    """Connected components of the graph, as blocks of x-indices (BFS)."""
-    adj = g.adjacency()
-    seen = [False] * g.n_nodes
-    blocks = []
-    for start in range(g.n_nodes):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    component.append(v)
-                    queue.append(v)
-        members: set[int] = set()
-        for node in component:
-            members |= g.clusters[node]
-        blocks.append(frozenset(members))
-    blocks.sort(key=min)
-    return Decomposition(tuple(blocks))
+    """Connected components of the graph, as blocks of x-indices."""
+    uf = UnionFind(g.n_nodes)
+    for i, j in g.edges:
+        uf.union(i, j)
+    return Decomposition(uf.blocks(g.clusters))
+
+
+def component_count(masks: Sequence[int]) -> int:
+    """Connected components of the overlap graph on S-range bitmasks: an edge
+    joins every two masks that intersect."""
+    n = len(masks)
+    uf = UnionFind(n)
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            if mi & masks[j]:
+                uf.union(i, j)
+    return sum(p == i for i, p in enumerate(uf.parent))
 
 
 def maximin_information(jr: JointRange, q) -> float:
     """Bits of S perfectly distinguishable from the release: log2(#components)."""
-    return math.log2(len(finest_decomposition(build_graph(jr, q))))
+    return math.log2(component_count([jr.cond_mask_cluster(c) for c in _canonical_clusters(q)]))
 
 
 def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
@@ -173,7 +169,7 @@ def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
     All sensitive values covered by one released cluster are overlap
     connected; the partition is the transitive closure of that relation,
     computed by union-find over S indices. Kept deliberately independent of
-    the BFS component search so the two can check each other.
+    the component search over X clusters so the two can check each other.
     """
     uf = UnionFind(jr.n_s)
     for cluster in _canonical_clusters(q):
@@ -188,10 +184,7 @@ def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
                     uf.union(first, i)
             mask >>= 1
             i += 1
-    groups: dict[int, set[int]] = {}
-    for s in range(jr.n_s):
-        groups.setdefault(uf.find(s), set()).add(s)
-    return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+    return uf.blocks([(s,) for s in range(jr.n_s)])
 
 
 def merge_update(dec: Decomposition, q) -> Decomposition:
@@ -214,8 +207,4 @@ def merge_update(dec: Decomposition, q) -> Decomposition:
         first = block_of[next(it)]
         for x in it:
             uf.union(first, block_of[x])
-    fused: dict[int, set[int]] = {}
-    for pos, block in enumerate(dec.blocks):
-        fused.setdefault(uf.find(pos), set()).update(block)
-    blocks = tuple(frozenset(b) for b in sorted(fused.values(), key=min))
-    return Decomposition(blocks)
+    return Decomposition(uf.blocks(dec.blocks))

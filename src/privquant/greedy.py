@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .core import JointRange, h0
+from .core import JointRange, h0, l0
 from .errors import ConfigurationError
 from .graph import (
     Decomposition,
@@ -51,6 +51,8 @@ from .quantize import (
     UtilityChoice,
     UtilityKind,
     absolute_difference,
+    exact_numerators,
+    utility,
 )
 
 __all__ = [
@@ -136,12 +138,9 @@ def lagrangian_l0(jr: JointRange, q, cfg: LagrangianConfig) -> float:
     h0(S), so it has the same minimizers. ``q`` may be a Quantization or a
     bare cluster list (codewords are then derived under ``cfg.policy``).
     """
-    from .core import l0
-    from .quantize import utility as _utility
-
     if not isinstance(q, Quantization):
         q = Quantization.from_clusters(jr, q, cfg.policy)
-    return l0(jr, q) - cfg.lam * _utility(jr, q, cfg.utility)
+    return l0(jr, q) - cfg.lam * utility(jr, q, cfg.utility)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ class _Cluster:
         self.members = members  # sorted tuple of x indices
         self.smask = smask
         self.size = size
-        self.total = total
+        self.total = total  # exact value sum in units of 1 / scale (exact_numerators)
         self.vmin = vmin
         self.vmax = vmax
         self.dbar = dbar
@@ -177,53 +176,37 @@ class _State:
                 "max-distortion utility needs numeric values on every X symbol"
             )
         self.fast = utility.distance is absolute_difference
+        totals, self.scale = (
+            exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
+        )
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
             v = self.values[x]
-            self.clusters[x] = _Cluster(
-                x, (x,), jr.cond_mask_x(x), 1, v if v is not None else 0.0, v, v, 0.0
-            )
-
-    # -- distortion ----------------------------------------------------------
-
-    def _dbar_of(self, members, total, vmin, vmax) -> float:
-        if self.policy is CodewordPolicy.CENTROID:
-            cw = total / len(members)
-        else:
-            cw = self.values[members[0]]
-        if self.fast:
-            return max(cw - vmin, vmax - cw)
-        dist = self.utility.distance
-        return max(dist(self.values[x], cw) for x in members)
+            self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, 0.0)
 
     def merged_dbar(self, a: int, b: int) -> float:
+        """Distortion of the cluster that fusing ``a`` and ``b`` would give."""
         ca, cb = self.clusters[a], self.clusters[b]
-        total = ca.total + cb.total
-        vmin = min(ca.vmin, cb.vmin)
-        vmax = max(ca.vmax, cb.vmax)
+        if self.policy is CodewordPolicy.CENTROID:
+            cw = (ca.total + cb.total) / self.scale / (ca.size + cb.size)
+        else:
+            cw = self.values[min(a, b)]
         if self.fast:
-            n = ca.size + cb.size
-            if self.policy is CodewordPolicy.CENTROID:
-                cw = total / n
-            else:
-                cw = self.values[min(ca.members[0], cb.members[0])]
-            return max(cw - vmin, vmax - cw)
-        members = tuple(sorted(ca.members + cb.members))
-        return self._dbar_of(members, total, vmin, vmax)
-
-    # -- mutation --------------------------------------------------------------
+            return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
+        dist = self.utility.distance
+        return max(dist(self.values[x], cw) for x in ca.members + cb.members)
 
     def merge(self, a: int, b: int) -> int:
+        dbar = self.merged_dbar(a, b) if self.needs_values else 0.0
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
         members = tuple(sorted(ca.members + cb.members))
-        total = ca.total + cb.total
         vmin = min(ca.vmin, cb.vmin) if self.needs_values else None
         vmax = max(ca.vmax, cb.vmax) if self.needs_values else None
-        dbar = self._dbar_of(members, total, vmin, vmax) if self.needs_values else 0.0
         cid = members[0]
         self.clusters[cid] = _Cluster(
-            cid, members, ca.smask | cb.smask, ca.size + cb.size, total, vmin, vmax, dbar
+            cid, members, ca.smask | cb.smask, ca.size + cb.size, ca.total + cb.total,
+            vmin, vmax, dbar,
         )
         return cid
 
@@ -249,8 +232,9 @@ class _State:
 
 # Exclusion maxima/minima: merging clusters a and b leaves every other
 # cluster untouched, so "the extreme over the rest" only ever needs the three
-# most extreme entries (at most two are excluded). Computing the top/bottom
-# three once per scan keeps candidate evaluation O(1).
+# most extreme entries (at most two are excluded). Computing the top three
+# once per scan (of a negated key, for a minimum) keeps candidate evaluation
+# O(1). The single pass beats sorting every cluster.
 
 
 def _top3(state: _State, key) -> list[tuple[float, int]]:
@@ -266,19 +250,6 @@ def _top3(state: _State, key) -> list[tuple[float, int]]:
     return best
 
 
-def _bottom3(state: _State, key) -> list[tuple[float, int]]:
-    best: list[tuple[float, int]] = []
-    for c in state.clusters.values():
-        v = key(c)
-        if len(best) < 3:
-            best.append((v, c.cid))
-            best.sort()
-        elif v < best[-1][0]:
-            best[-1] = (v, c.cid)
-            best.sort()
-    return best
-
-
 def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float) -> float:
     for value, cid in extremes:
         if cid != a and cid != b:
@@ -286,25 +257,13 @@ def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float
     return default
 
 
-def _size_top3(state: _State) -> list[tuple[float, int]]:
-    return _top3(state, lambda c: c.size)
-
-
-def _dbar_top3(state: _State) -> list[tuple[float, int]]:
-    return _top3(state, lambda c: c.dbar)
-
-
-def _range_bottom3(state: _State) -> list[tuple[float, int]]:
-    return _bottom3(state, lambda c: c.smask.bit_count())
-
-
 def _post_merge_utility(state: _State, a: int, b: int) -> float:
     """Utility of the quantization obtained by fusing clusters a and b."""
     if state.utility.kind is UtilityKind.U1_RESOLUTION:
         merged = state.clusters[a].size + state.clusters[b].size
-        largest = max(merged, int(_excluding(_size_top3(state), a, b, 0)))
+        largest = max(merged, int(_excluding(_top3(state, lambda c: c.size), a, b, 0)))
         return h0(state.jr.n_x) - math.log2(largest)
-    worst = max(state.merged_dbar(a, b), _excluding(_dbar_top3(state), a, b, 0.0))
+    worst = max(state.merged_dbar(a, b), _excluding(_top3(state, lambda c: c.dbar), a, b, 0.0))
     return -worst
 
 
@@ -427,7 +386,7 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
     """
     cx = state.clusters[cid]
     u1 = state.utility.kind is UtilityKind.U1_RESOLUTION
-    size_tops = _size_top3(state) if u1 else None
+    size_tops = _top3(state, lambda c: c.size) if u1 else None
     best_key = None
     best = None
     for other in state.clusters.values():
@@ -599,16 +558,15 @@ def _l0_zero_istar_path(jr: JointRange, cfg: LagrangianConfig, singletons: Decom
     yield _Step((), state.leakage_l0(), u_old, None, comps.count, state.snapshot)
     while comps.count > 1:
         min_range_bits = state.min_range_bits()
-        range_bottoms = _range_bottom3(state)
-        size_tops = _size_top3(state) if u1 else None
-        dbar_tops = None if u1 else _dbar_top3(state)
+        neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
+        size_tops = _top3(state, lambda c: c.size) if u1 else None
+        dbar_tops = None if u1 else _top3(state, lambda c: c.dbar)
         best_key = None
         best = None
         for a, b, tie in _cross_component_pairs(state, comps):
             ca, cb = state.clusters[a], state.clusters[b]
             merged_range = (ca.smask | cb.smask).bit_count()
-            rest = _excluding(range_bottoms, a, b, math.inf)
-            new_min = merged_range if rest == math.inf else min(merged_range, int(rest))
+            new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
             if u1:
                 largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
                 u_new = h0_x - math.log2(largest)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .core import JointRange
+from .core import JointRange, finite_magnitude
 from .errors import IngestError
 
 __all__ = ["DEFAULT_MISSING", "DatasetStats", "load_csv", "stats", "joint_range_csv_rows"]
@@ -138,6 +138,8 @@ def load_csv(
         if not all(map(math.isfinite, x_values.values())):
             bad = next(x for _, x in records if not math.isfinite(x_values[x]))
             raise IngestError(f"public column value {bad!r} is not a finite number")
+        if not finite_magnitude(x_values.values()):
+            raise IngestError("public column values are too large: |x| sums past the float range")
     jr = JointRange.from_id_pairs(records, x_values)
     return jr, stats(jr, records)
 

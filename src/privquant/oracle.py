@@ -19,6 +19,7 @@ from typing import Iterator, Optional
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
+from .graph import component_count
 from .greedy import LagrangianConfig, Problem
 from .quantize import Quantization, UtilityKind, compute_codeword
 
@@ -71,26 +72,6 @@ def blocks_from_rgs(rgs: tuple[int, ...]) -> list[list[int]]:
     for x, block in enumerate(rgs):
         blocks[block].append(x)
     return blocks
-
-
-def _component_count(smasks: list[int]) -> int:
-    """Connected components of the overlap graph on block range masks."""
-    n = len(smasks)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if smasks[i] & smasks[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return sum(1 for i in range(n) if find(i) == i)
 
 
 def oracle_min(
@@ -156,10 +137,10 @@ def oracle_min(
             util = h0_x - math.log2(max(len(b) for b in blocks))
 
         if problem is Problem.MIN_ISTAR:
-            privacy = math.log2(_component_count(smasks))
+            privacy = math.log2(component_count(smasks))
         else:
             privacy = h0_s - math.log2(min(m.bit_count() for m in smasks))
-            if problem is Problem.MIN_L0_ZERO_ISTAR and _component_count(smasks) != 1:
+            if problem is Problem.MIN_L0_ZERO_ISTAR and component_count(smasks) != 1:
                 return False, math.inf, util, False
 
         if theta is None:

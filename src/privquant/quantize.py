@@ -14,8 +14,10 @@ Two utilities measure how useful the release still is:
   difference). Requires numeric X values.
 
 Quantizations are immutable value types; ``merge`` returns a new one with
-codewords recomputed (centroids move as clusters grow, so nothing is
-updated incrementally).
+codewords recomputed (centroids move as clusters grow). Code that grows
+clusters incrementally keeps each cluster's value sum exact, as an integer
+over the alphabet's common power-of-two denominator (``exact_numerators``),
+so its centroids equal ``compute_codeword`` bit for bit in any merge order.
 """
 
 from __future__ import annotations
@@ -82,6 +84,30 @@ def compute_codeword(values: Sequence[float], policy: CodewordPolicy) -> float:
     return values[0]
 
 
+def exact_numerators(values: Sequence[float]) -> tuple[list[int], int]:
+    """``(numerators, scale)`` with ``values[i] == numerators[i] / scale`` exactly.
+
+    ``scale`` is the largest ``float.as_integer_ratio()`` denominator, a power
+    of two that all others divide (1 for integers). Integer sums are exact and
+    int/int true division is correctly rounded, like ``math.fsum``, so for a
+    cluster C ``sum(numerators[x] for x in C) / scale / len(C)`` equals its
+    centroid ``compute_codeword`` bit for bit (up to the sign of a zero sum),
+    in any summing order.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max((d for _, d in ratios), default=1)
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def _codewords(
+    parts: Sequence[frozenset[int]], values: Sequence[Optional[float]], policy: CodewordPolicy
+) -> Optional[tuple[float, ...]]:
+    """Per-cluster codewords, or None unless every X symbol has a value."""
+    if any(v is None for v in values):
+        return None
+    return tuple(compute_codeword([values[x] for x in sorted(p)], policy) for p in parts)
+
+
 @dataclass(frozen=True)
 class Quantization:
     """A partition of the X alphabet with per-cluster codewords.
@@ -117,12 +143,7 @@ class Quantization:
             raise ContractViolation("clusters must partition the X alphabet")
         parts.sort(key=min)
         values = jr.x_values()
-        codewords = None
-        if all(v is not None for v in values):
-            codewords = tuple(
-                compute_codeword([values[x] for x in sorted(p)], policy) for p in parts
-            )
-        return cls(tuple(parts), policy, values, codewords)
+        return cls(tuple(parts), policy, values, _codewords(parts, values, policy))
 
     @property
     def n_clusters(self) -> int:
@@ -165,11 +186,7 @@ def merge(q: Quantization, a: int, b: int) -> Quantization:
     fused = q.clusters[ia] | q.clusters[ib]
     rest = [c for pos, c in enumerate(q.clusters) if pos not in (ia, ib)]
     parts = sorted(rest + [fused], key=min)
-    codewords = None
-    if q.codewords is not None:
-        codewords = tuple(
-            compute_codeword([q.x_values[x] for x in sorted(p)], q.policy) for p in parts
-        )
+    codewords = _codewords(parts, q.x_values, q.policy)
     return Quantization(tuple(parts), q.policy, q.x_values, codewords)
 
 

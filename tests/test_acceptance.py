@@ -261,7 +261,7 @@ def test_criterion_9_property_suite():
             for q in quantizations:
                 # (a) maximin information never exceeds maximal leakage
                 assert maximin_information(jr, q) <= l0(jr, q) + 1e-9
-                # (b) definitional overlap partition matches BFS components
+                # (b) definitional overlap partition matches the cluster components
                 assert len(overlap_partition_oracle(jr, q)) == len(
                     finest_decomposition(build_graph(jr, q))
                 )

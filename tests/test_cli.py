@@ -8,6 +8,11 @@ from privquant.cli import main
 
 TOY_PAIRS_ARG = ",".join(f"{s}:{x}" for s, x in TOY_PAIRS)
 TOY_VALUES_ARG = ",".join(f"{x}={v}" for x, v in TOY_VALUES.items())
+HUGE_VALUE_COMMANDS = [
+    ("quantize", "--algorithm", "l0", "--utility", "u2", "--lambda", "0"),
+    ("pareto", "--algorithm", "l0", "--utility", "u2"),
+    ("baseline", "--k", "2"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -62,13 +67,31 @@ class TestQuantize:
         assert err == f"error: public column value {bad!r} is not a finite number\n"
 
     def test_overflowing_result_is_one_line_error(self, capsys):
+        # The values are in range, but the forced merge's Lagrangian
+        # 1 + 10 * 5e307 is not.
         code, out, err = run_cli(
-            capsys, "quantize", "--pairs", "a:x1,b:x2,a:x3",
-            "--x-values", "x1=1.7e308,x2=-1.7e308,x3=1.7e308",
-            "--algorithm", "l0", "--utility", "u2", "--lambda", "0",
+            capsys, "quantize", "--pairs", "a:x1,b:x2", "--x-values", "x1=0,x2=1e308",
+            "--algorithm", "l0-zero-istar", "--utility", "u2", "--lambda", "10",
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", HUGE_VALUE_COMMANDS)
+    def test_huge_x_values_inline_exit_3(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, *command, "--pairs", "a:x1,b:x2,a:x3",
+            "--x-values", "x1=1e308,x2=1.7e308,x3=1.7e308",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: x_values are too large: |x| sums past the float range\n"
+
+    @pytest.mark.parametrize("command", HUGE_VALUE_COMMANDS)
+    def test_huge_x_values_csv_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.csv"
+        path.write_text("s,x\na,1e308\nb,1.7e308\na,-1.7e308\n")
+        code, out, err = run_cli(capsys, *command, "--input", str(path), "--s", "s", "--x", "x")
+        assert code == 2 and out == ""
+        assert err == "error: public column values are too large: |x| sums past the float range\n"
 
     def test_min_istar_matches_worked_example(self, capsys):
         payload = run_json(

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from privquant import (
     overlap_partition_oracle,
 )
 from privquant.core import cond_range_cluster
+from privquant.graph import component_count
 
 LOG2_5 = 2.321928094887362
 
@@ -115,8 +117,9 @@ class TestOverlapPartitionOracle:
             jr = random_joint_range(rng, with_values=False)
             q = random_partition(rng, jr.n_x)
             oracle = overlap_partition_oracle(jr, q)
-            bfs = finest_decomposition(build_graph(jr, q))
-            assert len(oracle) == len(bfs)
+            assert len(finest_decomposition(build_graph(jr, q))) == len(oracle)
+            assert component_count([jr.cond_mask_cluster(c) for c in q]) == len(oracle)
+            assert maximin_information(jr, q) == math.log2(len(oracle))
 
 
 class TestMergeUpdate:

@@ -21,7 +21,7 @@ from privquant import (
     run,
     singleton_quantization,
 )
-from privquant.quantize import utility
+from privquant.quantize import CodewordPolicy, utility
 
 CFG_U1 = LagrangianConfig(0.3, UtilityChoice.u1())
 
@@ -218,3 +218,51 @@ class TestRunContracts:
                             jr, e.quantization, u
                         )
                         assert e.lagrangian == pytest.approx(expected, abs=1e-9)
+
+
+def _trace_mismatches(jr, problem, cfg):
+    """Trace states whose utility or Lagrangian differs bit-wise from a
+    recompute on the state's quantization."""
+    bad = []
+    for e in run(jr, problem, cfg).trace:
+        util = utility(jr, e.quantization, cfg.utility)
+        if problem is Problem.MIN_ISTAR:
+            lag = maximin_information(jr, e.quantization) - cfg.lam * util
+        else:
+            lag = lagrangian_l0(jr, e.quantization, cfg)
+        if e.utility_value != util or e.lagrangian != lag:
+            bad.append((problem, cfg, e.t, e.utility_value, util, e.lagrangian, lag))
+    return bad
+
+
+class TestTraceBitEquality:
+    """Reported trace numbers recompute bit for bit from the quantization."""
+
+    def test_worked_case(self):
+        # 0.1 + 1.11 + 1.12 summed left to right is 2.3300000000000005; the
+        # correctly rounded sum is 2.33, so a plain running sum reports the
+        # last state's utility as -0.6766666666666669, not -0.6766666666666667.
+        jr = JointRange.from_id_pairs(
+            [("s0", "x0"), ("s1", "x1"), ("s2", "x2")], {"x0": 0.1, "x1": 1.11, "x2": 1.12}
+        )
+        cfg = LagrangianConfig(0.0, UtilityChoice.u2())
+        for problem in Problem:
+            assert _trace_mismatches(jr, problem, cfg) == []
+        last = run(jr, Problem.MIN_ISTAR, cfg).trace[-1]
+        assert (last.t, last.utility_value) == (2, -0.6766666666666667)
+
+    def test_random_corpus(self):
+        rng = random.Random(3141)
+        bad = []
+        for i in range(120):
+            jr = random_joint_range(rng)
+            if i % 2:
+                # uniform floats carry a full 53-bit mantissa
+                x_syms = [Symbol(x.id, rng.uniform(-10.0, 10.0)) for x in jr.x_symbols]
+                jr = JointRange(jr.s_symbols, x_syms, jr.pairs)
+            for problem in Problem:
+                for policy in CodewordPolicy:
+                    for lam in (0.0, 0.3, 2.5):
+                        cfg = LagrangianConfig(lam, UtilityChoice.u2(), policy)
+                        bad += _trace_mismatches(jr, problem, cfg)
+        assert bad == []

@@ -21,7 +21,7 @@ from privquant import (
     singleton_quantization,
     utility,
 )
-from privquant.quantize import CodewordPolicy
+from privquant.quantize import CodewordPolicy, compute_codeword, exact_numerators
 
 LOG2_7 = 2.807354922057604
 
@@ -83,6 +83,28 @@ class TestMerge:
             q = merge(q, a, b)
         assert q.clusters == (frozenset(range(7)),)
         assert utility(toy_v, q, UtilityChoice.u1()) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestExactNumerators:
+    def test_integer_values_have_scale_one(self):
+        assert exact_numerators([3.0, -2.0, 7]) == ([3, -2, 7], 1)
+
+    def test_merged_codeword_equals_compute_codeword(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cluster = st.lists(
+            st.floats(min_value=-1e300, max_value=1e300, allow_nan=False), min_size=1, max_size=20
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(cluster, cluster)
+        def check(a, b):
+            nums, scale = exact_numerators(a + b)
+            merged = sum(nums[len(a):]) + sum(nums[: len(a)])
+            cw = compute_codeword(a + b, CodewordPolicy.CENTROID)
+            assert merged / scale / len(nums) == cw
+
+        check()
 
 
 class TestClusterDistortion:
