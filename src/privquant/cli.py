@@ -7,7 +7,8 @@ gets the manifest as a JSON sidecar next to it. Exit codes are stable:
     0  success
     1  a result JSON cannot hold (a non-finite number)
     2  ingestion failure
-    3  configuration error (bad flags, lambda < 0, U2 on categorical data)
+    3  configuration error (bad flags, lambda < 0, U2 on categorical data,
+       an unwritable --out)
     4  size cap exceeded (oracle)
     5  infeasible constraint (theta or k out of reach)
 """
@@ -221,9 +222,17 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         # Finite inputs can still overflow, e.g. a distortion between huge values.
         raise PrivQuantError("a result is not a finite number; JSON cannot hold it") from None
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        _write(Path(out), text + "\n")
     else:
         print(text)
+
+
+def _write(path: Path, text: str) -> None:
+    """Write an output file; an unwritable ``--out`` is a configuration error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_quantization_file(jr: JointRange, path: str) -> list[set[int]]:
@@ -382,9 +391,9 @@ def _cmd_pareto(args) -> int:
     writer = csv.writer(buf)
     writer.writerows(frontier_csv_rows(frontier))
     if args.out:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        _write(Path(args.out), buf.getvalue())
         sidecar = Path(args.out).with_suffix(Path(args.out).suffix + ".manifest.json")
-        sidecar.write_text(json.dumps({"schema": 1, "manifest": manifest}, indent=2) + "\n")
+        _write(sidecar, json.dumps({"schema": 1, "manifest": manifest}, indent=2) + "\n")
     else:
         sys.stdout.write(buf.getvalue())
     return 0

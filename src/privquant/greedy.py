@@ -31,6 +31,7 @@ Lagrangian, because the decimal test is the stricter of the two).
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -210,6 +211,12 @@ class _State:
         )
         return cid
 
+    def copy(self) -> "_State":
+        """An independent state; _Cluster objects are never mutated, so they are shared."""
+        other = copy.copy(self)
+        other.clusters = dict(self.clusters)
+        return other
+
     # -- measures of the current state ------------------------------------------
 
     def utility_value(self) -> float:
@@ -274,7 +281,8 @@ def _post_merge_utility(state: _State, a: int, b: int) -> float:
 # Each algorithm is a generator of merge steps that ``_follow`` turns into a
 # run. Algorithms 1 and 2 never use lambda to pick a merge, only to decide
 # where a run stops, so their paths are lambda-free and a sweep follows one
-# path for a whole lambda grid (``_lambda_path``).
+# path for a whole lambda grid (``_lambda_path``). Algorithm 3 picks merges
+# by lambda; a sweep walks the tree its runs form (``_l0_zero_istar_tree``).
 
 
 class _Step(NamedTuple):
@@ -483,6 +491,12 @@ class _Components:
         self.x_count[self.uf.find(ra)] = self.x_count[ra] + self.x_count[rb]
         self.count -= 1
 
+    def copy(self) -> "_Components":
+        other = copy.copy(self)
+        other.uf = copy.deepcopy(self.uf)
+        other.x_count = dict(self.x_count)
+        return other
+
 
 def _cross_component_pairs(state: _State, comps: _Components):
     """Cluster pairs (a < b) in different components, each with its tie key.
@@ -547,42 +561,86 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     return _follow(_min_istar_path(jr, cfg.utility, cfg.policy, singletons), cfg, singletons)
 
 
+def _l0_zero_istar_candidates(state: _State, comps: _Components):
+    """Algorithm 3's cross-component candidates, grouped by the exact pair
+    ``(dpriv, u_new)`` of privacy change and post-merge utility.
+
+    Every pair of a group has the same Lagrangian change at any lambda, so
+    each group keeps only its pair least in ``(range_sum, *tie)`` and a
+    lambda's argmin over the groups is its argmin over all pairs. Returns
+    one ``(dpriv, u_new, rest)`` per group, with ``rest = (range_sum, *tie)``.
+    """
+    u1 = state.utility.kind is UtilityKind.U1_RESOLUTION
+    h0_x = h0(state.jr.n_x)
+    min_range_bits = state.min_range_bits()
+    neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
+    size_tops = _top3(state, lambda c: c.size) if u1 else None
+    dbar_tops = None if u1 else _top3(state, lambda c: c.dbar)
+    groups: dict[tuple[float, float], tuple] = {}
+    for a, b, tie in _cross_component_pairs(state, comps):
+        ca, cb = state.clusters[a], state.clusters[b]
+        merged_range = (ca.smask | cb.smask).bit_count()
+        new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
+        if u1:
+            largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
+            u_new = h0_x - math.log2(largest)
+        else:
+            u_new = -max(state.merged_dbar(a, b), _excluding(dbar_tops, a, b, 0.0))
+        dpriv = min_range_bits - math.log2(new_min)
+        rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)
+        best = groups.get((dpriv, u_new))
+        if best is None or rest < best[2]:
+            groups[dpriv, u_new] = (dpriv, u_new, rest)
+    return groups.values()
+
+
+def _l0_zero_istar_tree(
+    jr: JointRange, cfgs: Sequence[LagrangianConfig], singletons: Decomposition
+):
+    """Algorithm 3's merge paths for several lambdas at once (one utility
+    and policy), walked depth first as the tree they form: runs share every
+    state until they pick different merges, and each state's candidates are
+    scanned once for all the lambdas reaching it.
+
+    Yields ``(runs, step)`` once per state of the tree, parent before child:
+    the ascending indices of the configs whose runs reach it, and its step.
+    The tree of one config is that config's merge path, in order.
+    """
+    state = _State(jr, cfgs[0].utility, cfgs[0].policy)
+    comps = _Components(singletons)
+    runs = list(range(len(cfgs)))
+    u = state.utility_value()
+    yield runs, _Step((), state.leakage_l0(), u, None, comps.count, state.snapshot)
+    pending = [(state, comps, u, runs)]
+    while pending:
+        state, comps, u_old, runs = pending.pop()
+        if comps.count == 1:
+            continue
+        groups = _l0_zero_istar_candidates(state, comps)
+        picks: dict[tuple, list[int]] = {}  # chosen candidate -> its configs
+        for i in runs:
+            lam = cfgs[i].lam
+            pick = min(groups, key=lambda g: (g[0] + lam * (u_old - g[1]), g[2]))
+            picks.setdefault(pick, []).append(i)
+        for n, ((dpriv, u_new, rest), branch) in enumerate(picks.items()):
+            if n < len(picks) - 1:  # the runs split here: all but the last branch copy
+                child, child_comps = state.copy(), comps.copy()
+            else:
+                child, child_comps = state, comps
+            a, b = rest[-2:]
+            child_comps.fuse(a, b)
+            child.merge(a, b)
+            yield branch, _Step(
+                ((a, b),), child.leakage_l0(), u_new, dpriv, child_comps.count, child.snapshot
+            )
+            pending.append((child, child_comps, u_new, branch))
+
+
 def _l0_zero_istar_path(jr: JointRange, cfg: LagrangianConfig, singletons: Decomposition):
     """Algorithm 3's merge path at ``cfg.lam``, one cross-component merge per
     step; returns its termination."""
-    state = _State(jr, cfg.utility, cfg.policy)
-    comps = _Components(singletons)
-    u1 = cfg.utility.kind is UtilityKind.U1_RESOLUTION
-    h0_x = h0(jr.n_x)
-    u_old = state.utility_value()
-    yield _Step((), state.leakage_l0(), u_old, None, comps.count, state.snapshot)
-    while comps.count > 1:
-        min_range_bits = state.min_range_bits()
-        neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
-        size_tops = _top3(state, lambda c: c.size) if u1 else None
-        dbar_tops = None if u1 else _top3(state, lambda c: c.dbar)
-        best_key = None
-        best = None
-        for a, b, tie in _cross_component_pairs(state, comps):
-            ca, cb = state.clusters[a], state.clusters[b]
-            merged_range = (ca.smask | cb.smask).bit_count()
-            new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
-            if u1:
-                largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
-                u_new = h0_x - math.log2(largest)
-            else:
-                u_new = -max(state.merged_dbar(a, b), _excluding(dbar_tops, a, b, 0.0))
-            dpriv = min_range_bits - math.log2(new_min)
-            delta = dpriv + cfg.lam * (u_old - u_new)
-            range_sum = ca.smask.bit_count() + cb.smask.bit_count()
-            key = (delta, range_sum, *tie)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (a, b, u_new, dpriv)
-        a, b, u_old, dpriv = best
-        comps.fuse(a, b)
-        state.merge(a, b)
-        yield _Step(((a, b),), state.leakage_l0(), u_old, dpriv, comps.count, state.snapshot)
+    for _, step in _l0_zero_istar_tree(jr, [cfg], singletons):
+        yield step
     return Termination.SINGLE_COMPONENT
 
 

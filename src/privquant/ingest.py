@@ -97,7 +97,7 @@ def load_csv(
 
     records: list[tuple[str, str]] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _csv_rows(fh, delimiter)
         header: Optional[list[str]] = None
         first_row = next(reader, None)
         if first_row is None:
@@ -142,6 +142,18 @@ def load_csv(
             raise IngestError("public column values are too large: |x| sums past the float range")
     jr = JointRange.from_id_pairs(records, x_values)
     return jr, stats(jr, records)
+
+
+def _csv_rows(fh, delimiter: str):
+    """The rows of ``fh``; undecodable bytes and CSV syntax errors raise IngestError."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise IngestError("file is not UTF-8 text") from None
+    except csv.Error as exc:
+        line = reader.line_num
+        raise IngestError(f"CSV error on line {line}: {exc}", row=line) from None
 
 
 def _chain_first(first, rest):

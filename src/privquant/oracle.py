@@ -91,8 +91,8 @@ def oracle_min(
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
 
-    Two enumeration passes: one to find the optimum, one to count ties and
-    pick the lexicographically first witness.
+    One enumeration pass keeps the optimum, the number of partitions within
+    ``TOLERANCE`` of it and the lexicographically first of them (the witness).
     """
     n = jr.n_x
     if n > MAX_ORACLE_SYMBOLS:
@@ -152,6 +152,8 @@ def oracle_min(
     best = math.inf
     best_util = -math.inf
     any_feasible = False
+    # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
+    near: dict[float, list] = {}
     for rgs in enumerate_partitions(n):
         feasible, obj, util, structural_ok = score(rgs)
         if structural_ok and util > best_util:
@@ -160,20 +162,15 @@ def oracle_min(
             any_feasible = True
             if obj < best:
                 best = obj
+                near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
+            if obj <= best + TOLERANCE:
+                near.setdefault(obj, [0, rgs])[0] += 1
     if not any_feasible:
         raise InfeasibleError(
             f"no quantization satisfies the constraint; best achievable utility is "
             f"{best_util:.6g}",
             max_achievable=best_util,
         )
-
-    count = 0
-    witness: Optional[tuple[int, ...]] = None
-    for rgs in enumerate_partitions(n):
-        feasible, obj, _, _ = score(rgs)
-        if feasible and obj <= best + TOLERANCE:
-            count += 1
-            if witness is None:
-                witness = rgs
+    witness = min(rgs for _, rgs in near.values())
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
-    return OracleResult(best, q, count)
+    return OracleResult(best, q, sum(count for count, _ in near.values()))

@@ -5,7 +5,9 @@ utility-loss) pairs traces the frontier of what quantization can achieve.
 Every intermediate quantization visited by a greedy run is itself a valid
 release, so the sweep harvests all trace states, not just terminal ones;
 low-lambda runs then contribute their whole merge path and the dominance
-filter keeps the useful part.
+filter keeps the useful part. Runs at different lambdas share their states
+up to the first merge they pick differently, and the sweep visits each
+shared state once.
 
 Axes are normalized as plotted throughout this package's outputs:
 
@@ -35,8 +37,7 @@ from .graph import maximin_information
 from .greedy import (
     LagrangianConfig,
     Problem,
-    _follow,
-    _l0_zero_istar_path,
+    _l0_zero_istar_tree,
     _lambda_path,
     _singleton_decomposition,
 )
@@ -137,9 +138,11 @@ def sweep(
     """Assemble the Pareto frontier of one problem over a lambda grid.
 
     For ``l0`` and ``istar`` lambda never picks a merge, only where a run
-    stops, so one merge path serves every distinct lambda; ``l0-zero-istar``
-    picks its merges by a lambda-dependent delta and runs once per distinct
-    lambda. Candidate quantizations are every run's trace states by default
+    stops, so one merge path serves every distinct lambda. ``l0-zero-istar``
+    picks its merges by a lambda-dependent delta, so its runs form a tree:
+    the sweep walks that lambda tree once, sharing every common prefix, and
+    scans each distinct state's candidates once for all its lambdas.
+    Candidate quantizations are every run's trace states by default
     (terminal states only when ``include_trace_states`` is off), each
     credited to the first lambda of the grid whose run reaches it; identical
     partitions and coordinate ties are deduplicated and dominated points
@@ -151,12 +154,14 @@ def sweep(
     cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
     candidates: dict[tuple, tuple[float, Quantization]] = {}
     if problem is Problem.MIN_L0_ZERO_ISTAR:
-        singletons = _singleton_decomposition(jr)
-        for cfg in cfgs:  # lambda steers algorithm 3's merges: one run each
-            result = _follow(_l0_zero_istar_path(jr, cfg, singletons), cfg, forced=True)
-            trace = [entry.quantization for entry in result.trace]
-            for q in trace if include_trace_states else trace[-1:]:
-                candidates.setdefault(q.partition_key(), (cfg.lam, q))
+        firsts: dict[tuple, tuple[int, Quantization]] = {}  # key -> (first config, state)
+        for runs, step in _l0_zero_istar_tree(jr, cfgs, _singleton_decomposition(jr)):
+            if include_trace_states or step.component_count == 1:
+                q = step.snapshot()
+                key = q.partition_key()
+                if key not in firsts or runs[0] < firsts[key][0]:
+                    firsts[key] = (runs[0], q)
+        candidates = {key: (cfgs[i].lam, q) for key, (i, q) in firsts.items()}
     else:
         states, stops = _lambda_path(jr, problem, cfgs)
         reached = 0  # states[:reached] are credited already

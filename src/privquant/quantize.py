@@ -190,6 +190,10 @@ def merge(q: Quantization, a: int, b: int) -> Quantization:
     return Quantization(tuple(parts), q.policy, q.x_values, codewords)
 
 
+def _distortion(q: Quantization, cluster, codeword: float, distance) -> float:
+    return max(distance(q.x_values[x], codeword) for x in cluster)
+
+
 def cluster_distortion(
     q: Quantization,
     cluster_id: int,
@@ -199,12 +203,15 @@ def cluster_distortion(
     if q.codewords is None:
         raise ConfigurationError("distortion needs numeric values on every X symbol")
     pos = q.index_of(cluster_id)
-    codeword = q.codewords[pos]
-    return max(distance(q.x_values[x], codeword) for x in q.clusters[pos])
+    return _distortion(q, q.clusters[pos], q.codewords[pos], distance)
 
 
 def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     """Worst-case utility of the release under the chosen definition."""
     if u.kind is UtilityKind.U1_RESOLUTION:
         return h0(jr.n_x) - math.log2(max(len(c) for c in q.clusters))
-    return -max(cluster_distortion(q, min(c), u.distance) for c in q.clusters)
+    if q.codewords is None:
+        raise ConfigurationError("distortion needs numeric values on every X symbol")
+    return -max(
+        _distortion(q, c, cw, u.distance) for c, cw in zip(q.clusters, q.codewords)
+    )

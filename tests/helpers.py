@@ -19,7 +19,9 @@ from privquant import (
     run,
 )
 from privquant.core import TOLERANCE
-from privquant.errors import ContractViolation
+from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError
+from privquant.graph import component_count
+from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
 from privquant.pareto import (
     Frontier,
     NormalizationContext,
@@ -27,7 +29,13 @@ from privquant.pareto import (
     default_lambda_grid,
     normalize,
 )
-from privquant.quantize import CodewordPolicy, UtilityChoice, UtilityKind, utility
+from privquant.quantize import (
+    CodewordPolicy,
+    UtilityChoice,
+    UtilityKind,
+    compute_codeword,
+    utility,
+)
 
 # Joint range shared by the example-based tests: 6 sensitive values, 7 public ones.
 TOY_PAIRS = [
@@ -172,3 +180,91 @@ def reference_sweep(
     return Frontier(
         tuple(points), problem, utility_choice.kind, degenerate, u2_floor, dataset_id
     )
+
+
+def reference_oracle_min(
+    jr: JointRange,
+    problem: Problem,
+    cfg: LagrangianConfig,
+    theta: Optional[float] = None,
+) -> OracleResult:
+    """``oracle_min`` in two enumeration passes.
+
+    The reference the one-pass ``oracle_min`` is checked against: the first
+    pass finds the optimum, the second counts the partitions within
+    ``TOLERANCE`` of it and takes the first of them as the witness.
+    """
+    n = jr.n_x
+    u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
+    values = jr.x_values()
+    if u2 and any(v is None for v in values):
+        raise ConfigurationError(
+            "max-distortion utility needs numeric values on every X symbol"
+        )
+    masks = [jr.cond_mask_x(x) for x in range(n)]
+    h0_s = h0(jr.n_s)
+    h0_x = h0(n)
+    lam = cfg.lam
+    dist = cfg.utility.distance
+
+    def score(rgs: tuple[int, ...]) -> tuple[bool, float, float, bool]:
+        blocks = blocks_from_rgs(rgs)
+        smasks = []
+        for block in blocks:
+            m = 0
+            for x in block:
+                m |= masks[x]
+            smasks.append(m)
+        if u2:
+            worst = 0.0
+            for block in blocks:
+                vals = [values[x] for x in block]
+                cw = compute_codeword(vals, cfg.policy)
+                d = max(dist(v, cw) for v in vals)
+                if d > worst:
+                    worst = d
+            util = -worst
+        else:
+            util = h0_x - math.log2(max(len(b) for b in blocks))
+
+        if problem is Problem.MIN_ISTAR:
+            privacy = math.log2(component_count(smasks))
+        else:
+            privacy = h0_s - math.log2(min(m.bit_count() for m in smasks))
+            if problem is Problem.MIN_L0_ZERO_ISTAR and component_count(smasks) != 1:
+                return False, math.inf, util, False
+
+        if theta is None:
+            return True, privacy - lam * util, util, True
+        if util >= theta - TOLERANCE:
+            return True, privacy, util, True
+        return False, math.inf, util, True
+
+    best = math.inf
+    best_util = -math.inf
+    any_feasible = False
+    for rgs in enumerate_partitions(n):
+        feasible, obj, util, structural_ok = score(rgs)
+        if structural_ok and util > best_util:
+            best_util = util
+        if feasible:
+            any_feasible = True
+            if obj < best:
+                best = obj
+    if not any_feasible:
+        raise InfeasibleError(
+            f"no quantization satisfies the constraint; best achievable utility is "
+            f"{best_util:.6g}",
+            max_achievable=best_util,
+        )
+
+    count = 0
+    witness: Optional[tuple[int, ...]] = None
+    for rgs in enumerate_partitions(n):
+        feasible, obj, _, _ = score(rgs)
+        if feasible and obj <= best + TOLERANCE:
+            count += 1
+            if witness is None:
+                witness = rgs
+    q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
+    return OracleResult(best, q, count)

@@ -344,6 +344,41 @@ class TestBaselineAndOracle:
         assert code == 3
 
 
+class TestUnreadableInputAndOutput:
+    def test_non_utf8_csv_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"s,x\n1,\xff\xfe\n2,3\n")
+        code, out, err = run_cli(capsys, "stats", "--input", str(path), "--s", "s", "--x", "x")
+        assert code == 2 and out == ""
+        assert err == "error: file is not UTF-8 text\n"
+
+    def test_field_over_csv_limit_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge_field.csv"
+        path.write_text("s,x\n1," + "x" * (csv.field_size_limit() + 1) + "\n")
+        code, out, err = run_cli(capsys, "stats", "--input", str(path), "--s", "s", "--x", "x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: CSV error on line 2: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "no-parent"])
+    def test_unwritable_json_out_exits_3(self, capsys, tmp_path, target):
+        out_path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "stats", "--pairs", TOY_PAIRS_ARG, "--out", str(out_path)
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target", ["", "missing/out.csv"], ids=["directory", "no-parent"])
+    def test_unwritable_csv_out_exits_3(self, capsys, tmp_path, target):
+        out_path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--algorithm", "istar",
+            "--grid", "2:0.1:1", "--format", "csv", "--out", str(out_path),
+        )
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_3(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == 3

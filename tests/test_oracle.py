@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from helpers import random_joint_range
+from helpers import random_joint_range, reference_oracle_min
 from privquant import (
+    CodewordPolicy,
     ContractViolation,
     InfeasibleError,
+    JointRange,
     LagrangianConfig,
     Problem,
     SizeLimitError,
@@ -99,8 +101,6 @@ class TestOracleMin:
         assert exc.value.max_achievable == pytest.approx(math.log2(7), abs=1e-9)
 
     def test_size_cap(self):
-        from privquant import JointRange
-
         jr = JointRange.from_id_pairs([("s0", f"x{i}") for i in range(13)])
         with pytest.raises(SizeLimitError):
             oracle_min(jr, Problem.MIN_L0, CFG)
@@ -149,3 +149,39 @@ class TestGreedyNeverBeatsOracle:
             g3 = algorithm3_l0_zero_istar(jr, cfg)
             o3 = oracle_min(jr, Problem.MIN_L0_ZERO_ISTAR, cfg)
             assert lagrangian_l0(jr, g3.quantization, cfg) >= o3.value - 1e-9
+
+
+class TestOnePassOracle:
+    """The one-pass oracle equals the two-pass reference, ties included."""
+
+    def test_matches_two_pass_reference(self):
+        rng = random.Random(31)
+        checked = infeasible = 0
+        for _ in range(12):
+            jr = random_joint_range(rng, max_s=6, max_x=7)
+            for problem in Problem:
+                for u in (UtilityChoice.u1(), UtilityChoice.u2()):
+                    for policy in CodewordPolicy:
+                        cfg = LagrangianConfig(rng.choice([0.0, 0.3, 2.5]), u, policy)
+                        theta = rng.choice([None, None, -2.0, 0.5, 3.0])
+                        outcomes = []
+                        for oracle in (oracle_min, reference_oracle_min):
+                            try:
+                                outcomes.append(repr(oracle(jr, problem, cfg, theta=theta)))
+                            except InfeasibleError as exc:
+                                outcomes.append(("infeasible", exc.max_achievable))
+                        assert outcomes[0] == outcomes[1], (problem, u.kind, policy, theta)
+                        checked += 1
+                        infeasible += isinstance(outcomes[0], tuple)
+        assert checked == 144 and infeasible > 0
+
+    def test_near_tie_found_before_the_optimum_is_the_witness(self):
+        # {a,b},{c,d} (RGS 0,0,1,1) is enumerated before the optimum
+        # {a,b},{c},{d} (RGS 0,0,1,2) and is worse by 5e-13, inside TOLERANCE.
+        pairs = [("s0", "a"), ("s1", "b"), ("s0", "c"), ("s1", "c"), ("s0", "d"), ("s1", "d")]
+        jr = JointRange.from_id_pairs(pairs, {"a": 0.0, "b": 1.0, "c": 10.0, "d": 11.000000000001})
+        cfg = LagrangianConfig(1.0, UtilityChoice.u2())
+        res = oracle_min(jr, Problem.MIN_L0, cfg)
+        assert (res.value, res.optima_count) == (0.5, 2)
+        assert res.quantization.clusters == (frozenset({0, 1}), frozenset({2, 3}))
+        assert repr(res) == repr(reference_oracle_min(jr, Problem.MIN_L0, cfg))

@@ -9,6 +9,7 @@ from privquant import (
     ContractViolation,
     InfeasibleError,
     JointRange,
+    LagrangianConfig,
     Problem,
     UtilityChoice,
     b0,
@@ -16,6 +17,7 @@ from privquant import (
     is_k_anonymous,
     l0,
     maximin_information,
+    run,
     singleton_quantization,
     sweep,
     sweeney_baseline,
@@ -158,7 +160,7 @@ class TestSweep:
 class TestLambdaPathSweep:
     """The merge-path sweep equals one greedy run per lambda, point for point."""
 
-    PATH_PROBLEMS = (Problem.MIN_L0, Problem.MIN_ISTAR)
+    PATH_PROBLEMS = (Problem.MIN_L0, Problem.MIN_ISTAR, Problem.MIN_L0_ZERO_ISTAR)
 
     @pytest.mark.parametrize("problem", PATH_PROBLEMS)
     @pytest.mark.parametrize("u", [U1, U2], ids=["u1", "u2"])
@@ -170,10 +172,17 @@ class TestLambdaPathSweep:
     def test_random_corpus_with_unsorted_duplicate_grids(self):
         rng = random.Random(4242)
         lams = [0.0, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0, 10.0, 100.0]
+        branching = {U1.kind: 0, U2.kind: 0}
         for _ in range(60):
             jr = random_joint_range(rng)
             grid = [rng.choice(lams) for _ in range(rng.randint(1, 10))]
             grid += [round(rng.uniform(0.0, 5.0), 3), grid[0]]
+            for u in (U1, U2):
+                paths = {
+                    tuple(e.merged for e in run(jr, Problem.MIN_L0_ZERO_ISTAR, cfg).trace)
+                    for cfg in (LagrangianConfig(lam, u) for lam in grid)
+                }
+                branching[u.kind] += len(paths) > 1
             for problem in self.PATH_PROBLEMS:
                 for u in (U1, U2):
                     for trace_states in (True, False):
@@ -181,6 +190,9 @@ class TestLambdaPathSweep:
                         got = sweep(*args, include_trace_states=trace_states)
                         want = reference_sweep(*args, include_trace_states=trace_states)
                         assert got == want, (grid, problem, u.kind, trace_states)
+        # The l0-zero-istar lambda tree branches on this corpus, so the
+        # sweep's split-and-copy walk is exercised for both utilities.
+        assert all(branching.values()), branching
 
 
 class TestNormalize:
