@@ -8,7 +8,7 @@ gets the manifest as a JSON sidecar next to it. Exit codes are stable:
     1  a result JSON cannot hold (a non-finite number)
     2  ingestion failure
     3  configuration error (bad flags, lambda < 0, U2 on categorical data,
-       an unwritable --out)
+       an unwritable --out, a --delimiter that is not one character)
     4  size cap exceeded (oracle)
     5  infeasible constraint (theta or k out of reach)
 """

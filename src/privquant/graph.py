@@ -6,12 +6,13 @@ graph with an edge wherever two clusters' conditional S-ranges intersect
 number of perfectly distinguishable pieces of S: the maximin information is
 log2 of the component count.
 
-Components are found by union-find over X clusters; edges are detected with
-bitmask intersections of the conditional ranges. Two independent routes to
-the same partition are kept side by side on purpose:
+Components are found over X clusters; edges are detected with bitmask
+intersections of the conditional ranges. Two independent routes to the same
+partition are kept side by side on purpose:
 
-* ``finest_decomposition(build_graph(...))`` and ``component_count`` --
-  union-find over the released clusters, used everywhere in production code;
+* ``finest_decomposition(build_graph(...))`` (union-find) and
+  ``component_count`` (a fold over disjoint component masks) -- over the
+  released clusters, used everywhere in production code;
 * ``overlap_partition_oracle`` -- a definitional union-find over the S
   alphabet (values are united whenever one released cluster covers both),
   used by tests as a cross-check of the cluster route.
@@ -43,7 +44,7 @@ __all__ = [
 
 
 class UnionFind:
-    """Minimal union-find with path halving; the one component primitive."""
+    """Minimal union-find with path halving; the primitive wherever component blocks are built."""
 
     __slots__ = ("parent",)
 
@@ -146,16 +147,20 @@ def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
 
 
 def component_count(masks: Sequence[int]) -> int:
-    """Connected components of the overlap graph on S-range bitmasks: an edge
-    joins every two masks that intersect."""
-    n = len(masks)
-    uf = UnionFind(n)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            if mi & masks[j]:
-                uf.union(i, j)
-    return sum(p == i for i, p in enumerate(uf.parent))
+    """Connected components of the overlap graph on S-range bitmasks (an edge
+    joins every two masks that intersect), folded into disjoint component
+    masks: each mask absorbs every component it intersects."""
+    comps: list[int] = []
+    for m in masks:
+        rest = []
+        for c in comps:
+            if c & m:
+                m |= c
+            else:
+                rest.append(c)
+        rest.append(m)
+        comps = rest
+    return len(comps)
 
 
 def maximin_information(jr: JointRange, q) -> float:

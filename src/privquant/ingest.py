@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .core import JointRange, finite_magnitude
-from .errors import IngestError
+from .errors import ConfigurationError, IngestError
 
 __all__ = ["DEFAULT_MISSING", "DatasetStats", "load_csv", "stats", "joint_range_csv_rows"]
 
@@ -90,6 +90,8 @@ def load_csv(
     is an error (reported with its 1-based row number) instead of silently
     demoting the column to categorical.
     """
+    if len(delimiter) != 1:
+        raise ConfigurationError(f"delimiter must be one character, got {delimiter!r}")
     path = Path(path)
     if not path.is_file():
         raise IngestError(f"no such file: {path}")

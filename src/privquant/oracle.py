@@ -6,6 +6,11 @@ scored, and the exact optimum is returned. RGS enumeration is constant
 memory per item and lexicographic, which gives a canonical deterministic
 representative among ties (the least RGS).
 
+Each possible block's S-mask, l0 term and utility are computed once, in a
+table indexed by the block's member bitmask, and the RGS walker keeps every
+block's member bitmask as it steps, so scoring a partition is a few table
+lookups and a component count.
+
 Hard-capped at 12 symbols (Bell(12) is ~4.2 million partitions); beyond
 that this stops being a desk-scale tool and the cap errors out rather than
 silently grinding.
@@ -44,6 +49,16 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     each value at most one above the running maximum; successive strings
     come out in lexicographic order.
     """
+    for rgs, _ in _walk_partitions(n):
+        yield tuple(rgs)
+
+
+def _walk_partitions(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The lexicographic RGS enumeration, carrying each block's member bitmask.
+
+    Yields the same two lists every time, updated in place: ``rgs`` and
+    ``blocks``, where ``blocks[r]`` has bit x set iff ``rgs[x] == r``.
+    """
     if n < 1:
         raise ContractViolation("partition enumeration needs n >= 1")
     if n > MAX_ORACLE_SYMBOLS:
@@ -53,18 +68,29 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     rgs = [0] * n
     # prefix_max[i] = max(rgs[0..i-1]); rgs[i] may range over 0..prefix_max[i]+1.
     prefix_max = [0] * n
+    blocks = [(1 << n) - 1]
     while True:
-        yield tuple(rgs)
+        yield rgs, blocks
         i = n - 1
         while i > 0 and rgs[i] == prefix_max[i] + 1:
             i -= 1
         if i == 0:
             return
-        rgs[i] += 1
-        m = max(prefix_max[i], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            prefix_max[j] = m
+        r = rgs[i]
+        blocks[r] ^= 1 << i
+        rgs[i] = r = r + 1
+        if r == len(blocks):
+            blocks.append(0)
+        blocks[r] |= 1 << i
+        if i < n - 1:
+            # The suffix resets into block 0, which can leave blocks above m empty.
+            m = max(prefix_max[i], r)
+            for j in range(i + 1, n):
+                blocks[rgs[j]] ^= 1 << j
+                rgs[j] = 0
+                prefix_max[j] = m
+            blocks[0] |= (1 << n) - (2 << i)
+            del blocks[m + 1 :]
 
 
 def blocks_from_rgs(rgs: tuple[int, ...]) -> list[list[int]]:
@@ -111,60 +137,60 @@ def oracle_min(
     lam = cfg.lam
     dist = cfg.utility.distance
 
-    def score(rgs: tuple[int, ...]) -> tuple[bool, float, float, bool]:
-        """(feasible, objective, utility, structural_ok) for one partition.
-
-        ``structural_ok`` ignores the theta constraint; it is what "could
-        ever be feasible" means for the infeasibility diagnostic.
-        """
-        blocks = blocks_from_rgs(rgs)
-        smasks = []
-        for block in blocks:
-            m = 0
-            for x in block:
-                m |= masks[x]
-            smasks.append(m)
+    # Per-block statistics by member bitmask. A partition's l0 is its blocks'
+    # greatest term (the smallest S-range) and its utility their least.
+    size = 1 << n
+    smask = [0] * size
+    leak = [0.0] * size
+    block_util = [0.0] * size
+    for b in range(1, size):
+        low = b & -b
+        smask[b] = sm = smask[b ^ low] | masks[low.bit_length() - 1]
+        leak[b] = h0_s - math.log2(sm.bit_count())
+        members = [x for x in range(n) if b >> x & 1]
         if u2:
-            worst = 0.0
-            for block in blocks:
-                vals = [values[x] for x in block]
-                cw = compute_codeword(vals, cfg.policy)
-                d = max(dist(v, cw) for v in vals)
-                if d > worst:
-                    worst = d
-            util = -worst
+            vals = [values[x] for x in members]
+            cw = compute_codeword(vals, cfg.policy)
+            d = max(dist(v, cw) for v in vals)
+            # Worst distortion folds from 0.0 with a strict ``>``, so a
+            # distortion that is not above 0.0 (NaN included) counts as 0.0.
+            block_util[b] = -d if d > 0.0 else -0.0
         else:
-            util = h0_x - math.log2(max(len(b) for b in blocks))
+            block_util[b] = h0_x - math.log2(len(members))
 
-        if problem is Problem.MIN_ISTAR:
-            privacy = math.log2(component_count(smasks))
-        else:
-            privacy = h0_s - math.log2(min(m.bit_count() for m in smasks))
-            if problem is Problem.MIN_L0_ZERO_ISTAR and component_count(smasks) != 1:
-                return False, math.inf, util, False
-
-        if theta is None:
-            return True, privacy - lam * util, util, True
-        if util >= theta - TOLERANCE:
-            return True, privacy, util, True
-        return False, math.inf, util, True
-
+    istar = problem is Problem.MIN_ISTAR
+    connected_only = problem is Problem.MIN_L0_ZERO_ISTAR
+    floor = None if theta is None else theta - TOLERANCE
     best = math.inf
+    # Best utility over the structurally valid partitions, theta ignored: the
+    # infeasibility diagnostic.
     best_util = -math.inf
     any_feasible = False
     # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
     near: dict[float, list] = {}
-    for rgs in enumerate_partitions(n):
-        feasible, obj, util, structural_ok = score(rgs)
-        if structural_ok and util > best_util:
+    for rgs, blocks in _walk_partitions(n):
+        if connected_only and component_count([smask[b] for b in blocks]) != 1:
+            continue
+        util = min([block_util[b] for b in blocks])
+        if util > best_util:
             best_util = util
-        if feasible:
-            any_feasible = True
-            if obj < best:
-                best = obj
-                near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
-            if obj <= best + TOLERANCE:
-                near.setdefault(obj, [0, rgs])[0] += 1
+        if floor is not None and not util >= floor:
+            continue
+        if istar:
+            privacy = math.log2(component_count([smask[b] for b in blocks]))
+        else:
+            privacy = max([leak[b] for b in blocks])
+        obj = privacy if floor is not None else privacy - lam * util
+        any_feasible = True
+        if obj < best:
+            best = obj
+            near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
+        if obj <= best + TOLERANCE:
+            tie = near.get(obj)
+            if tie is None:
+                near[obj] = [1, tuple(rgs)]
+            else:
+                tie[0] += 1
     if not any_feasible:
         raise InfeasibleError(
             f"no quantization satisfies the constraint; best achievable utility is "

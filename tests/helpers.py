@@ -20,7 +20,7 @@ from privquant import (
 )
 from privquant.core import TOLERANCE
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError
-from privquant.graph import component_count
+from privquant.graph import UnionFind
 from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
 from privquant.pareto import (
     Frontier,
@@ -182,17 +182,34 @@ def reference_sweep(
     )
 
 
+def reference_component_count(masks: Sequence[int]) -> int:
+    """``graph.component_count`` as a union-find over every intersecting pair.
+
+    The reference the mask-fold ``component_count`` is checked against.
+    """
+    n = len(masks)
+    uf = UnionFind(n)
+    for i in range(n):
+        mi = masks[i]
+        for j in range(i + 1, n):
+            if mi & masks[j]:
+                uf.union(i, j)
+    return sum(p == i for i, p in enumerate(uf.parent))
+
+
 def reference_oracle_min(
     jr: JointRange,
     problem: Problem,
     cfg: LagrangianConfig,
     theta: Optional[float] = None,
 ) -> OracleResult:
-    """``oracle_min`` in two enumeration passes.
+    """``oracle_min`` in two enumeration passes, scoring every partition afresh.
 
-    The reference the one-pass ``oracle_min`` is checked against: the first
-    pass finds the optimum, the second counts the partitions within
-    ``TOLERANCE`` of it and takes the first of them as the witness.
+    The reference the one-pass, block-table ``oracle_min`` is checked
+    against: each partition's blocks, S-masks, codewords and distortions are
+    rebuilt from its RGS; the first pass finds the optimum, the second
+    counts the partitions within ``TOLERANCE`` of it and takes the first of
+    them as the witness.
     """
     n = jr.n_x
     u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
@@ -228,10 +245,10 @@ def reference_oracle_min(
             util = h0_x - math.log2(max(len(b) for b in blocks))
 
         if problem is Problem.MIN_ISTAR:
-            privacy = math.log2(component_count(smasks))
+            privacy = math.log2(reference_component_count(smasks))
         else:
             privacy = h0_s - math.log2(min(m.bit_count() for m in smasks))
-            if problem is Problem.MIN_L0_ZERO_ISTAR and component_count(smasks) != 1:
+            if problem is Problem.MIN_L0_ZERO_ISTAR and reference_component_count(smasks) != 1:
                 return False, math.inf, util, False
 
         if theta is None:

@@ -359,6 +359,14 @@ class TestUnreadableInputAndOutput:
         assert code == 2 and out == ""
         assert err.startswith("error: CSV error on line 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("delimiter", ["ab", ""], ids=["two-chars", "empty"])
+    def test_delimiter_not_one_character_exits_3(self, capsys, toy_csv, delimiter):
+        code, out, err = run_cli(
+            capsys, "stats", "--input", toy_csv, "--s", "s", "--x", "x", "--delimiter", delimiter
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: delimiter must be one character, got {delimiter!r}\n"
+
     @pytest.mark.parametrize("target", ["", "missing/out.json"], ids=["directory", "no-parent"])
     def test_unwritable_json_out_exits_3(self, capsys, tmp_path, target):
         out_path = tmp_path / target

@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from helpers import clusters_by_id, random_joint_range, random_partition
+from helpers import (
+    clusters_by_id,
+    random_joint_range,
+    random_partition,
+    reference_component_count,
+)
 from privquant import (
     ConfusabilityGraph,
     ContractViolation,
@@ -120,6 +125,31 @@ class TestOverlapPartitionOracle:
             assert len(finest_decomposition(build_graph(jr, q))) == len(oracle)
             assert component_count([jr.cond_mask_cluster(c) for c in q]) == len(oracle)
             assert maximin_information(jr, q) == math.log2(len(oracle))
+
+
+class TestComponentCount:
+    """The mask fold equals the pairwise union-find reference."""
+
+    def test_matches_union_find_on_random_mask_lists(self):
+        rng = random.Random(17)
+        zero_masks = 0
+        for _ in range(600):
+            n_s = rng.randint(1, 12)
+            masks = [
+                rng.getrandbits(n_s) & rng.getrandbits(n_s) for _ in range(rng.randint(0, 10))
+            ]
+            zero_masks += masks.count(0)
+            assert component_count(masks) == reference_component_count(masks), masks
+        assert zero_masks > 0
+
+    def test_empty_and_zero_masks(self):
+        assert component_count([]) == 0
+        assert component_count([0, 0, 0]) == 3
+        assert component_count([0b11, 0, 0b10, 0]) == 3
+
+    def test_one_mask_joins_two_components(self):
+        assert component_count([0b001, 0b100, 0b101]) == 1
+        assert component_count([0b001, 0b100, 0b110, 0b010]) == 2
 
 
 class TestMergeUpdate:

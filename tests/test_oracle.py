@@ -20,6 +20,8 @@ from privquant import (
     maximin_information,
     oracle_min,
 )
+from privquant.oracle import _walk_partitions, blocks_from_rgs
+
 CFG = LagrangianConfig(0.3, UtilityChoice.u1())
 
 
@@ -185,3 +187,99 @@ class TestOnePassOracle:
         assert (res.value, res.optima_count) == (0.5, 2)
         assert res.quantization.clusters == (frozenset({0, 1}), frozenset({2, 3}))
         assert repr(res) == repr(reference_oracle_min(jr, Problem.MIN_L0, cfg))
+
+
+def _squared(a, b):
+    return (a - b) ** 2
+
+
+def _rgs_strings(n: int) -> list[tuple[int, ...]]:
+    """Every restricted-growth string of length n, lexicographically, by recursion."""
+    out = []
+
+    def grow(prefix: list[int], top: int) -> None:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for v in range(top + 2):
+            grow(prefix + [v], max(top, v))
+
+    grow([0], 0)
+    return out
+
+
+def _outcome(oracle, jr, problem, cfg, theta):
+    try:
+        return repr(oracle(jr, problem, cfg, theta=theta))
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc), exc.max_achievable)
+
+
+class TestIncrementalOracle:
+    """The block-table oracle equals the re-scoring reference, and its walker
+    enumerates exactly what ``enumerate_partitions`` always did."""
+
+    UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_squared))
+
+    def test_enumeration_is_every_rgs_in_lexicographic_order(self):
+        for n in range(1, 10):
+            assert list(enumerate_partitions(n)) == _rgs_strings(n)
+
+    def test_walker_block_masks_match_blocks_from_rgs(self):
+        for n in range(1, 10):
+            walked = 0
+            for rgs, blocks in _walk_partitions(n):
+                expected = [sum(1 << x for x in b) for b in blocks_from_rgs(tuple(rgs))]
+                assert blocks == expected, rgs
+                walked += 1
+            assert walked == bell_numbers(n)[-1]
+
+    def test_matches_reference_on_seeded_corpus(self):
+        rng = random.Random(2024)
+        checked = infeasible = 0
+        for _ in range(5):
+            jr = random_joint_range(rng, max_s=6, max_x=7)
+            for problem in Problem:
+                for u in self.UTILITIES:
+                    for policy in CodewordPolicy:
+                        cfg = LagrangianConfig(rng.choice([0.0, 0.3, 2.5]), u, policy)
+                        for theta in (None, rng.choice([-20.0, -2.0, 0.5, 3.0])):
+                            outcomes = [
+                                _outcome(oracle, jr, problem, cfg, theta)
+                                for oracle in (oracle_min, reference_oracle_min)
+                            ]
+                            assert outcomes[0] == outcomes[1], (problem, u, policy, theta)
+                            checked += 1
+                            infeasible += isinstance(outcomes[0], tuple)
+        assert checked == 180 and infeasible > 0
+
+    def test_matches_reference_at_nine_symbols(self):
+        rng = random.Random(909)
+        checked = 0
+        for problem, u in zip(Problem, self.UTILITIES):
+            jr = random_joint_range(rng, max_s=7, max_x=9)
+            while jr.n_x != 9:
+                jr = random_joint_range(rng, max_s=7, max_x=9)
+            cfg = LagrangianConfig(0.3, u, rng.choice(list(CodewordPolicy)))
+            for theta in (None, rng.choice([0.5, -1.0])):
+                assert _outcome(oracle_min, jr, problem, cfg, theta) == _outcome(
+                    reference_oracle_min, jr, problem, cfg, theta
+                ), (problem, u, theta)
+                checked += 1
+        assert checked == 6
+
+    @pytest.mark.parametrize(
+        "distance",
+        [lambda a, b: 0.0, lambda a, b: -abs(a - b), lambda a, b: math.nan if a > 5 else 1.0],
+        ids=["zero", "negative", "nan"],
+    )
+    def test_degenerate_distances_match_reference(self, distance):
+        rng = random.Random(77)
+        for _ in range(4):
+            jr = random_joint_range(rng, max_s=5, max_x=6)
+            for problem in Problem:
+                cfg = LagrangianConfig(0.3, UtilityChoice.u2(distance))
+                for theta in (None, -0.5):
+                    assert _outcome(oracle_min, jr, problem, cfg, theta) == _outcome(
+                        reference_oracle_min, jr, problem, cfg, theta
+                    )
