@@ -61,8 +61,6 @@ from .quantize import (
     Quantization,
     UtilityChoice,
     UtilityKind,
-    cluster_distortion,
-    merge,
     singleton_quantization,
     utility,
 )
@@ -93,8 +91,6 @@ __all__ = [
     "UtilityChoice",
     "Quantization",
     "singleton_quantization",
-    "merge",
-    "cluster_distortion",
     "utility",
     "Problem",
     "Termination",

@@ -174,9 +174,6 @@ class JointRange:
     def n_x(self) -> int:
         return len(self.x_symbols)
 
-    def s_ids(self, indices: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.s_symbols[i].id for i in sorted(indices))
-
     def x_ids(self, indices: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.x_symbols[i].id for i in sorted(indices))
 

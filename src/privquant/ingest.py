@@ -24,7 +24,7 @@ from typing import Optional, Sequence, Union
 from .core import JointRange, finite_magnitude
 from .errors import ConfigurationError, IngestError
 
-__all__ = ["DEFAULT_MISSING", "DatasetStats", "load_csv", "stats", "joint_range_csv_rows"]
+__all__ = ["DEFAULT_MISSING", "DatasetStats", "load_csv", "stats"]
 
 DEFAULT_MISSING: tuple[str, ...] = ("-9", "", "?")
 
@@ -169,15 +169,3 @@ def _parses_as_number(token: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-def joint_range_csv_rows(jr: JointRange) -> list[list[str]]:
-    """One row per joint-range pair (s, x), suitable for reloading.
-
-    Reloading the emitted rows reproduces the same joint range up to symbol
-    ordering; used by round-trip checks and useful as a compact export.
-    """
-    rows = [["s", "x"]]
-    for s, x in sorted(jr.pairs):
-        rows.append([jr.s_symbols[s].id, jr.x_symbols[x].id])
-    return rows

@@ -113,6 +113,8 @@ def oracle_min(
     With ``theta`` set, minimizes the bare privacy objective over the
     partitions whose utility is at least ``theta`` (within tolerance);
     infeasible thresholds raise with the best achievable utility attached.
+    When every feasible objective is NaN (say, a distance returning ``inf``
+    at lambda 0) no optimum exists and a ``ConfigurationError`` says so.
 
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
@@ -197,6 +199,8 @@ def oracle_min(
             f"{best_util:.6g}",
             max_achievable=best_util,
         )
+    if not near:
+        raise ConfigurationError("no partition has a comparable objective; every one is NaN")
     witness = min(rgs for _, rgs in near.values())
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
     return OracleResult(best, q, sum(count for count, _ in near.values()))

@@ -95,13 +95,15 @@ class NormalizationContext:
     degenerate: bool
 
 
+def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
+    """``count >= 2`` geometrically spaced points from ``lo > 0`` to ``hi``."""
+    ratio = (hi / lo) ** (1.0 / (count - 1))
+    return [lo * ratio**i for i in range(count)]
+
+
 def default_lambda_grid() -> tuple[float, ...]:
     """lambda = 0 plus 64 geometrically spaced points on [1e-3, 1e2]."""
-    pts = [0.0]
-    lo, hi, n = 1e-3, 1e2, 64
-    ratio = (hi / lo) ** (1.0 / (n - 1))
-    pts.extend(lo * ratio**i for i in range(n))
-    return tuple(pts)
+    return (0.0, *geometric_grid(1e-3, 1e2, 64))
 
 
 def _raw_leakage(jr: JointRange, q: Quantization, problem: Problem) -> float:

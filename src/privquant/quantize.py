@@ -13,9 +13,8 @@ Two utilities measure how useful the release still is:
   cluster codeword, under a pluggable symmetric distance (default absolute
   difference). Requires numeric X values.
 
-Quantizations are immutable value types; ``merge`` returns a new one with
-codewords recomputed (centroids move as clusters grow). Code that grows
-clusters incrementally keeps each cluster's value sum exact, as an integer
+Quantizations are immutable value types. Code that grows clusters
+incrementally keeps each cluster's value sum exact, as an integer
 over the alphabet's common power-of-two denominator (``exact_numerators``),
 so its centroids equal ``compute_codeword`` bit for bit in any merge order.
 """
@@ -37,8 +36,6 @@ __all__ = [
     "absolute_difference",
     "Quantization",
     "singleton_quantization",
-    "merge",
-    "cluster_distortion",
     "utility",
 ]
 
@@ -99,15 +96,6 @@ def exact_numerators(values: Sequence[float]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-def _codewords(
-    parts: Sequence[frozenset[int]], values: Sequence[Optional[float]], policy: CodewordPolicy
-) -> Optional[tuple[float, ...]]:
-    """Per-cluster codewords, or None unless every X symbol has a value."""
-    if any(v is None for v in values):
-        return None
-    return tuple(compute_codeword([values[x] for x in sorted(p)], policy) for p in parts)
-
-
 @dataclass(frozen=True)
 class Quantization:
     """A partition of the X alphabet with per-cluster codewords.
@@ -143,24 +131,12 @@ class Quantization:
             raise ContractViolation("clusters must partition the X alphabet")
         parts.sort(key=min)
         values = jr.x_values()
-        return cls(tuple(parts), policy, values, _codewords(parts, values, policy))
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def cluster_ids(self) -> tuple[int, ...]:
-        return tuple(min(c) for c in self.clusters)
-
-    def index_of(self, cluster_id: int) -> int:
-        for pos, c in enumerate(self.clusters):
-            if min(c) == cluster_id:
-                return pos
-        raise ContractViolation(f"no cluster with id {cluster_id}")
-
-    def members(self, cluster_id: int) -> frozenset[int]:
-        return self.clusters[self.index_of(cluster_id)]
+        codewords = None
+        if all(v is not None for v in values):
+            codewords = tuple(
+                compute_codeword([values[x] for x in sorted(p)], policy) for p in parts
+            )
+        return cls(tuple(parts), policy, values, codewords)
 
     def partition_key(self) -> tuple[tuple[int, ...], ...]:
         """Hashable canonical form, independent of codeword policy."""
@@ -174,38 +150,6 @@ def singleton_quantization(
     return Quantization.from_clusters(jr, [{x} for x in range(jr.n_x)], policy)
 
 
-def merge(q: Quantization, a: int, b: int) -> Quantization:
-    """Fuse the clusters identified by ``a`` and ``b`` (min member indices).
-
-    All other clusters are untouched; the fused cluster's codeword is
-    recomputed from scratch under the quantization's policy.
-    """
-    if a == b:
-        raise ContractViolation("cannot merge a cluster with itself")
-    ia, ib = q.index_of(a), q.index_of(b)
-    fused = q.clusters[ia] | q.clusters[ib]
-    rest = [c for pos, c in enumerate(q.clusters) if pos not in (ia, ib)]
-    parts = sorted(rest + [fused], key=min)
-    codewords = _codewords(parts, q.x_values, q.policy)
-    return Quantization(tuple(parts), q.policy, q.x_values, codewords)
-
-
-def _distortion(q: Quantization, cluster, codeword: float, distance) -> float:
-    return max(distance(q.x_values[x], codeword) for x in cluster)
-
-
-def cluster_distortion(
-    q: Quantization,
-    cluster_id: int,
-    distance: Callable[[float, float], float] = absolute_difference,
-) -> float:
-    """Worst distance between a member value and the cluster codeword."""
-    if q.codewords is None:
-        raise ConfigurationError("distortion needs numeric values on every X symbol")
-    pos = q.index_of(cluster_id)
-    return _distortion(q, q.clusters[pos], q.codewords[pos], distance)
-
-
 def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     """Worst-case utility of the release under the chosen definition."""
     if u.kind is UtilityKind.U1_RESOLUTION:
@@ -213,5 +157,5 @@ def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     if q.codewords is None:
         raise ConfigurationError("distortion needs numeric values on every X symbol")
     return -max(
-        _distortion(q, c, cw, u.distance) for c, cw in zip(q.clusters, q.codewords)
+        max(u.distance(q.x_values[x], cw) for x in c) for c, cw in zip(q.clusters, q.codewords)
     )

@@ -33,6 +33,7 @@ from privquant.quantize import (
     CodewordPolicy,
     UtilityChoice,
     UtilityKind,
+    absolute_difference,
     compute_codeword,
     utility,
 )
@@ -66,6 +67,53 @@ def clusters_by_id(jr: JointRange, *groups: tuple[str, ...]) -> list[set[int]]:
     """Index clusters from id tuples, e.g. clusters_by_id(jr, ("x1","x2"), ...)."""
     index = {sym.id: i for i, sym in enumerate(jr.x_symbols)}
     return [{index[i] for i in group} for group in groups]
+
+
+def s_ids(jr: JointRange, indices: Iterable[int]) -> tuple[str, ...]:
+    return tuple(jr.s_symbols[i].id for i in sorted(indices))
+
+
+def joint_range_csv_rows(jr: JointRange) -> list[list[str]]:
+    """One row per joint-range pair (s, x), with an ``s,x`` header, for reloading."""
+    return [["s", "x"]] + [[jr.s_symbols[s].id, jr.x_symbols[x].id] for s, x in sorted(jr.pairs)]
+
+
+def cluster_ids(q: Quantization) -> tuple[int, ...]:
+    """Each cluster's identity, its smallest member, in canonical order."""
+    return tuple(min(c) for c in q.clusters)
+
+
+def cluster_of(q: Quantization, cluster_id: int) -> frozenset[int]:
+    for c in q.clusters:
+        if min(c) == cluster_id:
+            return c
+    raise ContractViolation(f"no cluster with id {cluster_id}")
+
+
+def merge(q: Quantization, a: int, b: int) -> Quantization:
+    """Fuse the clusters identified by ``a`` and ``b`` (min member indices).
+
+    All other clusters are untouched; the fused cluster's codeword is
+    recomputed from scratch under the quantization's policy.
+    """
+    if a == b:
+        raise ContractViolation("cannot merge a cluster with itself")
+    fused = cluster_of(q, a) | cluster_of(q, b)
+    parts = sorted([c for c in q.clusters if min(c) not in (a, b)] + [fused], key=min)
+    codewords = None
+    if q.codewords is not None:
+        codewords = tuple(
+            compute_codeword([q.x_values[x] for x in sorted(p)], q.policy) for p in parts
+        )
+    return Quantization(tuple(parts), q.policy, q.x_values, codewords)
+
+
+def cluster_distortion(q: Quantization, cluster_id: int, distance=absolute_difference) -> float:
+    """Worst distance between a member value and the cluster codeword."""
+    if q.codewords is None:
+        raise ConfigurationError("distortion needs numeric values on every X symbol")
+    codeword = q.codewords[cluster_ids(q).index(cluster_id)]
+    return max(distance(q.x_values[x], codeword) for x in cluster_of(q, cluster_id))
 
 
 def random_joint_range(

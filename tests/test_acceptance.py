@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import id_clusters, random_joint_range, random_partition
+from helpers import id_clusters, random_joint_range, random_partition, s_ids
 from privquant import (
     LagrangianConfig,
     Problem,
@@ -63,7 +63,7 @@ def test_criterion_1_toy_maximin_and_overlap_partition(toy):
     with criterion(1, "toy maximin information and overlap partition, under 1 ms"):
         q0 = singleton_quantization(toy)
         assert maximin_information(toy, q0) == pytest.approx(math.log2(5), abs=1e-12)
-        partition = {frozenset(toy.s_ids(b)) for b in overlap_partition_oracle(toy, q0)}
+        partition = {frozenset(s_ids(toy, b)) for b in overlap_partition_oracle(toy, q0)}
         assert partition == sets(("s1", "s2"), ("s3",), ("s4",), ("s5",), ("s6",))
         best = min(
             _timed(lambda: maximin_information(toy, q0)) for _ in range(5)

@@ -386,6 +386,200 @@ class TestUnreadableInputAndOutput:
         assert code == 3 and out == ""
         assert err.startswith(f"error: cannot write {out_path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '[["x1"]]',
+            '"x1"',
+            '{"clusters": [1, 2]}',
+            '{"clusters": [[["x1"]]]}',
+            '{"clusters": [{"id": "x1"}]}',
+            b'{"clusters": [["\xff"]]}',
+            None,
+        ],
+        ids=["top-level-list", "top-level-string", "non-list-cluster", "nested-member",
+             "no-members-key", "non-utf8", "directory"],
+    )
+    def test_malformed_apply_quantization_exits_3(self, capsys, tmp_path, content):
+        path = tmp_path / "q.json"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, out, err = run_cli(
+            capsys, "quantize", "--pairs", TOY_PAIRS_ARG, "--apply-quantization", str(path)
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if content == '{"clusters": [{"id": "x1"}]}':
+            assert "'members'" in err
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quantize", "--pairs", TOY_PAIRS_ARG, "--utility", "u3"),
+            ("quantize", "--pairs", TOY_PAIRS_ARG, "--codeword", "foo"),
+            ("quantize", "--pairs", TOY_PAIRS_ARG, "--algorithm", "foo"),
+            ("oracle", "--pairs", TOY_PAIRS_ARG, "--problem", "foo", "--lambda", "1"),
+            ("pareto", "--pairs", TOY_PAIRS_ARG, "--format", "xml"),
+            ("stats", "--pairs", "a:b:c"),
+            ("stats", "--pairs", TOY_PAIRS_ARG, "--x-values", "x1=abc"),
+            ("pareto", "--pairs", TOY_PAIRS_ARG, "--lambdas", "-1"),
+            ("pareto", "--pairs", TOY_PAIRS_ARG, "--grid", "3:1:0"),
+        ],
+        ids=["utility", "codeword", "algorithm", "problem", "format", "pairs", "x-values",
+             "lambdas", "grid"],
+    )
+    def test_invalid_value_exits_3_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (("stats",), {}),
+            (
+                ("quantize",),
+                {"algorithm": "l0", "lambda": 0.0, "utility": "u1", "codeword": "centroid"},
+            ),
+            (
+                ("quantize", "--algorithm", "istar", "--lambda", "0.3", "--utility", "u2",
+                 "--codeword", "representative"),
+                {"algorithm": "istar", "lambda": 0.3, "utility": "u2",
+                 "codeword": "representative"},
+            ),
+            (
+                ("pareto", "--format", "json"),
+                {"algorithm": "l0", "utility": "u1", "codeword": "centroid",
+                 "grid": "default(65)"},
+            ),
+            (
+                ("pareto", "--format", "json", "--algorithm", "l0-zero-istar", "--grid",
+                 "3:0:1:lin"),
+                {"algorithm": "l0-zero-istar", "utility": "u1", "codeword": "centroid",
+                 "grid": [0.0, 0.5, 1.0]},
+            ),
+            (("baseline", "--k", "2"), {"k": 2, "codeword": "centroid"}),
+            (
+                ("oracle", "--theta", "1.5"),
+                {"problem": "l0", "lambda": None, "theta": 1.5, "utility": "u1",
+                 "codeword": "centroid"},
+            ),
+            (
+                ("oracle", "--problem", "istar", "--lambda", "0.3"),
+                {"problem": "istar", "lambda": 0.3, "theta": None, "utility": "u1",
+                 "codeword": "centroid"},
+            ),
+        ],
+    )
+    def test_manifest_config_echo(self, capsys, argv, config):
+        payload = run_json(capsys, *argv, "--pairs", TOY_PAIRS_ARG, "--x-values", TOY_VALUES_ARG)
+        manifest = payload["manifest"]
+        assert list(manifest) == ["subcommand", "input", "config", "tool", "version", "timestamp"]
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["input"] == {"pairs": TOY_PAIRS_ARG}
+        assert list(manifest["config"].items()) == list(config.items())
+
+    def test_csv_sidecar_manifest(self, capsys, tmp_path):
+        out_file = tmp_path / "frontier.csv"
+        code, out, _ = run_cli(
+            capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--utility", "u1", "--lambdas", "0,0.3",
+            "--out", str(out_file),
+        )
+        assert code == 0 and out == ""
+        sidecar = json.loads((tmp_path / "frontier.csv.manifest.json").read_text())
+        assert list(sidecar) == ["schema", "manifest"]
+        config = sidecar["manifest"]["config"]
+        assert list(config.items()) == [
+            ("algorithm", "l0"), ("utility", "u1"), ("codeword", "centroid"), ("grid", [0.0, 0.3])
+        ]
+
+
+def test_fuzzed_argv_exits_with_a_stable_code(capsys, tmp_path, toy_csv):
+    """Argv drawn from the parser's flag table ends in a stable exit code: one
+    stderr line on failure, parseable JSON or CSV on success."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from privquant.cli import _COMMANDS, _FLAGS, _INPUT_FLAGS
+
+    good_q = tmp_path / "q.json"
+    good_q.write_text('{"clusters": [["x1", "x2"], ["x3", "x4", "x5"], ["x6", "x7"]]}')
+    bad_q = tmp_path / "bad.json"
+    bad_q.write_text('{"clusters": [["x1"], 3]}')
+    pairs = st.lists(
+        st.tuples(st.sampled_from(["s1", "s2", "s3", "s4"]),
+                  st.sampled_from([f"x{i}" for i in range(1, 8)])),
+        min_size=1, max_size=8,
+    ).map(lambda ps: ",".join(f"{s}:{x}" for s, x in ps))
+    x_values = st.dictionaries(
+        st.sampled_from([f"x{i}" for i in range(1, 8)]),
+        st.sampled_from(["0", "0.5", "-2", "1e308", "abc"]),
+    ).map(lambda d: ",".join(f"{k}={v}" for k, v in d.items()))
+    grid = st.tuples(
+        st.integers(0, 10), st.sampled_from(["0", "0.01", "1", "-1"]),
+        st.sampled_from(["0.5", "10", "x"]), st.sampled_from(["", ":log", ":lin", ":sqrt"]),
+    ).map(lambda g: f"{g[0]}:{g[1]}:{g[2]}{g[3]}")
+    number = st.sampled_from(["0", "0.3", "2.5", "-1", "nan", "inf", "1e308", "abc"])
+    values = {
+        "--input": st.sampled_from([toy_csv, str(tmp_path / "absent.csv")]),
+        "--s": st.sampled_from(["s", "0", "5", "nope"]),
+        "--x": st.sampled_from(["x", "1", "s"]),
+        "--missing": st.sampled_from(["-9", "s1", "x1"]),
+        "--delimiter": st.sampled_from([",", ";", "ab"]),
+        "--pairs": st.one_of(pairs, st.just("a:b:c")),
+        "--x-values": x_values,
+        "--lambda": number,
+        "--theta": number,
+        "--k": st.sampled_from(["0", "1", "2", "6", "7", "x"]),
+        "--apply-quantization": st.sampled_from([str(good_q), str(bad_q), str(tmp_path)]),
+        "--lambdas": st.sampled_from(["0,0.3", "-1", "a", "0.1,,2"]),
+        "--grid": grid,
+        "--out": st.sampled_from([str(tmp_path / "out"), str(tmp_path / "no" / "out")]),
+    }
+
+    def flag_value(flag):
+        spec = _FLAGS[flag]
+        if spec.get("action") == "store_true":
+            return st.just([flag])
+        if "choices" in spec:
+            return st.sampled_from([*spec["choices"], "bogus"]).map(lambda v: [flag, v])
+        return values[flag].map(lambda v: [flag, v])
+
+    @st.composite
+    def argvs(draw):
+        command = draw(st.sampled_from(sorted(_COMMANDS)))
+        flags = [*_INPUT_FLAGS, *_COMMANDS[command][2], "--out"]
+        chosen = draw(st.lists(st.sampled_from(flags), unique=True, max_size=6))
+        argv = [command]
+        for flag in chosen:
+            argv += draw(flag_value(flag))
+        if "--pairs" not in chosen and "--input" not in chosen:
+            argv += draw(flag_value("--pairs"))
+        return argv
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(argvs())
+    def check(argv):
+        out_file = tmp_path / "out"
+        out_file.unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in {0, 1, 2, 3, 4, 5}
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            return
+        text = out_file.read_text() if "--out" in argv else out
+        if text.startswith("{"):
+            json.loads(text)
+        else:
+            assert next(csv.reader(text.splitlines()))[0] == "lambda"
+
+    check()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_3(self, capsys):

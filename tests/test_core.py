@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import clusters_by_id, make_toy, random_joint_range, random_partition
+from helpers import clusters_by_id, make_toy, random_joint_range, random_partition, s_ids
 from privquant import (
     ContractViolation,
     JointRange,
@@ -22,7 +22,7 @@ LOG2_7 = 2.807354922057604
 
 
 def ids_of(jr, s_indices):
-    return set(jr.s_ids(s_indices))
+    return set(s_ids(jr, s_indices))
 
 
 class TestJointRangeConstruction:

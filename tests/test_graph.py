@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -8,6 +9,7 @@ from helpers import (
     random_joint_range,
     random_partition,
     reference_component_count,
+    s_ids,
 )
 from privquant import (
     ConfusabilityGraph,
@@ -31,7 +33,7 @@ def singletons(jr):
 
 
 def blocks_as_ids(jr, dec, ids="x"):
-    getter = jr.x_ids if ids == "x" else jr.s_ids
+    getter = jr.x_ids if ids == "x" else partial(s_ids, jr)
     return {frozenset(getter(b)) for b in dec}
 
 

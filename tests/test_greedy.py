@@ -62,7 +62,7 @@ class TestMinLeakage:
         assert id_clusters(toy, r.trace[2].quantization) == sets(
             ("x1", "x2", "x7"), ("x3", "x4", "x5", "x6")
         )
-        assert r.quantization.n_clusters == 1
+        assert len(r.quantization.clusters) == 1
         assert r.termination is Termination.FULLY_MERGED
 
     def test_distortion_utility_stops_on_rejected_round(self, toy_v):
@@ -82,14 +82,14 @@ class TestMinLeakage:
         )
         r = algorithm1_min_l0(jr, CFG_U1)
         assert r.termination is Termination.NO_ELIGIBLE_MERGE
-        assert r.quantization.n_clusters == 3
+        assert len(r.quantization.clusters) == 3
         assert len(r.trace) == 1
 
     def test_single_symbol_alphabet(self):
         jr = JointRange([Symbol("s1")], [Symbol("x1")], [(0, 0)])
         r = algorithm1_min_l0(jr, CFG_U1)
         assert r.termination is Termination.FULLY_MERGED
-        assert r.quantization.n_clusters == 1
+        assert len(r.quantization.clusters) == 1
 
 
 class TestMinMaximin:
@@ -129,7 +129,7 @@ class TestMinMaximin:
         jr = JointRange.from_id_pairs([("s1", "x1"), ("s1", "x2"), ("s1", "x3")])
         r = algorithm2_min_istar(jr, CFG_U1)
         assert r.termination is Termination.SINGLE_COMPONENT
-        assert len(r.trace) == 1 and r.quantization.n_clusters == 3
+        assert len(r.trace) == 1 and len(r.quantization.clusters) == 3
 
     def test_each_merge_fuses_exactly_two_components(self):
         rng = random.Random(31)
@@ -175,7 +175,7 @@ class TestZeroMaximin:
     def test_connected_input_returns_singletons(self):
         jr = JointRange.from_id_pairs([("s1", "x1"), ("s1", "x2"), ("s2", "x2")])
         r = algorithm3_l0_zero_istar(jr, CFG_U1)
-        assert r.quantization.n_clusters == 2
+        assert len(r.quantization.clusters) == 2
         assert maximin_information(jr, r.quantization) == 0.0
 
 

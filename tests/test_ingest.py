@@ -2,9 +2,8 @@ import csv
 
 import pytest
 
-from helpers import TOY_PAIRS
+from helpers import TOY_PAIRS, joint_range_csv_rows
 from privquant import IngestError, JointRange, load_csv, stats
-from privquant.ingest import joint_range_csv_rows
 
 
 def write_csv(path, rows, header=("age", "chol")):

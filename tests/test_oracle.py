@@ -6,6 +6,7 @@ import pytest
 from helpers import random_joint_range, reference_oracle_min
 from privquant import (
     CodewordPolicy,
+    ConfigurationError,
     ContractViolation,
     InfeasibleError,
     JointRange,
@@ -85,7 +86,7 @@ class TestOracleMin:
 
     def test_full_utility_theta_forces_singletons(self, toy):
         res = oracle_min(toy, Problem.MIN_L0, CFG, theta=math.log2(7))
-        assert res.quantization.n_clusters == 7
+        assert len(res.quantization.clusters) == 7
         assert res.value == pytest.approx(2.584962500721156, abs=1e-9)
 
     def test_zero_istar_never_beats_constrained_greedy(self, toy):
@@ -101,6 +102,13 @@ class TestOracleMin:
         with pytest.raises(InfeasibleError) as exc:
             oracle_min(toy, Problem.MIN_L0, CFG, theta=10.0)
         assert exc.value.max_achievable == pytest.approx(math.log2(7), abs=1e-9)
+
+    def test_all_nan_objectives_are_a_configuration_error(self):
+        # An infinite distance makes every objective privacy - 0.0 * -inf, NaN.
+        jr = JointRange.from_id_pairs([("s", "a")], {"a": 1.0})
+        cfg = LagrangianConfig(0.0, UtilityChoice.u2(lambda a, b: math.inf))
+        with pytest.raises(ConfigurationError, match="NaN"):
+            oracle_min(jr, Problem.MIN_L0, cfg)
 
     def test_size_cap(self):
         jr = JointRange.from_id_pairs([("s0", f"x{i}") for i in range(13)])

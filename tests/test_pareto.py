@@ -212,11 +212,11 @@ class TestNormalize:
 
 class TestSweeneyBaseline:
     def test_k1_keeps_singletons(self, toy):
-        assert sweeney_baseline(toy, 1).n_clusters == toy.n_x
+        assert len(sweeney_baseline(toy, 1).clusters) == toy.n_x
 
     def test_k6_needs_everything(self, toy):
         q = sweeney_baseline(toy, 6)
-        assert q.n_clusters == 1
+        assert len(q.clusters) == 1
 
     def test_k_above_s_alphabet_is_infeasible(self, toy):
         with pytest.raises(InfeasibleError):

@@ -5,8 +5,12 @@ import pytest
 
 from helpers import (
     TOY_VALUES,
+    cluster_distortion,
+    cluster_ids,
+    cluster_of,
     clusters_by_id,
     make_toy,
+    merge,
     random_joint_range,
     random_quantization,
 )
@@ -15,9 +19,7 @@ from privquant import (
     ContractViolation,
     Quantization,
     UtilityChoice,
-    cluster_distortion,
     l0,
-    merge,
     singleton_quantization,
     utility,
 )
@@ -29,7 +31,7 @@ LOG2_7 = 2.807354922057604
 class TestConstruction:
     def test_singletons(self, toy_v):
         q = singleton_quantization(toy_v)
-        assert q.n_clusters == 7
+        assert len(q.clusters) == 7
         assert q.codewords == tuple(TOY_VALUES[f"x{i}"] for i in range(1, 8))
 
     def test_partition_validation(self, toy):
@@ -45,15 +47,15 @@ class TestConstruction:
 
     def test_cluster_identity_is_min_member(self, toy):
         q = Quantization.from_clusters(toy, clusters_by_id(toy, ("x2", "x5"), ("x1", "x3", "x4"), ("x6",), ("x7",)))
-        assert q.cluster_ids == (0, 1, 5, 6)
-        assert q.members(1) == frozenset(clusters_by_id(toy, ("x2", "x5"))[0])
+        assert [min(c) for c in q.clusters] == [0, 1, 5, 6]
+        assert q.clusters[1] == frozenset(clusters_by_id(toy, ("x2", "x5"))[0])
 
     def test_representative_policy_picks_min_index_member(self, toy_v):
         q = Quantization.from_clusters(
             toy_v, clusters_by_id(toy_v, ("x6", "x7"), ("x1", "x2", "x3", "x4", "x5")),
             CodewordPolicy.REPRESENTATIVE,
         )
-        by_id = dict(zip(q.cluster_ids, q.codewords))
+        by_id = dict(zip(cluster_ids(q), q.codewords))
         assert by_id[5] == TOY_VALUES["x6"]
         assert by_id[0] == TOY_VALUES["x1"]
 
@@ -62,7 +64,7 @@ class TestMerge:
     def test_centroid_codeword(self, toy_v):
         q = singleton_quantization(toy_v)
         merged = merge(q, 5, 6)  # x6 (1.5) with x7 (1.0)
-        pos = merged.index_of(5)
+        pos = cluster_ids(merged).index(5)
         assert merged.codewords[pos] == pytest.approx(1.25, abs=1e-12)
         assert cluster_distortion(merged, 5) == pytest.approx(0.25, abs=1e-12)
 
@@ -78,8 +80,8 @@ class TestMerge:
 
     def test_pairwise_merging_reaches_all_in_one(self, toy_v):
         q = singleton_quantization(toy_v)
-        while q.n_clusters > 1:
-            a, b = q.cluster_ids[:2]
+        while len(q.clusters) > 1:
+            a, b = cluster_ids(q)[:2]
             q = merge(q, a, b)
         assert q.clusters == (frozenset(range(7)),)
         assert utility(toy_v, q, UtilityChoice.u1()) == pytest.approx(0.0, abs=1e-12)
@@ -153,7 +155,7 @@ class TestGreedySelectionReductions:
     """The size/d-bar shortcuts must always land inside the true argmax set."""
 
     def _merge_pairs(self, q):
-        ids = q.cluster_ids
+        ids = cluster_ids(q)
         return [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
 
     def test_u1_size_rule_subset_of_argmax(self):
@@ -170,7 +172,7 @@ class TestGreedySelectionReductions:
             utils = {p: utility(jr, merge(q, *p), UtilityChoice.u1()) for p in pairs}
             best = max(utils.values())
             by_size = min(
-                pairs, key=lambda p: len(q.members(p[0])) + len(q.members(p[1]))
+                pairs, key=lambda p: len(cluster_of(q, p[0])) + len(cluster_of(q, p[1]))
             )
             assert utils[by_size] == pytest.approx(best, abs=1e-12)
 
@@ -192,7 +194,7 @@ class TestGreedySelectionReductions:
             def merged_dbar(p):
                 return cluster_distortion(merge(q, *p), min(p))
 
-            own = {cid: cluster_distortion(q, cid) for cid in q.cluster_ids}
+            own = {cid: cluster_distortion(q, cid) for cid in cluster_ids(q)}
             if any(merged_dbar(p) < max(own[p[0]], own[p[1]]) - 1e-12 for p in pairs):
                 continue
             utils = {p: utility(jr, merge(q, *p), u2) for p in pairs}
