@@ -83,7 +83,7 @@ _FLAGS = {
         help="fail on non-numeric public cells instead of going categorical",
     ),
     "--pairs": dict(help='inline joint range, e.g. "s1:x1,s1:x2,s2:x1" (no file needed)'),
-    "--x-values": dict(help='inline numeric values for X ids, e.g. "x1=0.2,x2=0.1"'),
+    "--x-values": dict(help='numeric values for the X ids of --pairs, e.g. "x1=0.2,x2=0.1"'),
     "--algorithm": dict(default="l0", choices=_choices(Problem)),
     "--problem": dict(default="l0", choices=_choices(Problem)),
     "--lambda": dict(dest="lam", type=float, default=0.0),
@@ -132,13 +132,15 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
     """Returns (joint_range, dataset stats, input_descriptor)."""
     if args.pairs and args.input:
         raise ConfigurationError("give either --pairs or --input, not both")
+    if args.x_values and args.input:
+        raise ConfigurationError("--x-values goes with --pairs; --input reads X from the file")
     if args.pairs:
         pairs = _entries(args.pairs, "--pairs", "s:x")
         x_values = None
         if args.x_values:
             x_values = dict(_entries(args.x_values, "--x-values", "x=number", float))
         jr = JointRange.from_id_pairs(pairs, x_values)
-        return jr, stats(jr, list(dict.fromkeys(pairs))).to_dict(), {"pairs": args.pairs}
+        return jr, stats(jr, pairs).to_dict(), {"pairs": args.pairs}
     if not args.input:
         raise ConfigurationError("an input is required: --input FILE or --pairs")
     if args.s_column is None or args.x_column is None:

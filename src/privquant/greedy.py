@@ -35,7 +35,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
 from .errors import ConfigurationError
@@ -150,9 +150,9 @@ def lagrangian_l0(jr: JointRange, q, cfg: LagrangianConfig) -> float:
 
 
 class _Cluster:
-    __slots__ = ("cid", "members", "smask", "size", "total", "vmin", "vmax", "dbar")
+    __slots__ = ("cid", "members", "smask", "size", "total", "vmin", "vmax", "cost")
 
-    def __init__(self, cid, members, smask, size, total, vmin, vmax, dbar):
+    def __init__(self, cid, members, smask, size, total, vmin, vmax, cost):
         self.cid = cid
         self.members = members  # sorted tuple of x indices
         self.smask = smask
@@ -160,11 +160,16 @@ class _Cluster:
         self.total = total  # exact value sum in units of 1 / scale (exact_numerators)
         self.vmin = vmin
         self.vmax = vmax
-        self.dbar = dbar
+        self.cost = cost  # see _State.pair_cost
 
 
 class _State:
-    """Cluster bookkeeping with O(1) merged-distortion for the default metric."""
+    """Cluster bookkeeping with O(1) merged-distortion for the default metric.
+
+    Utility is decreasing in one per-cluster cost: the size under
+    resolution utility, the worst member distortion under max distortion.
+    ``pair_cost`` and ``utility_of`` are the only places the two differ.
+    """
 
     def __init__(self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
         self.jr = jr
@@ -177,17 +182,21 @@ class _State:
                 "max-distortion utility needs numeric values on every X symbol"
             )
         self.fast = utility.distance is absolute_difference
+        self.h0_x = h0(jr.n_x)
         totals, self.scale = (
             exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
         )
+        cost = 0.0 if self.needs_values else 1
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
             v = self.values[x]
-            self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, 0.0)
+            self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, cost)
 
-    def merged_dbar(self, a: int, b: int) -> float:
-        """Distortion of the cluster that fusing ``a`` and ``b`` would give."""
+    def pair_cost(self, a: int, b: int):
+        """Cost of the cluster that fusing ``a`` and ``b`` would give."""
         ca, cb = self.clusters[a], self.clusters[b]
+        if not self.needs_values:
+            return ca.size + cb.size
         if self.policy is CodewordPolicy.CENTROID:
             cw = (ca.total + cb.total) / self.scale / (ca.size + cb.size)
         else:
@@ -197,8 +206,14 @@ class _State:
         dist = self.utility.distance
         return max(dist(self.values[x], cw) for x in ca.members + cb.members)
 
+    def utility_of(self, worst) -> float:
+        """Utility of a quantization whose costliest cluster costs ``worst``."""
+        if self.needs_values:
+            return -worst
+        return self.h0_x - math.log2(worst)
+
     def merge(self, a: int, b: int) -> int:
-        dbar = self.merged_dbar(a, b) if self.needs_values else 0.0
+        cost = self.pair_cost(a, b)
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
         members = tuple(sorted(ca.members + cb.members))
@@ -207,7 +222,7 @@ class _State:
         cid = members[0]
         self.clusters[cid] = _Cluster(
             cid, members, ca.smask | cb.smask, ca.size + cb.size, ca.total + cb.total,
-            vmin, vmax, dbar,
+            vmin, vmax, cost,
         )
         return cid
 
@@ -220,10 +235,7 @@ class _State:
     # -- measures of the current state ------------------------------------------
 
     def utility_value(self) -> float:
-        if self.utility.kind is UtilityKind.U1_RESOLUTION:
-            largest = max(c.size for c in self.clusters.values())
-            return h0(self.jr.n_x) - math.log2(largest)
-        return -max(c.dbar for c in self.clusters.values())
+        return self.utility_of(max(c.cost for c in self.clusters.values()))
 
     def min_range_bits(self) -> float:
         return math.log2(min(c.smask.bit_count() for c in self.clusters.values()))
@@ -264,25 +276,24 @@ def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float
     return default
 
 
-def _post_merge_utility(state: _State, a: int, b: int) -> float:
-    """Utility of the quantization obtained by fusing clusters a and b."""
-    if state.utility.kind is UtilityKind.U1_RESOLUTION:
-        merged = state.clusters[a].size + state.clusters[b].size
-        largest = max(merged, int(_excluding(_top3(state, lambda c: c.size), a, b, 0)))
-        return h0(state.jr.n_x) - math.log2(largest)
-    worst = max(state.merged_dbar(a, b), _excluding(_top3(state, lambda c: c.dbar), a, b, 0.0))
-    return -worst
+def _post_merge_utility(state: _State, a: int, b: int, cost_tops: list) -> float:
+    """Utility of the quantization obtained by fusing clusters a and b;
+    ``cost_tops`` is ``_top3(state, lambda c: c.cost)``."""
+    return state.utility_of(max(state.pair_cost(a, b), _excluding(cost_tops, a, b, 0.0)))
 
 
 # ---------------------------------------------------------------------------
-# Lambda-free merge paths
+# One walk for every problem
 # ---------------------------------------------------------------------------
 #
-# Each algorithm is a generator of merge steps that ``_follow`` turns into a
-# run. Algorithms 1 and 2 never use lambda to pick a merge, only to decide
-# where a run stops, so their paths are lambda-free and a sweep follows one
-# path for a whole lambda grid (``_lambda_path``). Algorithm 3 picks merges
-# by lambda; a sweep walks the tree its runs form (``_l0_zero_istar_tree``).
+# Each algorithm generates merge steps, and ``_runs`` walks the runs of a
+# whole lambda grid at once: the runs share every state until they part, so
+# over the grid they form a tree, which ``_runs`` visits once per state. A
+# greedy ``run`` is the walk of a single lambda. Algorithms 1 and 2 never use
+# lambda to pick a merge, only to decide where a run stops, so their tree is
+# one path that runs leave when they reject a step. Algorithm 3 picks merges
+# by lambda and never stops early; its tree branches where runs pick
+# different merges (``_l0_zero_istar_tree``).
 
 
 class _Step(NamedTuple):
@@ -292,7 +303,7 @@ class _Step(NamedTuple):
     is log2 of the component count on algorithm 2's path and L0 otherwise.
     ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
     algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
-    ``snapshot`` builds the state's quantization until the path advances.
+    ``snapshot`` builds the state's quantization until the walk advances.
     """
 
     merged: tuple[tuple[int, int], ...]
@@ -321,95 +332,31 @@ def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[
     return step.dpriv * _DECIMAL_PER_BIT - lam * du, delta
 
 
-def _walk(path: Iterator[_Step], cfgs: Sequence[LagrangianConfig], forced: bool = False):
-    """Follow ``path`` for several lambdas at once. It advances while some
-    config accepts its steps (all of them, when ``forced``).
-
-    Returns the steps taken and their quantizations; per config, the index
-    of its last accepted step and the decision value that rejected the next
-    one (None if none did); and the path's termination (None if every config
-    stopped before the path ran out).
-    """
-    kind = cfgs[0].utility.kind
-    steps = [next(path)]
-    states = [steps[0].snapshot()]
-    stops = [0] * len(cfgs)
-    rejected: list[Optional[float]] = [None] * len(cfgs)
-    active = range(len(cfgs))
-    while True:
-        try:
-            step = next(path)
-        except StopIteration as end:
-            return steps, states, stops, rejected, end.value
-        if not forced:
-            for i in active:
-                decision = _decision(steps[-1], step, cfgs[i].lam, kind)[0]
-                if decision >= 0.0:
-                    rejected[i] = decision
-            active = [i for i in active if rejected[i] is None]
-            if not active:
-                return steps, states, stops, rejected, None
-        for i in active:
-            stops[i] = len(steps)
-        steps.append(step)
-        states.append(step.snapshot())
-
-
-def _follow(
-    path: Iterator[_Step],
-    cfg: LagrangianConfig,
-    singletons: Optional[Decomposition] = None,
-    forced: bool = False,
-) -> GreedyResult:
-    """One greedy run: ``path`` followed at ``cfg.lam``. With ``singletons``
-    the result carries the finest decomposition of its quantization."""
-    steps, states, _, (rejected,), end = _walk(path, [cfg], forced)
-    lam, kind = cfg.lam, cfg.utility.kind
-    trace = tuple(
-        TraceEntry(
-            t, q, s.privacy - lam * s.utility,
-            _decision(steps[t - 1], s, lam, kind)[1] if t else None,
-            s.merged, s.component_count, s.utility,
-        )
-        for t, (s, q) in enumerate(zip(steps, states))
-    )
-    q = states[-1]
-    termination = end if rejected is None else Termination.DELTA_L_NON_NEGATIVE
-    decomposition = None if singletons is None else merge_update(singletons, q)
-    return GreedyResult(q, trace, decomposition, termination, rejected_delta_l=rejected)
-
-
 # ---------------------------------------------------------------------------
 # Algorithm 1: minimize maximal leakage L0
 # ---------------------------------------------------------------------------
 
 
 def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
-    """Partner maximizing post-merge utility among clusters whose conditional
-    range differs from ``cid``'s (merging equal ranges cannot raise the
-    smallest range).
+    """Partner giving the least-cost merged cluster (the smallest merged size
+    under resolution utility, the smallest merged distortion under max
+    distortion) among clusters whose conditional range differs from
+    ``cid``'s (merging equal ranges cannot raise the smallest range).
 
     Ties: smaller merged cluster, then smaller merged minimum index, then
     smaller partner id.
     """
     cx = state.clusters[cid]
-    u1 = state.utility.kind is UtilityKind.U1_RESOLUTION
-    size_tops = _top3(state, lambda c: c.size) if u1 else None
     best_key = None
     best = None
     for other in state.clusters.values():
         if other.cid == cid or other.smask == cx.smask:
             continue
-        merged_size = cx.size + other.size
-        if u1:
-            # Post-merge utility is decreasing in the largest cluster size.
-            primary = max(merged_size, int(_excluding(size_tops, cid, other.cid, 0)))
-        else:
-            primary = state.merged_dbar(cid, other.cid)
-        key = (primary, merged_size, min(cid, other.cid), other.cid)
+        o = other.cid
+        key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
         if best_key is None or key < best_key:
             best_key = key
-            best = other.cid
+            best = o
     return best
 
 
@@ -451,7 +398,7 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     the full round is accepted only if the Lagrangian strictly dropped;
     otherwise the previous quantization is returned.
     """
-    return _follow(_min_l0_path(jr, cfg.utility, cfg.policy), cfg)
+    return run(jr, Problem.MIN_L0, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +406,11 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _singleton_decomposition(jr: JointRange) -> Decomposition:
-    """Finest decomposition of the singleton confusability graph."""
+def _singleton_decomposition(jr: JointRange, problem: Problem) -> Optional[Decomposition]:
+    """Finest decomposition of the singleton confusability graph, which seeds
+    the component-driven problems; None for ``Problem.MIN_L0``."""
+    if problem is Problem.MIN_L0:
+        return None
     return finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
 
 
@@ -523,7 +473,6 @@ def _min_istar_path(
     its termination."""
     state = _State(jr, utility, policy)
     comps = _Components(singletons)
-    u1 = utility.kind is UtilityKind.U1_RESOLUTION
     yield _Step(
         (), math.log2(comps.count), state.utility_value(), None, comps.count, state.snapshot
     )
@@ -531,16 +480,12 @@ def _min_istar_path(
         best_key = None
         best_pair = None
         for a, b, tie in _cross_component_pairs(state, comps):
-            if u1:
-                primary = state.clusters[a].size + state.clusters[b].size
-            else:
-                primary = state.merged_dbar(a, b)
-            key = (primary, *tie)
+            key = (state.pair_cost(a, b), *tie)
             if best_key is None or key < best_key:
                 best_key = key
                 best_pair = (a, b)
         a, b = best_pair
-        u_new = _post_merge_utility(state, a, b)
+        u_new = _post_merge_utility(state, a, b, _top3(state, lambda c: c.cost))
         dpriv = math.log2((comps.count - 1) / comps.count)
         comps.fuse(a, b)
         state.merge(a, b)
@@ -557,8 +502,7 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     components), and the run stops when the accepted drop would be
     non-negative or one component remains.
     """
-    singletons = _singleton_decomposition(jr)
-    return _follow(_min_istar_path(jr, cfg.utility, cfg.policy, singletons), cfg, singletons)
+    return run(jr, Problem.MIN_ISTAR, cfg)
 
 
 def _l0_zero_istar_candidates(state: _State, comps: _Components):
@@ -570,22 +514,15 @@ def _l0_zero_istar_candidates(state: _State, comps: _Components):
     lambda's argmin over the groups is its argmin over all pairs. Returns
     one ``(dpriv, u_new, rest)`` per group, with ``rest = (range_sum, *tie)``.
     """
-    u1 = state.utility.kind is UtilityKind.U1_RESOLUTION
-    h0_x = h0(state.jr.n_x)
     min_range_bits = state.min_range_bits()
     neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
-    size_tops = _top3(state, lambda c: c.size) if u1 else None
-    dbar_tops = None if u1 else _top3(state, lambda c: c.dbar)
+    cost_tops = _top3(state, lambda c: c.cost)
     groups: dict[tuple[float, float], tuple] = {}
     for a, b, tie in _cross_component_pairs(state, comps):
         ca, cb = state.clusters[a], state.clusters[b]
         merged_range = (ca.smask | cb.smask).bit_count()
         new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
-        if u1:
-            largest = max(ca.size + cb.size, int(_excluding(size_tops, a, b, 0)))
-            u_new = h0_x - math.log2(largest)
-        else:
-            u_new = -max(state.merged_dbar(a, b), _excluding(dbar_tops, a, b, 0.0))
+        u_new = _post_merge_utility(state, a, b, cost_tops)
         dpriv = min_range_bits - math.log2(new_min)
         rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)
         best = groups.get((dpriv, u_new))
@@ -597,15 +534,9 @@ def _l0_zero_istar_candidates(state: _State, comps: _Components):
 def _l0_zero_istar_tree(
     jr: JointRange, cfgs: Sequence[LagrangianConfig], singletons: Decomposition
 ):
-    """Algorithm 3's merge paths for several lambdas at once (one utility
-    and policy), walked depth first as the tree they form: runs share every
-    state until they pick different merges, and each state's candidates are
-    scanned once for all the lambdas reaching it.
-
-    Yields ``(runs, step)`` once per state of the tree, parent before child:
-    the ascending indices of the configs whose runs reach it, and its step.
-    The tree of one config is that config's merge path, in order.
-    """
+    """Algorithm 3's runs for several lambdas, walked depth first as the tree
+    they form; each state's candidates are scanned once for all the lambdas
+    reaching it. Yields like ``_runs``."""
     state = _State(jr, cfgs[0].utility, cfgs[0].policy)
     comps = _Components(singletons)
     runs = list(range(len(cfgs)))
@@ -636,14 +567,6 @@ def _l0_zero_istar_tree(
             pending.append((child, child_comps, u_new, branch))
 
 
-def _l0_zero_istar_path(jr: JointRange, cfg: LagrangianConfig, singletons: Decomposition):
-    """Algorithm 3's merge path at ``cfg.lam``, one cross-component merge per
-    step; returns its termination."""
-    for _, step in _l0_zero_istar_tree(jr, [cfg], singletons):
-        yield step
-    return Termination.SINGLE_COMPONENT
-
-
 def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     """Minimize L0 under the hard constraint of zero maximin information.
 
@@ -653,32 +576,76 @@ def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyRes
     then smallest ids) and keeps merging, accepted or not, until a single
     component remains. The result is always perfectly indistinguishable.
     """
-    singletons = _singleton_decomposition(jr)
-    return _follow(_l0_zero_istar_path(jr, cfg, singletons), cfg, singletons, forced=True)
+    return run(jr, Problem.MIN_L0_ZERO_ISTAR, cfg)
 
 
-def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
-    """Dispatch a greedy run for the given problem."""
-    if problem is Problem.MIN_L0:
-        return algorithm1_min_l0(jr, cfg)
-    if problem is Problem.MIN_ISTAR:
-        return algorithm2_min_istar(jr, cfg)
-    return algorithm3_l0_zero_istar(jr, cfg)
+# ---------------------------------------------------------------------------
+# The walk and the single run
+# ---------------------------------------------------------------------------
 
 
-def _lambda_path(
-    jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]
-) -> tuple[list[Quantization], list[int]]:
-    """Follow the merge path of algorithm 1 or 2 once for many lambdas.
+def _runs(
+    jr: JointRange,
+    problem: Problem,
+    cfgs: Sequence[LagrangianConfig],
+    singletons: Optional[Decomposition],
+):
+    """Walk the runs of several configs (one utility and policy) at once.
 
-    The configs share one utility and policy. Returns the quantization of
-    every state reached and, per config, the index of the last state its run
-    accepts: ``run`` at that config traces exactly ``states[:stop + 1]``.
+    Yields ``(runs, step)`` once per state of the tree the runs form, parent
+    before child: the ascending indices of the configs whose runs reach the
+    state, and its step. Returns each config's ``(termination,
+    rejected_delta_l)``. The walk of one config is its run, in order.
+    ``singletons`` is ``_singleton_decomposition(jr, problem)``.
     """
+    if problem is Problem.MIN_L0_ZERO_ISTAR:
+        yield from _l0_zero_istar_tree(jr, cfgs, singletons)
+        return [(Termination.SINGLE_COMPONENT, None)] * len(cfgs)
     utility, policy = cfgs[0].utility, cfgs[0].policy
     if problem is Problem.MIN_L0:
         path = _min_l0_path(jr, utility, policy)
     else:
-        path = _min_istar_path(jr, utility, policy, _singleton_decomposition(jr))
-    _, states, stops, _, _ = _walk(path, cfgs)
-    return states, stops
+        path = _min_istar_path(jr, utility, policy, singletons)
+    ends: list[Optional[tuple[Termination, Optional[float]]]] = [None] * len(cfgs)
+    runs = list(range(len(cfgs)))
+    prev = next(path)
+    yield runs, prev
+    while True:
+        try:
+            step = next(path)
+        except StopIteration as end:
+            for i in runs:
+                ends[i] = (end.value, None)
+            return ends
+        for i in runs:
+            decision = _decision(prev, step, cfgs[i].lam, utility.kind)[0]
+            if decision >= 0.0:
+                ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
+        runs = [i for i in runs if ends[i] is None]
+        if not runs:
+            return ends
+        yield runs, step
+        prev = step
+
+
+def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
+    """One greedy run of the given problem: the walk of the single config ``cfg``."""
+    singletons = _singleton_decomposition(jr, problem)
+    walk = _runs(jr, problem, [cfg], singletons)
+    lam, kind = cfg.lam, cfg.utility.kind
+    trace: list[TraceEntry] = []
+    while True:
+        try:
+            _, step = next(walk)
+        except StopIteration as end:
+            ((termination, rejected),) = end.value
+            break
+        delta = _decision(prev, step, lam, kind)[1] if trace else None
+        trace.append(TraceEntry(
+            len(trace), step.snapshot(), step.privacy - lam * step.utility, delta,
+            step.merged, step.component_count, step.utility,
+        ))
+        prev = step
+    q = trace[-1].quantization
+    decomposition = None if singletons is None else merge_update(singletons, q)
+    return GreedyResult(q, tuple(trace), decomposition, termination, rejected_delta_l=rejected)

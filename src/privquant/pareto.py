@@ -34,13 +34,7 @@ from typing import Callable, Optional, Sequence
 from .core import TOLERANCE, JointRange, h0, l0
 from .errors import ContractViolation, InfeasibleError
 from .graph import maximin_information
-from .greedy import (
-    LagrangianConfig,
-    Problem,
-    _l0_zero_istar_tree,
-    _lambda_path,
-    _singleton_decomposition,
-)
+from .greedy import LagrangianConfig, Problem, _runs, _singleton_decomposition
 from .quantize import (
     CodewordPolicy,
     Quantization,
@@ -48,6 +42,7 @@ from .quantize import (
     UtilityKind,
     absolute_difference,
     compute_codeword,
+    singleton_quantization,
     utility,
 )
 
@@ -139,11 +134,11 @@ def sweep(
 ) -> Frontier:
     """Assemble the Pareto frontier of one problem over a lambda grid.
 
-    For ``l0`` and ``istar`` lambda never picks a merge, only where a run
-    stops, so one merge path serves every distinct lambda. ``l0-zero-istar``
-    picks its merges by a lambda-dependent delta, so its runs form a tree:
-    the sweep walks that lambda tree once, sharing every common prefix, and
-    scans each distinct state's candidates once for all its lambdas.
+    The runs of every distinct lambda are walked at once, as the tree they
+    form: runs share each state until they part, and the walk visits each
+    state once. For ``l0`` and ``istar`` lambda only decides where a run
+    stops, so the tree is one merge path; ``l0-zero-istar`` picks its merges
+    by lambda, so its tree branches where the runs pick differently.
     Candidate quantizations are every run's trace states by default
     (terminal states only when ``include_trace_states`` is off), each
     credited to the first lambda of the grid whose run reaches it; identical
@@ -154,29 +149,28 @@ def sweep(
     if not grid:
         raise ContractViolation("lambda grid must be non-empty")
     cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
-    candidates: dict[tuple, tuple[float, Quantization]] = {}
-    if problem is Problem.MIN_L0_ZERO_ISTAR:
-        firsts: dict[tuple, tuple[int, Quantization]] = {}  # key -> (first config, state)
-        for runs, step in _l0_zero_istar_tree(jr, cfgs, _singleton_decomposition(jr)):
-            if include_trace_states or step.component_count == 1:
-                q = step.snapshot()
-                key = q.partition_key()
-                if key not in firsts or runs[0] < firsts[key][0]:
-                    firsts[key] = (runs[0], q)
-        candidates = {key: (cfgs[i].lam, q) for key, (i, q) in firsts.items()}
-    else:
-        states, stops = _lambda_path(jr, problem, cfgs)
-        reached = 0  # states[:reached] are credited already
-        for cfg, stop in zip(cfgs, stops):
-            for q in states[reached if include_trace_states else stop : stop + 1]:
-                candidates.setdefault(q.partition_key(), (cfg.lam, q))
-            reached = max(reached, stop + 1)
+    firsts: dict[tuple, tuple[int, Quantization]] = {}  # key -> (least config, state)
+    lasts: dict[int, Quantization] = {}  # config -> latest state its run reached
+
+    def credit(i: int, q: Quantization) -> None:
+        key = q.partition_key()
+        if key not in firsts or i < firsts[key][0]:
+            firsts[key] = (i, q)
+
+    for runs, step in _runs(jr, problem, cfgs, _singleton_decomposition(jr, problem)):
+        q = step.snapshot()
+        if include_trace_states:
+            credit(runs[0], q)
+        else:
+            lasts.update(dict.fromkeys(runs, q))
+    for i, q in lasts.items():
+        credit(i, q)
 
     scored = []
-    for lam, q in candidates.values():
+    for i, q in firsts.values():
         leak = _raw_leakage(jr, q, problem)
         util = utility(jr, q, utility_choice)
-        scored.append((leak, -util, lam, q.partition_key(), q))
+        scored.append((leak, -util, cfgs[i].lam, q.partition_key(), q))
     scored.sort(key=lambda row: row[:4])
 
     survivors: list[tuple[float, float, float, Quantization]] = []
@@ -191,9 +185,7 @@ def sweep(
             best_util = util
             survivors.append((lam, leak, util, q))
 
-    singleton_leak = _raw_leakage(
-        jr, Quantization.from_clusters(jr, [{x} for x in range(jr.n_x)], policy), problem
-    )
+    singleton_leak = _raw_leakage(jr, singleton_quantization(jr, policy), problem)
     degenerate = singleton_leak <= TOLERANCE
     u2_floor = None
     if utility_choice.kind is UtilityKind.U2_MAX_DISTORTION:

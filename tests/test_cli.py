@@ -45,6 +45,20 @@ class TestStats:
         assert payload["manifest"]["subcommand"] == "stats"
         assert payload["manifest"]["tool"] == "privquant"
 
+    def test_every_pairs_entry_is_one_record(self, capsys):
+        payload = run_json(capsys, "stats", "--pairs", "a:b,a:b,a:c")
+        assert payload["stats"] == {
+            "record_count": 3, "distinct_s": 1, "distinct_x": 2,
+            "distinct_pairs": 2, "singleton_pairs": 1,
+        }
+
+    def test_x_values_with_input_exits_3(self, capsys, toy_csv):
+        code, out, err = run_cli(
+            capsys, "stats", "--input", toy_csv, "--s", "s", "--x", "x", "--x-values", "x1=1"
+        )
+        assert code == 3 and out == ""
+        assert err == "error: --x-values goes with --pairs; --input reads X from the file\n"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--input", "/no/file.csv", "--s", "a", "--x", "b")
         assert code == 2 and "no such file" in err
@@ -428,11 +442,12 @@ class TestFlagTable:
             ("pareto", "--pairs", TOY_PAIRS_ARG, "--format", "xml"),
             ("stats", "--pairs", "a:b:c"),
             ("stats", "--pairs", TOY_PAIRS_ARG, "--x-values", "x1=abc"),
+            ("stats", "--input", "absent.csv", "--s", "s", "--x", "x", "--x-values", "x1=1"),
             ("pareto", "--pairs", TOY_PAIRS_ARG, "--lambdas", "-1"),
             ("pareto", "--pairs", TOY_PAIRS_ARG, "--grid", "3:1:0"),
         ],
         ids=["utility", "codeword", "algorithm", "problem", "format", "pairs", "x-values",
-             "lambdas", "grid"],
+             "x-values-with-input", "lambdas", "grid"],
     )
     def test_invalid_value_exits_3_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

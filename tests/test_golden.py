@@ -1,0 +1,115 @@
+"""Golden digests: greedy traces and sweep frontiers pinned bit for bit.
+
+Each greedy result and frontier is reduced to a canonical record (partition
+keys, ``float.hex`` of every float, termination, merged pairs, component
+counts, decomposition blocks) and the records of one problem are hashed
+together, so a change to a merge pick, an acceptance decision, a tie-break,
+a crediting rule or any float of any output changes a digest.
+
+To regenerate after an intended change of output, run this file as a script:
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from helpers import random_joint_range
+from privquant import JointRange, LagrangianConfig, Problem, Symbol, run, sweep
+from privquant.quantize import CodewordPolicy, UtilityChoice
+
+GOLDEN = {
+    "l0": "92e50dd8f8391f907bda5d528b4a41eed9e727b4a912c7458032a975ca5b76e5",
+    "istar": "76222896dad4b2933c72daa34aff8eca2e827c345a361065b61d61f5f494487b",
+    "l0-zero-istar": "892bf2a11ce3ef56ef20be32c36b9ccec08cc75fbea1878efbd9b15a3f854e78",
+}
+
+LAMBDAS = (0.0, 0.3, 2.5)
+GRID = (2.5, 0.0, 0.05, 0.3, 0.3, 1.0, 10.0)
+UTILITIES = (
+    UtilityChoice.u1(),
+    UtilityChoice.u2(),
+    UtilityChoice.u2(lambda a, b: (a - b) ** 2),
+)
+
+
+def _integer_valued(rng: random.Random) -> JointRange:
+    """A random joint range whose X values are small integers (many ties)."""
+    jr = random_joint_range(rng, with_values=False)
+    xs = [Symbol(f"x{i}", float(rng.randint(0, 4))) for i in range(jr.n_x)]
+    pairs = [(s, x) for s in range(jr.n_s) for x in range(jr.n_x) if jr.cond_mask_x(x) >> s & 1]
+    return JointRange([Symbol(f"s{i}") for i in range(jr.n_s)], xs, pairs)
+
+
+def _instances() -> list[JointRange]:
+    rng = random.Random(7077)
+    instances = [random_joint_range(rng) for _ in range(24)]
+    instances += [random_joint_range(rng, max_s=12, max_x=16) for _ in range(6)]
+    return instances + [_integer_valued(rng) for _ in range(16)]
+
+
+def _hex(v):
+    return None if v is None else float(v).hex()
+
+
+def _quantization(q) -> list:
+    codewords = None if q.codewords is None else [_hex(c) for c in q.codewords]
+    return [[list(c) for c in q.partition_key()], codewords, q.policy.value]
+
+
+def _result(r) -> list:
+    trace = [
+        [e.t, _quantization(e.quantization), _hex(e.lagrangian), _hex(e.delta_l),
+         [list(p) for p in e.merged], e.component_count, _hex(e.utility_value)]
+        for e in r.trace
+    ]
+    blocks = None if r.decomposition is None else [sorted(b) for b in r.decomposition.blocks]
+    return [_quantization(r.quantization), trace, blocks, r.termination.value,
+            _hex(r.rejected_delta_l)]
+
+
+def _frontier(f) -> list:
+    points = [
+        [_hex(p.lam), _hex(p.leakage_raw), _hex(p.leakage_norm), _hex(p.utility_raw),
+         _hex(p.loss_norm), _quantization(p.quantization)]
+        for p in f.points
+    ]
+    return [points, f.problem.value, f.utility_kind.value, f.degenerate, _hex(f.u2_floor)]
+
+
+def digests() -> dict[str, str]:
+    """One sha256 per problem over the records of every run and sweep."""
+    instances = _instances()
+    out = {}
+    for problem in Problem:
+        h = hashlib.sha256()
+        for jr in instances:
+            for u in UTILITIES:
+                for policy in CodewordPolicy:
+                    for lam in LAMBDAS:
+                        record = _result(run(jr, problem, LagrangianConfig(lam, u, policy)))
+                        h.update(json.dumps(record).encode() + b"\n")
+                    for include in (True, False):
+                        f = sweep(jr, problem, u, GRID, policy, include_trace_states=include)
+                        h.update(json.dumps(_frontier(f)).encode() + b"\n")
+        out[problem.value] = h.hexdigest()
+    return out
+
+
+@pytest.fixture(scope="module")
+def computed() -> dict[str, str]:
+    return digests()
+
+
+@pytest.mark.parametrize("problem", [p.value for p in Problem])
+def test_golden_digest(computed, problem):
+    assert computed[problem] == GOLDEN[problem]
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f'    "{name}": "{digest}",')
