@@ -9,7 +9,8 @@ gets the manifest as a JSON sidecar next to it. Exit codes are stable:
     2  ingestion failure
     3  configuration error (bad flags, lambda < 0, U2 on categorical data,
        an unwritable --out, a --delimiter that is not one character, an
-       unreadable or malformed --apply-quantization file)
+       unreadable or malformed --apply-quantization file, a CSV-only flag
+       with --pairs, a NaN --theta)
     4  size cap exceeded (oracle)
     5  infeasible constraint (theta or k out of reach)
 """
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .core import JointRange, b0, h0, i0_forward, l0, min_range_size
+from .core import JointRange, b0, h0, i0_forward, is_k_anonymous, l0, min_range_size
 from .errors import (
     ConfigurationError,
     ContractViolation,
@@ -77,7 +78,7 @@ _FLAGS = {
         action="append", help="missing-value sentinel; repeatable (default: -9, empty, ?)"
     ),
     "--no-header": dict(action="store_true", help="file has no header row"),
-    "--delimiter": dict(default=",", help="field delimiter (default ,)"),
+    "--delimiter": dict(help="field delimiter (default ,)"),
     "--x-numeric": dict(
         action="store_true",
         help="fail on non-numeric public cells instead of going categorical",
@@ -103,10 +104,12 @@ _FLAGS = {
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(help="write the output here instead of stdout"),
 }
-_INPUT_FLAGS = (
-    "--input", "--s", "--x", "--missing", "--no-header", "--delimiter", "--x-numeric",
-    "--pairs", "--x-values",
-)
+#: Flags that only ``--input`` reads: name -> argparse dest (None or False when unset).
+_CSV_FLAGS = {
+    "--s": "s_column", "--x": "x_column", "--missing": "missing", "--no-header": "no_header",
+    "--delimiter": "delimiter", "--x-numeric": "x_numeric",
+}
+_INPUT_FLAGS = ("--input", *_CSV_FLAGS, "--pairs", "--x-values")
 #: Flags whose values the manifest echoes as its ``config``, in declaration order.
 _ECHOED_FLAGS = frozenset(
     ("--algorithm", "--problem", "--lambda", "--theta", "--utility", "--codeword", "--k")
@@ -135,6 +138,9 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
     if args.x_values and args.input:
         raise ConfigurationError("--x-values goes with --pairs; --input reads X from the file")
     if args.pairs:
+        given = [f for f, dest in _CSV_FLAGS.items() if getattr(args, dest) not in (None, False)]
+        if given:
+            raise ConfigurationError(f"{', '.join(given)} go with --input; --pairs reads no CSV")
         pairs = _entries(args.pairs, "--pairs", "s:x")
         x_values = None
         if args.x_values:
@@ -151,7 +157,7 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
         args.x_column,
         missing=tuple(args.missing) if args.missing else DEFAULT_MISSING,
         has_header=not args.no_header,
-        delimiter=args.delimiter,
+        delimiter="," if args.delimiter is None else args.delimiter,
         require_numeric_x=args.x_numeric,
     )
     input_desc = {"file": args.input, "s": args.s_column, "x": args.x_column}
@@ -319,7 +325,6 @@ def _cmd_pareto(args, jr: JointRange, dataset_stats: dict, config: dict) -> Unio
         lambda_grid=grid,
         policy=CodewordPolicy(args.codeword),
         include_trace_states=not args.terminal_only,
-        dataset_id=args.input,
     )
     config["grid"] = grid if grid is not None else "default(65)"
     if args.format == "csv":
@@ -345,7 +350,7 @@ def _cmd_pareto(args, jr: JointRange, dataset_stats: dict, config: dict) -> Unio
 
 def _cmd_baseline(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
     q = sweeney_baseline(jr, args.k, policy=CodewordPolicy(args.codeword))
-    return {**_release_json(jr, q, None), "k_anonymous": min_range_size(jr, q) >= args.k}
+    return {**_release_json(jr, q, None), "k_anonymous": is_k_anonymous(jr, q, args.k)}
 
 
 def _cmd_oracle(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:

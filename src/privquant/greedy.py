@@ -35,7 +35,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
 from .errors import ConfigurationError
@@ -243,10 +243,9 @@ class _State:
     def leakage_l0(self) -> float:
         return h0(self.jr.n_s) - self.min_range_bits()
 
-    def snapshot(self) -> Quantization:
-        return Quantization.from_clusters(
-            self.jr, [c.members for c in self.clusters.values()], self.policy
-        )
+    def partition(self) -> tuple[tuple[int, ...], ...]:
+        """The state's ``Quantization.partition_key()``."""
+        return tuple(self.clusters[cid].members for cid in sorted(self.clusters))
 
 
 # Exclusion maxima/minima: merging clusters a and b leaves every other
@@ -303,7 +302,7 @@ class _Step(NamedTuple):
     is log2 of the component count on algorithm 2's path and L0 otherwise.
     ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
     algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
-    ``snapshot`` builds the state's quantization until the walk advances.
+    ``partition`` is the state's ``Quantization.partition_key()``.
     """
 
     merged: tuple[tuple[int, int], ...]
@@ -311,7 +310,7 @@ class _Step(NamedTuple):
     utility: float
     dpriv: Optional[float]
     component_count: Optional[int]
-    snapshot: Callable[[], Quantization]
+    partition: tuple[tuple[int, ...], ...]
 
 
 def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[float, float]:
@@ -363,7 +362,7 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
 def _min_l0_path(jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
     """Algorithm 1's merge path, one step per round; returns its termination."""
     state = _State(jr, utility, policy)
-    yield _Step((), state.leakage_l0(), state.utility_value(), None, None, state.snapshot)
+    yield _Step((), state.leakage_l0(), state.utility_value(), None, None, state.partition())
     while len(state.clusters) > 1:
         smallest = min(c.smask.bit_count() for c in state.clusters.values())
         pi = sorted(
@@ -385,7 +384,7 @@ def _min_l0_path(jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy)
             return Termination.NO_ELIGIBLE_MERGE
         yield _Step(
             tuple(merged_pairs), state.leakage_l0(), state.utility_value(), None, None,
-            state.snapshot,
+            state.partition(),
         )
     return Termination.FULLY_MERGED
 
@@ -404,14 +403,6 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 # Algorithms 2 and 3: component-driven merging
 # ---------------------------------------------------------------------------
-
-
-def _singleton_decomposition(jr: JointRange, problem: Problem) -> Optional[Decomposition]:
-    """Finest decomposition of the singleton confusability graph, which seeds
-    the component-driven problems; None for ``Problem.MIN_L0``."""
-    if problem is Problem.MIN_L0:
-        return None
-    return finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
 
 
 class _Components:
@@ -474,7 +465,7 @@ def _min_istar_path(
     state = _State(jr, utility, policy)
     comps = _Components(singletons)
     yield _Step(
-        (), math.log2(comps.count), state.utility_value(), None, comps.count, state.snapshot
+        (), math.log2(comps.count), state.utility_value(), None, comps.count, state.partition()
     )
     while comps.count > 1:
         best_key = None
@@ -489,7 +480,9 @@ def _min_istar_path(
         dpriv = math.log2((comps.count - 1) / comps.count)
         comps.fuse(a, b)
         state.merge(a, b)
-        yield _Step(((a, b),), math.log2(comps.count), u_new, dpriv, comps.count, state.snapshot)
+        yield _Step(
+            ((a, b),), math.log2(comps.count), u_new, dpriv, comps.count, state.partition()
+        )
     return Termination.SINGLE_COMPONENT
 
 
@@ -541,7 +534,7 @@ def _l0_zero_istar_tree(
     comps = _Components(singletons)
     runs = list(range(len(cfgs)))
     u = state.utility_value()
-    yield runs, _Step((), state.leakage_l0(), u, None, comps.count, state.snapshot)
+    yield runs, _Step((), state.leakage_l0(), u, None, comps.count, state.partition())
     pending = [(state, comps, u, runs)]
     while pending:
         state, comps, u_old, runs = pending.pop()
@@ -562,7 +555,8 @@ def _l0_zero_istar_tree(
             child_comps.fuse(a, b)
             child.merge(a, b)
             yield branch, _Step(
-                ((a, b),), child.leakage_l0(), u_new, dpriv, child_comps.count, child.snapshot
+                ((a, b),), child.leakage_l0(), u_new, dpriv, child_comps.count,
+                child.partition(),
             )
             pending.append((child, child_comps, u_new, branch))
 
@@ -584,23 +578,22 @@ def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyRes
 # ---------------------------------------------------------------------------
 
 
-def _runs(
-    jr: JointRange,
-    problem: Problem,
-    cfgs: Sequence[LagrangianConfig],
-    singletons: Optional[Decomposition],
-):
+def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     """Walk the runs of several configs (one utility and policy) at once.
 
     Yields ``(runs, step)`` once per state of the tree the runs form, parent
     before child: the ascending indices of the configs whose runs reach the
-    state, and its step. Returns each config's ``(termination,
-    rejected_delta_l)``. The walk of one config is its run, in order.
-    ``singletons`` is ``_singleton_decomposition(jr, problem)``.
+    state, and its step. The walk of one config is its run, in order.
+    Returns ``(singletons, ends)``: the finest decomposition of the singleton
+    confusability graph, which seeds the component-driven problems (None for
+    ``Problem.MIN_L0``), and each config's ``(termination, rejected_delta_l)``.
     """
+    singletons = None
+    if problem is not Problem.MIN_L0:
+        singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
     if problem is Problem.MIN_L0_ZERO_ISTAR:
         yield from _l0_zero_istar_tree(jr, cfgs, singletons)
-        return [(Termination.SINGLE_COMPONENT, None)] * len(cfgs)
+        return singletons, [(Termination.SINGLE_COMPONENT, None)] * len(cfgs)
     utility, policy = cfgs[0].utility, cfgs[0].policy
     if problem is Problem.MIN_L0:
         path = _min_l0_path(jr, utility, policy)
@@ -616,34 +609,34 @@ def _runs(
         except StopIteration as end:
             for i in runs:
                 ends[i] = (end.value, None)
-            return ends
+            return singletons, ends
         for i in runs:
             decision = _decision(prev, step, cfgs[i].lam, utility.kind)[0]
             if decision >= 0.0:
                 ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
         runs = [i for i in runs if ends[i] is None]
         if not runs:
-            return ends
+            return singletons, ends
         yield runs, step
         prev = step
 
 
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
     """One greedy run of the given problem: the walk of the single config ``cfg``."""
-    singletons = _singleton_decomposition(jr, problem)
-    walk = _runs(jr, problem, [cfg], singletons)
+    walk = _runs(jr, problem, [cfg])
     lam, kind = cfg.lam, cfg.utility.kind
     trace: list[TraceEntry] = []
     while True:
         try:
             _, step = next(walk)
         except StopIteration as end:
-            ((termination, rejected),) = end.value
+            singletons, ((termination, rejected),) = end.value
             break
         delta = _decision(prev, step, lam, kind)[1] if trace else None
+        q = Quantization.from_clusters(jr, step.partition, cfg.policy)
         trace.append(TraceEntry(
-            len(trace), step.snapshot(), step.privacy - lam * step.utility, delta,
-            step.merged, step.component_count, step.utility,
+            len(trace), q, step.privacy - lam * step.utility, delta, step.merged,
+            step.component_count, step.utility,
         ))
         prev = step
     q = trace[-1].quantization

@@ -112,7 +112,8 @@ def oracle_min(
     ``cfg.lam`` (the same bit-valued objective the greedy runs report).
     With ``theta`` set, minimizes the bare privacy objective over the
     partitions whose utility is at least ``theta`` (within tolerance);
-    infeasible thresholds raise with the best achievable utility attached.
+    infeasible thresholds raise with the best achievable utility attached,
+    and a NaN ``theta`` is a ``ConfigurationError``.
     When every feasible objective is NaN (say, a distance returning ``inf``
     at lambda 0) no optimum exists and a ``ConfigurationError`` says so.
 
@@ -122,6 +123,8 @@ def oracle_min(
     One enumeration pass keeps the optimum, the number of partitions within
     ``TOLERANCE`` of it and the lexicographically first of them (the witness).
     """
+    if theta is not None and math.isnan(theta):
+        raise ConfigurationError("theta must be a number, not NaN")
     n = jr.n_x
     if n > MAX_ORACLE_SYMBOLS:
         raise SizeLimitError(

@@ -7,7 +7,9 @@ release, so the sweep harvests all trace states, not just terminal ones;
 low-lambda runs then contribute their whole merge path and the dominance
 filter keeps the useful part. Runs at different lambdas share their states
 up to the first merge they pick differently, and the sweep visits each
-shared state once.
+shared state once. A state's raw coordinates are the privacy and utility
+the walk computed to steer its merges, and a quantization is built only
+for the states that end up on the frontier.
 
 Axes are normalized as plotted throughout this package's outputs:
 
@@ -27,14 +29,14 @@ no utility term, which is exactly what the frontier comparison is for.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .core import TOLERANCE, JointRange, h0, l0
+from .core import TOLERANCE, JointRange, h0
 from .errors import ContractViolation, InfeasibleError
-from .graph import maximin_information
-from .greedy import LagrangianConfig, Problem, _runs, _singleton_decomposition
+from .greedy import LagrangianConfig, Problem, _runs
 from .quantize import (
     CodewordPolicy,
     Quantization,
@@ -42,8 +44,6 @@ from .quantize import (
     UtilityKind,
     absolute_difference,
     compute_codeword,
-    singleton_quantization,
-    utility,
 )
 
 __all__ = [
@@ -77,7 +77,6 @@ class Frontier:
     utility_kind: UtilityKind
     degenerate: bool
     u2_floor: Optional[float]
-    dataset_id: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -99,12 +98,6 @@ def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
 def default_lambda_grid() -> tuple[float, ...]:
     """lambda = 0 plus 64 geometrically spaced points on [1e-3, 1e2]."""
     return (0.0, *geometric_grid(1e-3, 1e2, 64))
-
-
-def _raw_leakage(jr: JointRange, q: Quantization, problem: Problem) -> float:
-    if problem is Problem.MIN_ISTAR:
-        return maximin_information(jr, q)
-    return l0(jr, q)
 
 
 def normalize(
@@ -130,7 +123,6 @@ def sweep(
     lambda_grid: Optional[Sequence[float]] = None,
     policy: CodewordPolicy = CodewordPolicy.CENTROID,
     include_trace_states: bool = True,
-    dataset_id: Optional[str] = None,
 ) -> Frontier:
     """Assemble the Pareto frontier of one problem over a lambda grid.
 
@@ -139,53 +131,51 @@ def sweep(
     state once. For ``l0`` and ``istar`` lambda only decides where a run
     stops, so the tree is one merge path; ``l0-zero-istar`` picks its merges
     by lambda, so its tree branches where the runs pick differently.
-    Candidate quantizations are every run's trace states by default
-    (terminal states only when ``include_trace_states`` is off), each
-    credited to the first lambda of the grid whose run reaches it; identical
-    partitions and coordinate ties are deduplicated and dominated points
-    dropped.
+    Candidates are every run's trace states by default (terminal states only
+    when ``include_trace_states`` is off), each credited to the first lambda
+    of the grid whose run reaches it; identical partitions and coordinate
+    ties are deduplicated and dominated points dropped. A candidate's raw
+    leakage and utility are the ones the walk computed for its state (equal
+    to ``l0`` or ``maximin_information`` and ``utility`` of its
+    quantization), and only the frontier's points get a ``Quantization``.
     """
     grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
     if not grid:
         raise ContractViolation("lambda grid must be non-empty")
     cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
-    firsts: dict[tuple, tuple[int, Quantization]] = {}  # key -> (least config, state)
-    lasts: dict[int, Quantization] = {}  # config -> latest state its run reached
+    # partition key -> (least config reaching it, raw leakage, utility)
+    firsts: dict[tuple, tuple[int, float, float]] = {}
+    lasts: dict[int, tuple] = {}  # config -> latest step its run reached
 
-    def credit(i: int, q: Quantization) -> None:
-        key = q.partition_key()
-        if key not in firsts or i < firsts[key][0]:
-            firsts[key] = (i, q)
+    def credit(i: int, step) -> None:
+        first = firsts.get(step.partition)
+        if first is None or i < first[0]:
+            firsts[step.partition] = (i, step.privacy, step.utility)
 
-    for runs, step in _runs(jr, problem, cfgs, _singleton_decomposition(jr, problem)):
-        q = step.snapshot()
+    walk = _runs(jr, problem, cfgs)
+    start = next(walk)  # every run's first step: the singleton state
+    for runs, step in itertools.chain([start], walk):
         if include_trace_states:
-            credit(runs[0], q)
+            credit(runs[0], step)
         else:
-            lasts.update(dict.fromkeys(runs, q))
-    for i, q in lasts.items():
-        credit(i, q)
+            lasts.update(dict.fromkeys(runs, step))
+    for i, step in lasts.items():
+        credit(i, step)
 
-    scored = []
-    for i, q in firsts.values():
-        leak = _raw_leakage(jr, q, problem)
-        util = utility(jr, q, utility_choice)
-        scored.append((leak, -util, cfgs[i].lam, q.partition_key(), q))
-    scored.sort(key=lambda row: row[:4])
-
-    survivors: list[tuple[float, float, float, Quantization]] = []
+    scored = sorted((leak, -util, cfgs[i].lam, key) for key, (i, leak, util) in firsts.items())
+    survivors: list[tuple[float, float, float, tuple]] = []
     best_util = -math.inf
     last_coords = None
-    for leak, neg_util, lam, _, q in scored:
+    for leak, neg_util, lam, key in scored:
         util = -neg_util
         if (leak, util) == last_coords:
             continue  # same coordinates, keep the first representative
         last_coords = (leak, util)
         if util > best_util + TOLERANCE:
             best_util = util
-            survivors.append((lam, leak, util, q))
+            survivors.append((lam, leak, util, key))
 
-    singleton_leak = _raw_leakage(jr, singleton_quantization(jr, policy), problem)
+    singleton_leak = start[1].privacy
     degenerate = singleton_leak <= TOLERANCE
     u2_floor = None
     if utility_choice.kind is UtilityKind.U2_MAX_DISTORTION:
@@ -193,13 +183,12 @@ def sweep(
     ctx = NormalizationContext(singleton_leak, h0(jr.n_x), u2_floor, degenerate)
 
     points = []
-    for lam, leak, util, q in survivors:
+    for lam, leak, util, key in survivors:
         loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
+        q = Quantization.from_clusters(jr, key, policy)
         points.append(ParetoPoint(lam, leak, leak_norm, util, loss, q))
     points.sort(key=lambda p: p.loss_norm)
-    return Frontier(
-        tuple(points), problem, utility_choice.kind, degenerate, u2_floor, dataset_id
-    )
+    return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)
 
 
 def sweeney_baseline(

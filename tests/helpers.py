@@ -167,7 +167,6 @@ def reference_sweep(
     lambda_grid: Optional[Sequence[float]] = None,
     policy: CodewordPolicy = CodewordPolicy.CENTROID,
     include_trace_states: bool = True,
-    dataset_id: Optional[str] = None,
 ) -> Frontier:
     """``sweep`` as one full greedy run per distinct lambda.
 
@@ -225,9 +224,7 @@ def reference_sweep(
         loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
         points.append(ParetoPoint(lam, leak, leak_norm, util, loss, q))
     points.sort(key=lambda p: p.loss_norm)
-    return Frontier(
-        tuple(points), problem, utility_choice.kind, degenerate, u2_floor, dataset_id
-    )
+    return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)
 
 
 def reference_component_count(masks: Sequence[int]) -> int:

@@ -59,6 +59,15 @@ class TestStats:
         assert code == 3 and out == ""
         assert err == "error: --x-values goes with --pairs; --input reads X from the file\n"
 
+    def test_csv_flags_with_pairs_exit_3(self, capsys):
+        code, out, err = run_cli(
+            capsys, "stats", "--pairs", "a:b", "--x", "bar", "--delimiter", ",", "--no-header"
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "error: --x, --no-header, --delimiter go with --input; --pairs reads no CSV\n"
+        )
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "stats", "--input", "/no/file.csv", "--s", "a", "--x", "b")
         assert code == 2 and "no such file" in err
@@ -445,9 +454,12 @@ class TestFlagTable:
             ("stats", "--input", "absent.csv", "--s", "s", "--x", "x", "--x-values", "x1=1"),
             ("pareto", "--pairs", TOY_PAIRS_ARG, "--lambdas", "-1"),
             ("pareto", "--pairs", TOY_PAIRS_ARG, "--grid", "3:1:0"),
+            ("stats", "--pairs", "a:b", "--s", "foo", "--x", "bar", "--delimiter", ";",
+             "--no-header", "--missing", "zz", "--x-numeric"),
+            ("oracle", "--pairs", TOY_PAIRS_ARG, "--problem", "l0", "--theta", "nan"),
         ],
         ids=["utility", "codeword", "algorithm", "problem", "format", "pairs", "x-values",
-             "x-values-with-input", "lambdas", "grid"],
+             "x-values-with-input", "lambdas", "grid", "csv-flags-with-pairs", "theta-nan"],
     )
     def test_invalid_value_exits_3_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

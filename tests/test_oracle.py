@@ -110,6 +110,14 @@ class TestOracleMin:
         with pytest.raises(ConfigurationError, match="NaN"):
             oracle_min(jr, Problem.MIN_L0, cfg)
 
+    def test_nan_theta_is_a_configuration_error(self, toy):
+        with pytest.raises(ConfigurationError, match="NaN"):
+            oracle_min(toy, Problem.MIN_L0, CFG, theta=math.nan)
+        # Infinite thresholds keep their meaning: no constraint, or none reachable.
+        assert oracle_min(toy, Problem.MIN_L0, CFG, theta=-math.inf).value == 0.0
+        with pytest.raises(InfeasibleError):
+            oracle_min(toy, Problem.MIN_L0, CFG, theta=math.inf)
+
     def test_size_cap(self):
         jr = JointRange.from_id_pairs([("s0", f"x{i}") for i in range(13)])
         with pytest.raises(SizeLimitError):
