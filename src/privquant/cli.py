@@ -36,18 +36,18 @@ from .errors import (
     PrivQuantError,
     SizeLimitError,
 )
-from .graph import maximin_information
-from .greedy import LagrangianConfig, Problem, run
 from .ingest import DEFAULT_MISSING, load_csv, stats
-from .oracle import oracle_min
-from .pareto import frontier_csv_rows, geometric_grid, sweep, sweeney_baseline
 from .quantize import (
     CodewordPolicy,
+    Problem,
     Quantization,
     UtilityChoice,
     UtilityKind,
     utility,
 )
+
+# The algorithm modules (graph, greedy, oracle, pareto) are imported by the
+# code that runs them, so a subcommand loads only what it uses.
 
 _EXIT_BY_ERROR = (
     (IngestError, 2),
@@ -166,6 +166,8 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
 
 def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -> dict:
     """The ``quantization`` and ``measures`` blocks of a released quantization."""
+    from .graph import maximin_information
+
     clusters = []
     for pos, members in enumerate(q.clusters):
         entry = {
@@ -269,6 +271,8 @@ def _cmd_stats(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
 
 
 def _cmd_quantize(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
+    from .greedy import LagrangianConfig, run
+
     u = UtilityChoice(UtilityKind(args.utility))
     policy = CodewordPolicy(args.codeword)
     if args.apply_quantization:
@@ -287,6 +291,8 @@ def _cmd_quantize(args, jr: JointRange, dataset_stats: dict, config: dict) -> di
 
 
 def _parse_grid(args) -> Optional[list[float]]:
+    from .pareto import geometric_grid
+
     if args.lambdas:
         try:
             return [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
@@ -317,6 +323,8 @@ def _parse_grid(args) -> Optional[list[float]]:
 
 
 def _cmd_pareto(args, jr: JointRange, dataset_stats: dict, config: dict) -> Union[dict, str]:
+    from .pareto import frontier_csv_rows, sweep
+
     grid = _parse_grid(args)
     frontier = sweep(
         jr,
@@ -349,11 +357,16 @@ def _cmd_pareto(args, jr: JointRange, dataset_stats: dict, config: dict) -> Unio
 
 
 def _cmd_baseline(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
+    from .pareto import sweeney_baseline
+
     q = sweeney_baseline(jr, args.k, policy=CodewordPolicy(args.codeword))
     return {**_release_json(jr, q, None), "k_anonymous": is_k_anonymous(jr, q, args.k)}
 
 
 def _cmd_oracle(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
+    from .greedy import LagrangianConfig
+    from .oracle import oracle_min
+
     if (args.lam is None) == (args.theta is None):
         raise ConfigurationError("oracle needs exactly one of --lambda or --theta")
     u = UtilityChoice(UtilityKind(args.utility))

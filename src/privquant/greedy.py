@@ -48,6 +48,7 @@ from .graph import (
 )
 from .quantize import (
     CodewordPolicy,
+    Problem,
     Quantization,
     UtilityChoice,
     UtilityKind,
@@ -57,7 +58,6 @@ from .quantize import (
 )
 
 __all__ = [
-    "Problem",
     "Termination",
     "LagrangianConfig",
     "TraceEntry",
@@ -71,12 +71,6 @@ __all__ = [
 
 #: Bits-to-decimal-digits factor used by the component-merge acceptance test.
 _DECIMAL_PER_BIT = math.log10(2.0)
-
-
-class Problem(enum.Enum):
-    MIN_L0 = "l0"
-    MIN_ISTAR = "istar"
-    MIN_L0_ZERO_ISTAR = "l0-zero-istar"
 
 
 class Termination(enum.Enum):
@@ -587,14 +581,20 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     Returns ``(singletons, ends)``: the finest decomposition of the singleton
     confusability graph, which seeds the component-driven problems (None for
     ``Problem.MIN_L0``), and each config's ``(termination, rejected_delta_l)``.
+    A u2 distance with ``d(v, v) != 0`` (or NaN) for some X value is a
+    configuration error: the walk gives every singleton cluster cost 0.
     """
+    utility, policy = cfgs[0].utility, cfgs[0].policy
+    if utility.kind is UtilityKind.U2_MAX_DISTORTION and any(
+        utility.distance(v, v) != 0.0 for v in jr.x_values() if v is not None
+    ):
+        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
     singletons = None
     if problem is not Problem.MIN_L0:
         singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
     if problem is Problem.MIN_L0_ZERO_ISTAR:
         yield from _l0_zero_istar_tree(jr, cfgs, singletons)
         return singletons, [(Termination.SINGLE_COMPONENT, None)] * len(cfgs)
-    utility, policy = cfgs[0].utility, cfgs[0].policy
     if problem is Problem.MIN_L0:
         path = _min_l0_path(jr, utility, policy)
     else:

@@ -15,11 +15,12 @@ should be pinned by the caller; everything here is configurable.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import JointRange, finite_magnitude
 from .errors import ConfigurationError, IngestError
@@ -45,11 +46,15 @@ class DatasetStats:
 
 def stats(jr: JointRange, records: Sequence[tuple[str, str]]) -> DatasetStats:
     """Statistics of the retained records backing a joint range."""
-    counts = Counter(records)
+    return _stats(Counter(records))
+
+
+def _stats(counts: Mapping[tuple[str, str], int]) -> DatasetStats:
+    """Statistics of retained records given as ``(s, x)`` pair -> record count."""
     return DatasetStats(
-        record_count=len(records),
-        distinct_s=len({s for s, _ in records}),
-        distinct_x=len({x for _, x in records}),
+        record_count=sum(counts.values()),
+        distinct_s=len({s for s, _ in counts}),
+        distinct_x=len({x for _, x in counts}),
         distinct_pairs=len(counts),
         singleton_pairs=sum(1 for c in counts.values() if c == 1),
     )
@@ -97,39 +102,45 @@ def load_csv(
         raise IngestError(f"no such file: {path}")
     missing_set = set(missing)
 
-    records: list[tuple[str, str]] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = _csv_rows(fh, delimiter)
-        header: Optional[list[str]] = None
-        first_row = next(reader, None)
-        if first_row is None:
+        reader = csv.reader(fh, delimiter=delimiter)
+        first: Counter = Counter()
+        failure = _count_rows(reader, first, limit=1)
+        if failure is not None:
+            raise failure
+        if not first:
             raise IngestError("file is empty")
-        first_row = [cell.strip() for cell in first_row]
-        if has_header:
-            header = first_row
-            data_start = 2
-            rows = reader
-        else:
-            data_start = 1
-            rows = _chain_first(first_row, reader)
+        first_row = next(iter(first))
+        header = [cell.strip() for cell in first_row] if has_header else None
         s_idx = _resolve_column(s_column, header, len(first_row), "sensitive")
         x_idx = _resolve_column(x_column, header, len(first_row), "public")
+        # Distinct raw data rows -> occurrences, in first-appearance order. The
+        # checks below run once per distinct row, in that order, so the first
+        # row to fail is the first in the file to fail, as a row-by-row scan
+        # would find; a read error is raised only if no row before it fails.
+        rows = Counter() if has_header else first
+        failure = _count_rows(reader, rows)
 
-        for row_no, row in enumerate(rows, start=data_start):
-            if not row or all(not str(c).strip() for c in row):
-                continue
-            if len(row) <= max(s_idx, x_idx):
-                raise IngestError(f"row has only {len(row)} columns", row=row_no)
-            s_cell = str(row[s_idx]).strip()
-            x_cell = str(row[x_idx]).strip()
-            if s_cell in missing_set or x_cell in missing_set:
-                continue
-            if require_numeric_x and not _parses_as_number(x_cell):
-                raise IngestError(
-                    f"public column value {x_cell!r} is not numeric", row=row_no
-                )
-            records.append((s_cell, x_cell))
+    def bad_row(message: str, row: tuple[str, ...]) -> IngestError:
+        return IngestError(message, row=_row_number(path, delimiter, has_header, row))
 
+    width = max(s_idx, x_idx) + 1
+    records: dict[tuple[str, str], int] = {}  # retained (s, x) -> count, first appearance first
+    for row, count in rows.items():
+        if not any(map(str.strip, row)):
+            continue
+        if len(row) < width:
+            raise bad_row(f"row has only {len(row)} columns", row)
+        s_cell = row[s_idx].strip()
+        x_cell = row[x_idx].strip()
+        if s_cell in missing_set or x_cell in missing_set:
+            continue
+        if require_numeric_x and not _parses_as_number(x_cell):
+            raise bad_row(f"public column value {x_cell!r} is not numeric", row)
+        key = (s_cell, x_cell)
+        records[key] = records.get(key, 0) + count
+    if failure is not None:
+        raise failure
     if not records:
         raise IngestError("no records left after missing-value filtering")
 
@@ -142,25 +153,35 @@ def load_csv(
             raise IngestError(f"public column value {bad!r} is not a finite number")
         if not finite_magnitude(x_values.values()):
             raise IngestError("public column values are too large: |x| sums past the float range")
-    jr = JointRange.from_id_pairs(records, x_values)
-    return jr, stats(jr, records)
+    jr = JointRange.from_id_pairs(list(records), x_values)
+    return jr, _stats(records)
 
 
-def _csv_rows(fh, delimiter: str):
-    """The rows of ``fh``; undecodable bytes and CSV syntax errors raise IngestError."""
-    reader = csv.reader(fh, delimiter=delimiter)
+def _count_rows(reader, counts: Counter, limit: Optional[int] = None) -> Optional[IngestError]:
+    """Count up to ``limit`` more rows of ``reader`` into ``counts`` as tuples.
+
+    Returns the error that stopped the read (undecodable bytes or a CSV syntax
+    error), if any; the rows read before it stay counted.
+    """
     try:
-        yield from reader
+        counts.update(map(tuple, itertools.islice(reader, limit)))
     except UnicodeDecodeError:
-        raise IngestError("file is not UTF-8 text") from None
+        return IngestError("file is not UTF-8 text")
     except csv.Error as exc:
         line = reader.line_num
-        raise IngestError(f"CSV error on line {line}: {exc}", row=line) from None
+        return IngestError(f"CSV error on line {line}: {exc}", row=line)
+    return None
 
 
-def _chain_first(first, rest):
-    yield first
-    yield from rest
+def _row_number(
+    path: Path, delimiter: str, has_header: bool, row: tuple[str, ...]
+) -> Optional[int]:
+    """1-based number of the first data row equal to ``row``, by reading the file
+    again (None if the file no longer holds it)."""
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        skip = 1 if has_header else 0
+        data = itertools.islice(csv.reader(fh, delimiter=delimiter), skip, None)
+        return next((n for n, raw in enumerate(data, skip + 1) if tuple(raw) == row), None)
 
 
 def _parses_as_number(token: str) -> bool:

@@ -37,6 +37,7 @@ __all__ = [
     "Quantization",
     "singleton_quantization",
     "utility",
+    "Problem",
 ]
 
 
@@ -52,6 +53,14 @@ class CodewordPolicy(enum.Enum):
 class UtilityKind(enum.Enum):
     U1_RESOLUTION = "u1"
     U2_MAX_DISTORTION = "u2"
+
+
+class Problem(enum.Enum):
+    """The privacy objective a greedy run or the oracle minimizes."""
+
+    MIN_L0 = "l0"
+    MIN_ISTAR = "istar"
+    MIN_L0_ZERO_ISTAR = "l0-zero-istar"
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import csv
+import itertools
 import random
 
 import math
+from collections import Counter
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from privquant import (
@@ -18,8 +22,9 @@ from privquant import (
     maximin_information,
     run,
 )
-from privquant.core import TOLERANCE
-from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError
+from privquant.core import TOLERANCE, finite_magnitude
+from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
+from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
 from privquant.graph import UnionFind
 from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
 from privquant.pareto import (
@@ -330,3 +335,77 @@ def reference_oracle_min(
                 witness = rgs
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
     return OracleResult(best, q, count)
+
+
+def reference_load_csv(
+    path,
+    s_column,
+    x_column,
+    *,
+    missing: Sequence[str] = DEFAULT_MISSING,
+    has_header: bool = True,
+    delimiter: str = ",",
+    require_numeric_x: bool = False,
+):
+    """``load_csv`` as a row-by-row scan: every record is checked and kept in
+    file order, and the first failing row raises with its number."""
+    if len(delimiter) != 1:
+        raise ConfigurationError(f"delimiter must be one character, got {delimiter!r}")
+    path = Path(path)
+    if not path.is_file():
+        raise IngestError(f"no such file: {path}")
+    missing_set = set(missing)
+
+    def csv_rows(fh):
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            yield from reader
+        except UnicodeDecodeError:
+            raise IngestError("file is not UTF-8 text") from None
+        except csv.Error as exc:
+            line = reader.line_num
+            raise IngestError(f"CSV error on line {line}: {exc}", row=line) from None
+
+    records: list[tuple[str, str]] = []
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv_rows(fh)
+        first_row = next(reader, None)
+        if first_row is None:
+            raise IngestError("file is empty")
+        first_row = [cell.strip() for cell in first_row]
+        header = first_row if has_header else None
+        rows = reader if has_header else itertools.chain([first_row], reader)
+        s_idx = _resolve_column(s_column, header, len(first_row), "sensitive")
+        x_idx = _resolve_column(x_column, header, len(first_row), "public")
+        for row_no, row in enumerate(rows, start=2 if has_header else 1):
+            if not row or all(not str(c).strip() for c in row):
+                continue
+            if len(row) <= max(s_idx, x_idx):
+                raise IngestError(f"row has only {len(row)} columns", row=row_no)
+            s_cell = str(row[s_idx]).strip()
+            x_cell = str(row[x_idx]).strip()
+            if s_cell in missing_set or x_cell in missing_set:
+                continue
+            if require_numeric_x and not _parses_as_number(x_cell):
+                raise IngestError(f"public column value {x_cell!r} is not numeric", row=row_no)
+            records.append((s_cell, x_cell))
+
+    if not records:
+        raise IngestError("no records left after missing-value filtering")
+    x_tokens = {x for _, x in records}
+    x_values = None
+    if all(_parses_as_number(tok) for tok in x_tokens):
+        x_values = {tok: float(tok) for tok in x_tokens}
+        if not all(map(math.isfinite, x_values.values())):
+            bad = next(x for _, x in records if not math.isfinite(x_values[x]))
+            raise IngestError(f"public column value {bad!r} is not a finite number")
+        if not finite_magnitude(x_values.values()):
+            raise IngestError("public column values are too large: |x| sums past the float range")
+    counts = Counter(records)
+    return JointRange.from_id_pairs(records, x_values), DatasetStats(
+        record_count=len(records),
+        distinct_s=len({s for s, _ in records}),
+        distinct_x=len({x for _, x in records}),
+        distinct_pairs=len(counts),
+        singleton_pairs=sum(1 for c in counts.values() if c == 1),
+    )

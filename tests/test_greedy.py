@@ -20,6 +20,7 @@ from privquant import (
     maximin_information,
     run,
     singleton_quantization,
+    sweep,
 )
 from privquant.quantize import CodewordPolicy, utility
 
@@ -194,6 +195,21 @@ class TestRunContracts:
         for fn in (algorithm1_min_l0, algorithm2_min_istar, algorithm3_l0_zero_istar):
             with pytest.raises(ConfigurationError):
                 fn(toy, cfg)
+
+    @pytest.mark.parametrize(
+        "distance",
+        [lambda a, b: 1.0 + abs(a - b), lambda a, b: float("nan")],
+        ids=["offset", "nan"],
+    )
+    def test_u2_distance_must_vanish_on_equal_values(self, toy_v, distance):
+        # The walk gives every singleton cluster cost 0, which such a
+        # distance contradicts, so runs and sweeps reject it up front.
+        u = UtilityChoice.u2(distance)
+        for problem in Problem:
+            with pytest.raises(ConfigurationError, match=r"d\(v, v\) == 0"):
+                run(toy_v, problem, LagrangianConfig(0.0, u))
+            with pytest.raises(ConfigurationError, match=r"d\(v, v\) == 0"):
+                sweep(toy_v, problem, u)
 
     def test_strict_descent_and_trace_consistency(self):
         rng = random.Random(34)

@@ -6,14 +6,24 @@
 * No greedy run beats the exhaustive optimum of its problem.
 * The decomposition a component-driven run reports partitions S exactly as
   the overlap relation of its quantization does.
+* ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
+  errors and their row numbers included, and ``privquant stats`` exits 0
+  on exactly the files that load, else 2 or 3.
 """
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
+from helpers import reference_load_csv
 from privquant import (
     JointRange,
     LagrangianConfig,
@@ -22,11 +32,15 @@ from privquant import (
     l0,
     lagrangian_l0,
     maximin_information,
+    PrivQuantError,
+    load_csv,
     oracle_min,
     overlap_partition_oracle,
     run,
     sweep,
 )
+from privquant import cli
+from privquant.errors import IngestError
 from privquant.quantize import CodewordPolicy, UtilityChoice, utility
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -120,3 +134,100 @@ def test_decomposition_blocks_are_the_overlap_partition(jr, problem, u, lam):
     assert s_ranges == set(overlap_partition_oracle(jr, result.quantization))
     assert len(s_ranges) == len(result.decomposition.blocks)
     assert math.log2(len(s_ranges)) == maximin_information(jr, result.quantization)
+
+
+# Fuzzed CSV cells: padded and bare ids, numbers, non-finite and overflowing
+# numbers, the default sentinels, blanks, a delimiter, a quote and a newline
+# inside a quoted field. FIELD_LIMIT stands in for the csv module's field size
+# limit while a case runs, so a LONG_FIELD is a CSV syntax error.
+CELLS = ("a", " b ", "1", "2.5", " 3 ", "nan", "inf", "1e999", "-9", "?", "", "  ",
+         "x,y", "x;y", 'q"t', "two\nlines")
+FIELD_LIMIT = 12
+LONG_FIELD = "z" * (FIELD_LIMIT + 1)
+BAD_BYTES = b"\xff\xfe"
+# Past the text decoder's first chunk, so a decoding error comes after rows.
+LONG_PAD = 2500
+
+
+def _encode_rows(rows, delimiter: str) -> list[bytes]:
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, delimiter=delimiter).writerow(row)
+        lines.append(buf.getvalue().encode())
+    return lines
+
+
+@st.composite
+def csv_cases(draw):
+    """(file bytes, load_csv keyword arguments) covering the loader's branches."""
+    delimiter = draw(st.sampled_from((",", ";")))
+    has_header = draw(st.booleans())
+    header = draw(st.sampled_from((["s", "x"], ["x", " s ", "t"], ["s"])))
+    row = st.lists(st.sampled_from(CELLS), max_size=3)
+    pad_row = draw(st.sampled_from((["a", "1"], ["b", "2", "c"], ["a"], [" ", ""])))
+    pad = draw(st.sampled_from((0, 2, LONG_PAD)))
+    rows = draw(st.lists(row, max_size=10))
+    split = draw(st.integers(0, len(rows)))
+    rows[split:split] = [pad_row] * pad
+    lines = _encode_rows(([header] if has_header else []) + rows, delimiter)
+    for bad in draw(st.lists(st.sampled_from((None, None, LONG_FIELD, BAD_BYTES)), max_size=2)):
+        if bad is None:
+            continue
+        at = draw(st.sampled_from(range(len(lines) + 1)))
+        lines.insert(at, bad if isinstance(bad, bytes) else _encode_rows([["a", bad]], delimiter)[0])
+    bom = draw(st.sampled_from((b"", b"\xef\xbb\xbf")))
+    by_name = has_header and draw(st.booleans())
+    kwargs = dict(
+        s_column="s" if by_name else draw(st.sampled_from((0, 1))),
+        x_column="x" if by_name else draw(st.sampled_from((1, 0, 2))),
+        has_header=has_header,
+        delimiter=delimiter,
+        missing=draw(st.sampled_from((("-9", "", "?"), ("?", "nan")))),
+        require_numeric_x=draw(st.booleans()),
+    )
+    return bom + b"".join(lines), kwargs
+
+
+def _outcome(load, path, kwargs):
+    try:
+        jr, stats = load(path, **kwargs)
+    except PrivQuantError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return jr.s_symbols, jr.x_symbols, jr.pairs, stats
+
+
+def _stats_argv(path, kwargs) -> list[str]:
+    argv = ["stats", "--input", str(path), "--s", str(kwargs["s_column"]),
+            "--x", str(kwargs["x_column"]), "--delimiter", kwargs["delimiter"]]
+    for token in kwargs["missing"]:
+        argv += ["--missing", token]
+    if not kwargs["has_header"]:
+        argv.append("--no-header")
+    if kwargs["require_numeric_x"]:
+        argv.append("--x-numeric")
+    return argv
+
+
+@hypothesis.settings(max_examples=300, **SETTINGS)
+@hypothesis.given(case=csv_cases())
+def test_load_csv_matches_the_row_by_row_reference(case):
+    data, kwargs = case
+    old_limit = csv.field_size_limit(FIELD_LIMIT)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.csv"
+            path.write_bytes(data)
+            expected = _outcome(reference_load_csv, path, kwargs)
+            assert _outcome(load_csv, path, kwargs) == expected
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(_stats_argv(path, kwargs))
+    finally:
+        csv.field_size_limit(old_limit)
+    if isinstance(expected[0], type):
+        assert code == (2 if expected[0] is IngestError else 3)
+        assert err.getvalue() == f"error: {expected[1]}\n"
+    else:
+        assert code == 0
+        assert json.loads(out.getvalue())["stats"] == expected[3].to_dict()
