@@ -447,7 +447,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stdout.write(body)
         return 0
     except PrivQuantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        row = getattr(exc, "row", None)  # an IngestError's 1-based row, when known
+        print(f"error: {exc}" + ("" if row is None else f" (row {row})"), file=sys.stderr)
         return next((code for kind, code in _EXIT_BY_ERROR if isinstance(exc, kind)), 1)
 
 

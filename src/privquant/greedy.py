@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -157,15 +158,54 @@ class _Cluster:
         self.cost = cost  # see _State.pair_cost
 
 
+class _Components:
+    """Connected components of the evolving cluster graph.
+
+    Seeded from the singleton confusability graph; fusing the components of
+    two merged clusters keeps it equal to the finest decomposition of the
+    current cluster graph (coarsening can only connect, never disconnect).
+    A cluster's id is one of its members, so the singleton block of that id
+    lies in the cluster's component.
+    """
+
+    def __init__(self, singletons: Decomposition):
+        self.block_of = singletons.block_of()
+        self.uf = UnionFind(len(singletons.blocks))
+        self.x_count = {pos: len(block) for pos, block in enumerate(singletons.blocks)}
+        self.count = len(singletons.blocks)
+
+    def root(self, cid: int) -> int:
+        return self.uf.find(self.block_of[cid])
+
+    def fuse(self, a: int, b: int) -> None:
+        ra, rb = self.root(a), self.root(b)
+        if ra == rb:
+            raise AssertionError("candidate pair was not cross-component")
+        self.uf.union(ra, rb)
+        self.x_count[self.uf.find(ra)] = self.x_count[ra] + self.x_count[rb]
+        self.count -= 1
+
+    def copy(self) -> "_Components":
+        other = copy.copy(self)
+        other.uf = copy.deepcopy(self.uf)
+        other.x_count = dict(self.x_count)
+        return other
+
+
 class _State:
     """Cluster bookkeeping with O(1) merged-distortion for the default metric.
 
     Utility is decreasing in one per-cluster cost: the size under
     resolution utility, the worst member distortion under max distortion.
     ``pair_cost`` and ``utility_of`` are the only places the two differ.
+    ``comps`` tracks the components of the component-driven problems, seeded
+    from the decomposition ``singletons`` (None for algorithm 1).
     """
 
-    def __init__(self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
+    def __init__(
+        self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
+        singletons: Optional[Decomposition],
+    ):
         self.jr = jr
         self.utility = utility
         self.policy = policy
@@ -185,6 +225,7 @@ class _State:
         for x in range(jr.n_x):
             v = self.values[x]
             self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, cost)
+        self.comps = None if singletons is None else _Components(singletons)
 
     def pair_cost(self, a: int, b: int):
         """Cost of the cluster that fusing ``a`` and ``b`` would give."""
@@ -207,6 +248,8 @@ class _State:
         return self.h0_x - math.log2(worst)
 
     def merge(self, a: int, b: int) -> int:
+        if self.comps is not None:
+            self.comps.fuse(a, b)
         cost = self.pair_cost(a, b)
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
@@ -224,6 +267,8 @@ class _State:
         """An independent state; _Cluster objects are never mutated, so they are shared."""
         other = copy.copy(self)
         other.clusters = dict(self.clusters)
+        if self.comps is not None:
+            other.comps = self.comps.copy()
         return other
 
     # -- measures of the current state ------------------------------------------
@@ -246,20 +291,12 @@ class _State:
 # cluster untouched, so "the extreme over the rest" only ever needs the three
 # most extreme entries (at most two are excluded). Computing the top three
 # once per scan (of a negated key, for a minimum) keeps candidate evaluation
-# O(1). The single pass beats sorting every cluster.
+# O(1). Which clusters win a tie for the top three does not change any value
+# ``_excluding`` returns.
 
 
 def _top3(state: _State, key) -> list[tuple[float, int]]:
-    best: list[tuple[float, int]] = []
-    for c in state.clusters.values():
-        v = key(c)
-        if len(best) < 3:
-            best.append((v, c.cid))
-            best.sort(reverse=True)
-        elif v > best[-1][0]:
-            best[-1] = (v, c.cid)
-            best.sort(reverse=True)
-    return best
+    return heapq.nlargest(3, ((key(c), c.cid) for c in state.clusters.values()))
 
 
 def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float) -> float:
@@ -279,21 +316,23 @@ def _post_merge_utility(state: _State, a: int, b: int, cost_tops: list) -> float
 # One walk for every problem
 # ---------------------------------------------------------------------------
 #
-# Each algorithm generates merge steps, and ``_runs`` walks the runs of a
-# whole lambda grid at once: the runs share every state until they part, so
-# over the grid they form a tree, which ``_runs`` visits once per state. A
-# greedy ``run`` is the walk of a single lambda. Algorithms 1 and 2 never use
-# lambda to pick a merge, only to decide where a run stops, so their tree is
-# one path that runs leave when they reject a step. Algorithm 3 picks merges
-# by lambda and never stops early; its tree branches where runs pick
-# different merges (``_l0_zero_istar_tree``).
+# The algorithms differ only in the moves a state offers (``_moves``):
+# algorithm 1 one round of merges, algorithm 2 one component merge, algorithm
+# 3 a component merge per group of equal Lagrangian change. ``_runs`` walks
+# the runs of a whole lambda grid at once, depth first: each run takes the
+# move least in its Lagrangian change, the runs share every state until they
+# take different moves, and the state is copied only there. So over the grid
+# the runs form a tree, which ``_runs`` visits once per state. A greedy
+# ``run`` is the walk of a single lambda. Algorithms 1 and 2 offer a single
+# move, so their tree is one path, which runs leave when they reject a step.
+# Algorithm 3 never rejects a step; its runs end at a single component.
 
 
 class _Step(NamedTuple):
-    """One state of a merge path; the first step is the singleton start.
+    """One state of the walk; the root is the singleton start.
 
     The state's Lagrangian is ``privacy - lam * utility``, where ``privacy``
-    is log2 of the component count on algorithm 2's path and L0 otherwise.
+    is log2 of the component count for algorithm 2 and L0 otherwise.
     ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
     algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
     ``partition`` is the state's ``Quantization.partition_key()``.
@@ -353,34 +392,24 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
     return best
 
 
-def _min_l0_path(jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy):
-    """Algorithm 1's merge path, one step per round; returns its termination."""
-    state = _State(jr, utility, policy)
-    yield _Step((), state.leakage_l0(), state.utility_value(), None, None, state.partition())
-    while len(state.clusters) > 1:
-        smallest = min(c.smask.bit_count() for c in state.clusters.values())
-        pi = sorted(
-            c.cid for c in state.clusters.values() if c.smask.bit_count() == smallest
-        )
-        consumed: set[int] = set()
-        merged_pairs: list[tuple[int, int]] = []
-        for cid in pi:
-            if cid in consumed:
-                continue
-            partner = _best_partner_min_l0(state, cid)
-            if partner is None:
-                continue
-            consumed.add(cid)
-            consumed.add(partner)
-            state.merge(cid, partner)
-            merged_pairs.append((cid, partner))
-        if not merged_pairs:
-            return Termination.NO_ELIGIBLE_MERGE
-        yield _Step(
-            tuple(merged_pairs), state.leakage_l0(), state.utility_value(), None, None,
-            state.partition(),
-        )
-    return Termination.FULLY_MERGED
+def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
+    """Merge every cluster of smallest conditional range with its best
+    partner; returns the merged pairs."""
+    smallest = min(c.smask.bit_count() for c in state.clusters.values())
+    pi = sorted(c.cid for c in state.clusters.values() if c.smask.bit_count() == smallest)
+    consumed: set[int] = set()
+    merged_pairs: list[tuple[int, int]] = []
+    for cid in pi:
+        if cid in consumed:
+            continue
+        partner = _best_partner_min_l0(state, cid)
+        if partner is None:
+            continue
+        consumed.add(cid)
+        consumed.add(partner)
+        state.merge(cid, partner)
+        merged_pairs.append((cid, partner))
+    return tuple(merged_pairs)
 
 
 def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -399,47 +428,14 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-class _Components:
-    """Connected components of the evolving cluster graph.
-
-    Seeded from the singleton confusability graph; fusing the components of
-    two merged clusters keeps it equal to the finest decomposition of the
-    current cluster graph (coarsening can only connect, never disconnect).
-    A cluster's id is one of its members, so the singleton block of that id
-    lies in the cluster's component.
-    """
-
-    def __init__(self, singletons: Decomposition):
-        self.block_of = singletons.block_of()
-        self.uf = UnionFind(len(singletons.blocks))
-        self.x_count = {pos: len(block) for pos, block in enumerate(singletons.blocks)}
-        self.count = len(singletons.blocks)
-
-    def root(self, cid: int) -> int:
-        return self.uf.find(self.block_of[cid])
-
-    def fuse(self, a: int, b: int) -> None:
-        ra, rb = self.root(a), self.root(b)
-        if ra == rb:
-            raise AssertionError("candidate pair was not cross-component")
-        self.uf.union(ra, rb)
-        self.x_count[self.uf.find(ra)] = self.x_count[ra] + self.x_count[rb]
-        self.count -= 1
-
-    def copy(self) -> "_Components":
-        other = copy.copy(self)
-        other.uf = copy.deepcopy(self.uf)
-        other.x_count = dict(self.x_count)
-        return other
-
-
-def _cross_component_pairs(state: _State, comps: _Components):
+def _cross_component_pairs(state: _State):
     """Cluster pairs (a < b) in different components, each with its tie key.
 
     The key prefers pairs connecting the two largest components (larger
     first), then the smallest cluster ids. Component roots and sizes are
     read once per scan.
     """
+    comps = state.comps
     cids = sorted(state.clusters)
     roots = [comps.root(cid) for cid in cids]
     sizes = [comps.x_count[r] for r in roots]
@@ -449,35 +445,6 @@ def _cross_component_pairs(state: _State, comps: _Components):
             if roots[j] != ra:
                 b, sb = cids[j], sizes[j]
                 yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
-
-
-def _min_istar_path(
-    jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy, singletons: Decomposition
-):
-    """Algorithm 2's merge path, one cross-component merge per step; returns
-    its termination."""
-    state = _State(jr, utility, policy)
-    comps = _Components(singletons)
-    yield _Step(
-        (), math.log2(comps.count), state.utility_value(), None, comps.count, state.partition()
-    )
-    while comps.count > 1:
-        best_key = None
-        best_pair = None
-        for a, b, tie in _cross_component_pairs(state, comps):
-            key = (state.pair_cost(a, b), *tie)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_pair = (a, b)
-        a, b = best_pair
-        u_new = _post_merge_utility(state, a, b, _top3(state, lambda c: c.cost))
-        dpriv = math.log2((comps.count - 1) / comps.count)
-        comps.fuse(a, b)
-        state.merge(a, b)
-        yield _Step(
-            ((a, b),), math.log2(comps.count), u_new, dpriv, comps.count, state.partition()
-        )
-    return Termination.SINGLE_COMPONENT
 
 
 def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -492,7 +459,7 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     return run(jr, Problem.MIN_ISTAR, cfg)
 
 
-def _l0_zero_istar_candidates(state: _State, comps: _Components):
+def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     """Algorithm 3's cross-component candidates, grouped by the exact pair
     ``(dpriv, u_new)`` of privacy change and post-merge utility.
 
@@ -505,7 +472,7 @@ def _l0_zero_istar_candidates(state: _State, comps: _Components):
     neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
     cost_tops = _top3(state, lambda c: c.cost)
     groups: dict[tuple[float, float], tuple] = {}
-    for a, b, tie in _cross_component_pairs(state, comps):
+    for a, b, tie in _cross_component_pairs(state):
         ca, cb = state.clusters[a], state.clusters[b]
         merged_range = (ca.smask | cb.smask).bit_count()
         new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
@@ -515,44 +482,7 @@ def _l0_zero_istar_candidates(state: _State, comps: _Components):
         best = groups.get((dpriv, u_new))
         if best is None or rest < best[2]:
             groups[dpriv, u_new] = (dpriv, u_new, rest)
-    return groups.values()
-
-
-def _l0_zero_istar_tree(
-    jr: JointRange, cfgs: Sequence[LagrangianConfig], singletons: Decomposition
-):
-    """Algorithm 3's runs for several lambdas, walked depth first as the tree
-    they form; each state's candidates are scanned once for all the lambdas
-    reaching it. Yields like ``_runs``."""
-    state = _State(jr, cfgs[0].utility, cfgs[0].policy)
-    comps = _Components(singletons)
-    runs = list(range(len(cfgs)))
-    u = state.utility_value()
-    yield runs, _Step((), state.leakage_l0(), u, None, comps.count, state.partition())
-    pending = [(state, comps, u, runs)]
-    while pending:
-        state, comps, u_old, runs = pending.pop()
-        if comps.count == 1:
-            continue
-        groups = _l0_zero_istar_candidates(state, comps)
-        picks: dict[tuple, list[int]] = {}  # chosen candidate -> its configs
-        for i in runs:
-            lam = cfgs[i].lam
-            pick = min(groups, key=lambda g: (g[0] + lam * (u_old - g[1]), g[2]))
-            picks.setdefault(pick, []).append(i)
-        for n, ((dpriv, u_new, rest), branch) in enumerate(picks.items()):
-            if n < len(picks) - 1:  # the runs split here: all but the last branch copy
-                child, child_comps = state.copy(), comps.copy()
-            else:
-                child, child_comps = state, comps
-            a, b = rest[-2:]
-            child_comps.fuse(a, b)
-            child.merge(a, b)
-            yield branch, _Step(
-                ((a, b),), child.leakage_l0(), u_new, dpriv, child_comps.count,
-                child.partition(),
-            )
-            pending.append((child, child_comps, u_new, branch))
+    return list(groups.values())
 
 
 def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -570,6 +500,32 @@ def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyRes
 # ---------------------------------------------------------------------------
 # The walk and the single run
 # ---------------------------------------------------------------------------
+
+
+def _moves(problem: Problem, state: _State):
+    """The moves ``state`` offers, or the ``Termination`` when it offers none.
+
+    A move is ``(dpriv, u_new, rest)``: the privacy change and post-merge
+    utility of a component merge, with the merged pair last in ``rest``.
+    Algorithm 1's one move is its round, ``(None, None, None)``; the walk
+    scores it once merged. With two or more clusters the round merges
+    nothing exactly when every cluster has the same S-mask.
+    """
+    if problem is Problem.MIN_L0:
+        if len(state.clusters) == 1:
+            return Termination.FULLY_MERGED
+        if len({c.smask for c in state.clusters.values()}) == 1:
+            return Termination.NO_ELIGIBLE_MERGE
+        return [(None, None, None)]
+    count = state.comps.count
+    if count == 1:
+        return Termination.SINGLE_COMPONENT
+    if problem is Problem.MIN_L0_ZERO_ISTAR:
+        return _l0_zero_istar_candidates(state)
+    # The least (cost, *tie) key; a tie key ends with its pair.
+    *_, a, b = min((state.pair_cost(a, b), *tie) for a, b, tie in _cross_component_pairs(state))
+    u_new = _post_merge_utility(state, a, b, _top3(state, lambda c: c.cost))
+    return [(math.log2((count - 1) / count), u_new, (a, b))]
 
 
 def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
@@ -592,33 +548,52 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     singletons = None
     if problem is not Problem.MIN_L0:
         singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
-    if problem is Problem.MIN_L0_ZERO_ISTAR:
-        yield from _l0_zero_istar_tree(jr, cfgs, singletons)
-        return singletons, [(Termination.SINGLE_COMPONENT, None)] * len(cfgs)
-    if problem is Problem.MIN_L0:
-        path = _min_l0_path(jr, utility, policy)
-    else:
-        path = _min_istar_path(jr, utility, policy, singletons)
-    ends: list[Optional[tuple[Termination, Optional[float]]]] = [None] * len(cfgs)
+
+    def step(state: _State, merged, u: float, dpriv: Optional[float]) -> _Step:
+        count = None if state.comps is None else state.comps.count
+        privacy = math.log2(count) if problem is Problem.MIN_ISTAR else state.leakage_l0()
+        return _Step(merged, privacy, u, dpriv, count, state.partition())
+
+    state = _State(jr, utility, policy, singletons)
     runs = list(range(len(cfgs)))
-    prev = next(path)
-    yield runs, prev
-    while True:
-        try:
-            step = next(path)
-        except StopIteration as end:
+    root = step(state, (), state.utility_value(), None)
+    yield runs, root
+    ends: list[Optional[tuple[Termination, Optional[float]]]] = [None] * len(cfgs)
+    pending = [(state, root, runs)]
+    while pending:
+        state, prev, runs = pending.pop()
+        moves = _moves(problem, state)
+        if isinstance(moves, Termination):
             for i in runs:
-                ends[i] = (end.value, None)
-            return singletons, ends
-        for i in runs:
-            decision = _decision(prev, step, cfgs[i].lam, utility.kind)[0]
-            if decision >= 0.0:
-                ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
-        runs = [i for i in runs if ends[i] is None]
-        if not runs:
-            return singletons, ends
-        yield runs, step
-        prev = step
+                ends[i] = (moves, None)
+            continue
+        picks = {moves[0]: runs}  # move -> the configs taking it
+        if len(moves) > 1:
+            picks, u_old = {}, prev.utility
+            for i in runs:
+                lam = cfgs[i].lam
+                pick = min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
+                picks.setdefault(pick, []).append(i)
+        for n, ((dpriv, u_new, rest), branch) in enumerate(picks.items()):
+            # The runs part here: every branch but the last takes a copy.
+            child = state.copy() if n < len(picks) - 1 else state
+            if rest is None:
+                merged = _min_l0_round(child)
+                u_new = child.utility_value()
+            else:
+                merged = (rest[-2:],)
+                child.merge(*rest[-2:])
+            taken = step(child, merged, u_new, dpriv)
+            if problem is not Problem.MIN_L0_ZERO_ISTAR:
+                for i in branch:
+                    decision = _decision(prev, taken, cfgs[i].lam, utility.kind)[0]
+                    if decision >= 0.0:
+                        ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
+                branch = [i for i in branch if ends[i] is None]
+            if branch:
+                yield branch, taken
+                pending.append((child, taken, branch))
+    return singletons, ends
 
 
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:

@@ -89,11 +89,12 @@ def load_csv(
     """Load (S, X) records from a delimited file.
 
     Columns may be named (requires a header) or 0-based indices. Rows where
-    either cell matches a sentinel in ``missing`` are dropped; duplicate
-    (s, x) rows collapse into one joint-range pair while statistics count
-    every retained record. With ``require_numeric_x`` a non-numeric X cell
-    is an error (reported with its 1-based row number) instead of silently
-    demoting the column to categorical.
+    either cell matches a sentinel in ``missing`` are dropped, and an empty
+    cell in a kept row is an error; duplicate (s, x) rows collapse into one
+    joint-range pair while statistics count every retained record. With
+    ``require_numeric_x`` a non-numeric X cell is an error (reported with
+    its 1-based row number) instead of silently demoting the column to
+    categorical.
     """
     if len(delimiter) != 1:
         raise ConfigurationError(f"delimiter must be one character, got {delimiter!r}")
@@ -137,6 +138,8 @@ def load_csv(
             continue
         if require_numeric_x and not _parses_as_number(x_cell):
             raise bad_row(f"public column value {x_cell!r} is not numeric", row)
+        if not s_cell or not x_cell:
+            raise bad_row(f"{'public' if s_cell else 'sensitive'} column value is empty", row)
         key = (s_cell, x_cell)
         records[key] = records.get(key, 0) + count
     if failure is not None:

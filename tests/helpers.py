@@ -388,6 +388,9 @@ def reference_load_csv(
                 continue
             if require_numeric_x and not _parses_as_number(x_cell):
                 raise IngestError(f"public column value {x_cell!r} is not numeric", row=row_no)
+            if not s_cell or not x_cell:
+                what = "public" if s_cell else "sensitive"
+                raise IngestError(f"{what} column value is empty", row=row_no)
             records.append((s_cell, x_cell))
 
     if not records:

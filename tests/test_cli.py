@@ -382,6 +382,23 @@ class TestUnreadableInputAndOutput:
         assert code == 2 and out == ""
         assert err.startswith("error: CSV error on line 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("content, message", [
+        ("s,x\na,1\nb\n", "row has only 1 columns (row 3)"),
+        ("s,x\na,1\n,2\n", "sensitive column value is empty (row 3)"),
+    ], ids=["short-row", "empty-cell"])
+    def test_bad_row_names_its_row(self, capsys, tmp_path, content, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        code, out, err = run_cli(
+            capsys, "stats", "--input", str(path), "--s", "s", "--x", "x", "--missing", "NA"
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_empty_id_in_pairs_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "stats", "--pairs", ":x1")
+        assert code == 3 and out == "" and err.count("\n") == 1
+
     @pytest.mark.parametrize("delimiter", ["ab", ""], ids=["two-chars", "empty"])
     def test_delimiter_not_one_character_exits_3(self, capsys, toy_csv, delimiter):
         code, out, err = run_cli(

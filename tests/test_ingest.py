@@ -109,6 +109,18 @@ class TestLoadCsv:
             load_csv(path, "age", "chol")
         assert exc.value.row == 2
 
+    @pytest.mark.parametrize("row, column", [(("", "210"), "sensitive"), (("41", " "), "public")])
+    def test_empty_cell_is_an_error_when_not_a_sentinel(self, tmp_path, row, column):
+        path = write_csv(tmp_path / "empty.csv", [("40", "210"), row])
+        with pytest.raises(IngestError, match=f"^{column} column value is empty$") as exc:
+            load_csv(path, "age", "chol", missing=("NA",))
+        assert exc.value.row == 3
+
+    def test_empty_cell_under_x_numeric_is_not_numeric(self, tmp_path):
+        path = write_csv(tmp_path / "empty.csv", [("40", "")])
+        with pytest.raises(IngestError, match="^public column value '' is not numeric$"):
+            load_csv(path, "age", "chol", missing=("NA",), require_numeric_x=True)
+
 
 class TestRoundTrip:
     def test_reload_preserves_joint_range(self, tmp_path):

@@ -4,6 +4,8 @@
   point must recompute bit for bit from its quantization with the public
   measures.
 * No greedy run beats the exhaustive optimum of its problem.
+* The walk of a whole lambda grid, projected on one config, is that
+  config's own walk: the same steps in the same order, and the same end.
 * The decomposition a component-driven run reports partitions S exactly as
   the overlap relation of its quantization does.
 * ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
@@ -41,6 +43,7 @@ from privquant import (
 )
 from privquant import cli
 from privquant.errors import IngestError
+from privquant.greedy import _runs
 from privquant.quantize import CodewordPolicy, UtilityChoice, utility
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -116,6 +119,34 @@ def test_greedy_never_beats_the_oracle(jr, u, lam):
         else:
             achieved = lagrangian_l0(jr, q, cfg)
         assert achieved >= oracle_min(jr, problem, cfg).value - 1e-9
+
+
+def _walk(jr, problem, cfgs):
+    """Every ``(runs, step)`` the walk of ``cfgs`` yields, and its return value."""
+    walk = _runs(jr, problem, cfgs)
+    yields = []
+    while True:
+        try:
+            yields.append(next(walk))
+        except StopIteration as end:
+            return yields, end.value
+
+
+@hypothesis.settings(max_examples=200, **SETTINGS)
+@hypothesis.given(
+    jr=st.one_of(joint_ranges(), joint_ranges(max_s=10, max_x=12)),
+    problem=st.sampled_from(Problem),
+    u=st.sampled_from(UTILITIES),
+    policy=st.sampled_from(CodewordPolicy),
+    grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=8),
+)
+def test_the_walk_of_one_config_is_its_run(jr, problem, u, policy, grid):
+    cfgs = [LagrangianConfig(lam, u, policy) for lam in grid]
+    yields, (_, ends) = _walk(jr, problem, cfgs)
+    for i, cfg in enumerate(cfgs):
+        alone, (_, (end,)) = _walk(jr, problem, [cfg])
+        assert [step for runs, step in yields if i in runs] == [step for _, step in alone]
+        assert ends[i] == end
 
 
 @hypothesis.settings(max_examples=100, **SETTINGS)
@@ -227,7 +258,8 @@ def test_load_csv_matches_the_row_by_row_reference(case):
         csv.field_size_limit(old_limit)
     if isinstance(expected[0], type):
         assert code == (2 if expected[0] is IngestError else 3)
-        assert err.getvalue() == f"error: {expected[1]}\n"
+        row = "" if expected[2] is None else f" (row {expected[2]})"
+        assert err.getvalue() == f"error: {expected[1]}{row}\n"
     else:
         assert code == 0
         assert json.loads(out.getvalue())["stats"] == expected[3].to_dict()
