@@ -10,7 +10,7 @@ gets the manifest as a JSON sidecar next to it. Exit codes are stable:
     3  configuration error (bad flags, lambda < 0, U2 on categorical data,
        an unwritable --out, a --delimiter that is not one character, an
        unreadable or malformed --apply-quantization file, a CSV-only flag
-       with --pairs, a NaN --theta)
+       with --pairs, a NaN --theta, a --grid count over MAX_GRID_COUNT)
     4  size cap exceeded (oracle)
     5  infeasible constraint (theta or k out of reach)
 """
@@ -114,6 +114,8 @@ _INPUT_FLAGS = ("--input", *_CSV_FLAGS, "--pairs", "--x-values")
 _ECHOED_FLAGS = frozenset(
     ("--algorithm", "--problem", "--lambda", "--theta", "--utility", "--codeword", "--k")
 )
+#: The most lambdas ``--grid`` may ask for; the default grid has 65.
+MAX_GRID_COUNT = 10_000
 
 
 def _entries(text: str, flag: str, form: str, value=str) -> list[tuple[str, object]]:
@@ -307,8 +309,8 @@ def _parse_grid(args) -> Optional[list[float]]:
         except ValueError:
             raise ConfigurationError(f"bad --grid spec: {args.grid!r}")
         spacing = parts[3] if len(parts) == 4 else "log"
-        if count < 1 or lo < 0 or hi < lo:
-            raise ConfigurationError("grid needs count >= 1 and 0 <= min <= max")
+        if not 1 <= count <= MAX_GRID_COUNT or lo < 0 or hi < lo:
+            raise ConfigurationError(f"grid needs 1 <= count <= {MAX_GRID_COUNT}, 0 <= min <= max")
         if count == 1:
             return [lo]
         if spacing == "lin":

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import JointRange
+from .core import JointRange, cond_range_cluster
 from .errors import ContractViolation
 
 __all__ = [
@@ -178,17 +178,9 @@ def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
     """
     uf = UnionFind(jr.n_s)
     for cluster in _canonical_clusters(q):
-        mask = jr.cond_mask_cluster(cluster)
-        first = None
-        i = 0
-        while mask:
-            if mask & 1:
-                if first is None:
-                    first = i
-                else:
-                    uf.union(first, i)
-            mask >>= 1
-            i += 1
+        first, *rest = sorted(cond_range_cluster(jr, cluster))
+        for s in rest:
+            uf.union(first, s)
     return uf.blocks([(s,) for s in range(jr.n_s)])
 
 

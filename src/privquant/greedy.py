@@ -54,7 +54,9 @@ from .quantize import (
     UtilityChoice,
     UtilityKind,
     absolute_difference,
+    cluster_cost,
     exact_numerators,
+    require_u2,
     utility,
 )
 
@@ -211,16 +213,14 @@ class _State:
         self.policy = policy
         self.needs_values = utility.kind is UtilityKind.U2_MAX_DISTORTION
         self.values = jr.x_values()
-        if self.needs_values and any(v is None for v in self.values):
-            raise ConfigurationError(
-                "max-distortion utility needs numeric values on every X symbol"
-            )
+        if self.needs_values:
+            require_u2(self.values, utility.distance)
         self.fast = utility.distance is absolute_difference
         self.h0_x = h0(jr.n_x)
         totals, self.scale = (
             exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
         )
-        cost = 0.0 if self.needs_values else 1
+        cost = 0.0 if self.needs_values else 1  # require_u2: a singleton's d(v, v) is 0
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
             v = self.values[x]
@@ -238,8 +238,8 @@ class _State:
             cw = self.values[min(a, b)]
         if self.fast:
             return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
-        dist = self.utility.distance
-        return max(dist(self.values[x], cw) for x in ca.members + cb.members)
+        members = ca.members + cb.members
+        return cluster_cost([self.values[x] for x in members], cw, self.utility.distance)
 
     def utility_of(self, worst) -> float:
         """Utility of a quantization whose costliest cluster costs ``worst``."""
@@ -537,14 +537,8 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     Returns ``(singletons, ends)``: the finest decomposition of the singleton
     confusability graph, which seeds the component-driven problems (None for
     ``Problem.MIN_L0``), and each config's ``(termination, rejected_delta_l)``.
-    A u2 distance with ``d(v, v) != 0`` (or NaN) for some X value is a
-    configuration error: the walk gives every singleton cluster cost 0.
     """
     utility, policy = cfgs[0].utility, cfgs[0].policy
-    if utility.kind is UtilityKind.U2_MAX_DISTORTION and any(
-        utility.distance(v, v) != 0.0 for v in jr.x_values() if v is not None
-    ):
-        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
     singletons = None
     if problem is not Problem.MIN_L0:
         singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))

@@ -26,7 +26,7 @@ from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
 from .graph import component_count
 from .greedy import LagrangianConfig, Problem
-from .quantize import Quantization, UtilityKind, compute_codeword
+from .quantize import Quantization, UtilityKind, cluster_cost, compute_codeword, require_u2
 
 __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"]
 
@@ -132,15 +132,13 @@ def oracle_min(
         )
     u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
     values = jr.x_values()
-    if u2 and any(v is None for v in values):
-        raise ConfigurationError(
-            "max-distortion utility needs numeric values on every X symbol"
-        )
+    dist = cfg.utility.distance
+    if u2:
+        require_u2(values, dist)
     masks = [jr.cond_mask_x(x) for x in range(n)]
     h0_s = h0(jr.n_s)
     h0_x = h0(n)
     lam = cfg.lam
-    dist = cfg.utility.distance
 
     # Per-block statistics by member bitmask. A partition's l0 is its blocks'
     # greatest term (the smallest S-range) and its utility their least.
@@ -155,11 +153,7 @@ def oracle_min(
         members = [x for x in range(n) if b >> x & 1]
         if u2:
             vals = [values[x] for x in members]
-            cw = compute_codeword(vals, cfg.policy)
-            d = max(dist(v, cw) for v in vals)
-            # Worst distortion folds from 0.0 with a strict ``>``, so a
-            # distortion that is not above 0.0 (NaN included) counts as 0.0.
-            block_util[b] = -d if d > 0.0 else -0.0
+            block_util[b] = -cluster_cost(vals, compute_codeword(vals, cfg.policy), dist)
         else:
             block_util[b] = h0_x - math.log2(len(members))
 

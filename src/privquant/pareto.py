@@ -245,13 +245,6 @@ def frontier_csv_rows(frontier: Frontier) -> list[list[str]]:
     """Frontier as CSV rows: lambda,leakage_raw,leakage_norm,utility_raw,loss_norm."""
     rows = [["lambda", "leakage_raw", "leakage_norm", "utility_raw", "loss_norm"]]
     for p in frontier.points:
-        rows.append(
-            [
-                f"{p.lam:.10g}",
-                f"{p.leakage_raw:.10g}",
-                f"{p.leakage_norm:.10g}",
-                f"{p.utility_raw:.10g}",
-                f"{p.loss_norm:.10g}",
-            ]
-        )
+        fields = (p.lam, p.leakage_raw, p.leakage_norm, p.utility_raw, p.loss_norm)
+        rows.append([f"{v:.10g}" for v in fields])
     return rows

@@ -11,7 +11,10 @@ Two utilities measure how useful the release still is:
   ``log2 |X| - log2 (largest cluster)``;
 * max distortion (``U2``): minus the worst distance between a value and its
   cluster codeword, under a pluggable symmetric distance (default absolute
-  difference). Requires numeric X values.
+  difference). Its contract: every X symbol has a numeric value,
+  ``d(v, v) == 0``, and every distance is a non-negative number, ``inf``
+  included (infinite distortion). A NaN or negative distance is a
+  ``ConfigurationError``; ``require_u2`` and ``cluster_cost`` enforce it.
 
 Quantizations are immutable value types. Code that grows clusters
 incrementally keeps each cluster's value sum exact, as an integer
@@ -159,12 +162,29 @@ def singleton_quantization(
     return Quantization.from_clusters(jr, [{x} for x in range(jr.n_x)], policy)
 
 
+def require_u2(values: Sequence[Optional[float]], distance: Callable[[float, float], float]):
+    """The u2 precondition: a numeric value on every X symbol and ``d(v, v) == 0``."""
+    if any(v is None for v in values):
+        raise ConfigurationError("max-distortion utility needs numeric values on every X symbol")
+    if any(distance(v, v) != 0.0 for v in values):
+        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
+
+
+def cluster_cost(values: Iterable[float], codeword: float, distance) -> float:
+    """A cluster's worst distortion, its greatest member-to-codeword distance,
+    folded from ``+0.0``. A NaN or negative distance is a ``ConfigurationError``."""
+    costs = [distance(v, codeword) for v in values]
+    if not all(d >= 0.0 for d in costs):
+        raise ConfigurationError("the u2 distance must return a non-negative number or inf")
+    return max(0.0, *costs)
+
+
 def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     """Worst-case utility of the release under the chosen definition."""
     if u.kind is UtilityKind.U1_RESOLUTION:
         return h0(jr.n_x) - math.log2(max(len(c) for c in q.clusters))
-    if q.codewords is None:
-        raise ConfigurationError("distortion needs numeric values on every X symbol")
+    require_u2(q.x_values, u.distance)
     return -max(
-        max(u.distance(q.x_values[x], cw) for x in c) for c, cw in zip(q.clusters, q.codewords)
+        cluster_cost([q.x_values[x] for x in c], cw, u.distance)
+        for c, cw in zip(q.clusters, q.codewords)
     )

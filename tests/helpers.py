@@ -259,20 +259,24 @@ def reference_oracle_min(
     against: each partition's blocks, S-masks, codewords and distortions are
     rebuilt from its RGS; the first pass finds the optimum, the second
     counts the partitions within ``TOLERANCE`` of it and takes the first of
-    them as the witness.
+    them as the witness. It checks the u2 distance contract inline, without
+    ``quantize``'s own checks, and raises their messages.
     """
     n = jr.n_x
     u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
     values = jr.x_values()
+    dist = cfg.utility.distance
     if u2 and any(v is None for v in values):
         raise ConfigurationError(
             "max-distortion utility needs numeric values on every X symbol"
         )
+    if u2 and any(dist(v, v) != 0.0 for v in values):
+        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
     masks = [jr.cond_mask_x(x) for x in range(n)]
     h0_s = h0(jr.n_s)
     h0_x = h0(n)
     lam = cfg.lam
-    dist = cfg.utility.distance
+    centroid = cfg.policy is CodewordPolicy.CENTROID
 
     def score(rgs: tuple[int, ...]) -> tuple[bool, float, float, bool]:
         blocks = blocks_from_rgs(rgs)
@@ -286,10 +290,15 @@ def reference_oracle_min(
             worst = 0.0
             for block in blocks:
                 vals = [values[x] for x in block]
-                cw = compute_codeword(vals, cfg.policy)
-                d = max(dist(v, cw) for v in vals)
-                if d > worst:
-                    worst = d
+                cw = math.fsum(vals) / len(vals) if centroid else vals[0]
+                for v in vals:
+                    d = dist(v, cw)
+                    if math.isnan(d) or d < 0.0:
+                        raise ConfigurationError(
+                            "the u2 distance must return a non-negative number or inf"
+                        )
+                    if d > worst:
+                        worst = d
             util = -worst
         else:
             util = h0_x - math.log2(max(len(b) for b in blocks))

@@ -1,10 +1,11 @@
+import argparse
 import csv
 import json
 
 import pytest
 
 from helpers import TOY_PAIRS, TOY_VALUES
-from privquant.cli import main
+from privquant.cli import MAX_GRID_COUNT, _parse_grid, main
 
 TOY_PAIRS_ARG = ",".join(f"{s}:{x}" for s, x in TOY_PAIRS)
 TOY_VALUES_ARG = ",".join(f"{x}={v}" for x, v in TOY_VALUES.items())
@@ -170,36 +171,36 @@ class TestQuantize:
         assert code == 3 and "numeric" in err
 
     def test_apply_quantization_round_trip(self, capsys, tmp_path):
-        first = run_json(
-            capsys,
-            "quantize",
-            "--pairs",
-            TOY_PAIRS_ARG,
-            "--x-values",
-            TOY_VALUES_ARG,
-            "--algorithm",
-            "l0",
-            "--lambda",
-            "2.5",
-            "--utility",
-            "u2",
-        )
+        """A ``quantize`` output fed back through ``--apply-quantization``
+        reproduces its ``measures`` and ``quantization`` blocks exactly."""
         qfile = tmp_path / "q.json"
-        qfile.write_text(json.dumps(first))
-        second = run_json(
-            capsys,
-            "quantize",
-            "--pairs",
-            TOY_PAIRS_ARG,
-            "--x-values",
-            TOY_VALUES_ARG,
-            "--utility",
-            "u2",
-            "--apply-quantization",
-            str(qfile),
+
+        def round_trip(algorithm, utility, codeword, lam):
+            common = ("--pairs", TOY_PAIRS_ARG, "--x-values", TOY_VALUES_ARG,
+                      "--utility", utility, "--codeword", codeword)
+            first = run_json(
+                capsys, "quantize", *common, "--algorithm", algorithm, "--lambda", repr(lam)
+            )
+            qfile.write_text(json.dumps(first))
+            second = run_json(capsys, "quantize", *common, "--apply-quantization", str(qfile))
+            assert second["measures"] == first["measures"]
+            assert second["quantization"] == first["quantization"]
+
+        round_trip("l0", "u2", "centroid", 2.5)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(
+            algorithm=st.sampled_from(["l0", "istar", "l0-zero-istar"]),
+            utility=st.sampled_from(["u1", "u2"]),
+            codeword=st.sampled_from(["centroid", "representative"]),
+            lam=st.one_of(st.sampled_from([0.0, 0.3, 2.5]), st.floats(0.0, 50.0)),
         )
-        assert second["measures"] == first["measures"]
-        assert second["quantization"] == first["quantization"]
+        def check(algorithm, utility, codeword, lam):
+            round_trip(algorithm, utility, codeword, lam)
+
+        check()
 
     def test_trace_is_serialized(self, capsys):
         payload = run_json(
@@ -298,6 +299,14 @@ class TestPareto:
             capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--grid", "nonsense"
         )
         assert code == 3
+        # A count over the cap is refused before any lambda is built.
+        code, out, err = run_cli(
+            capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--grid", f"{MAX_GRID_COUNT + 1}:0:1:lin"
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: grid needs 1 <= count <= {MAX_GRID_COUNT}, 0 <= min <= max\n"
+        grid = _parse_grid(argparse.Namespace(lambdas=None, grid=f"{MAX_GRID_COUNT}:0:1:lin"))
+        assert len(grid) == MAX_GRID_COUNT
 
 
 class TestBaselineAndOracle:

@@ -104,11 +104,13 @@ class TestOracleMin:
         assert exc.value.max_achievable == pytest.approx(math.log2(7), abs=1e-9)
 
     def test_all_nan_objectives_are_a_configuration_error(self):
-        # An infinite distance makes every objective privacy - 0.0 * -inf, NaN.
-        jr = JointRange.from_id_pairs([("s", "a")], {"a": 1.0})
-        cfg = LagrangianConfig(0.0, UtilityChoice.u2(lambda a, b: math.inf))
+        # Two X symbols with disjoint S-ranges: the one connected partition
+        # merges both, and a distance infinite between unequal values makes
+        # its objective privacy - 0.0 * -inf, NaN.
+        jr = JointRange.from_id_pairs([("s", "a"), ("t", "b")], {"a": 1.0, "b": 2.0})
+        cfg = LagrangianConfig(0.0, UtilityChoice.u2(lambda a, b: 0.0 if a == b else math.inf))
         with pytest.raises(ConfigurationError, match="NaN"):
-            oracle_min(jr, Problem.MIN_L0, cfg)
+            oracle_min(jr, Problem.MIN_L0_ZERO_ISTAR, cfg)
 
     def test_nan_theta_is_a_configuration_error(self, toy):
         with pytest.raises(ConfigurationError, match="NaN"):
@@ -229,6 +231,8 @@ def _outcome(oracle, jr, problem, cfg, theta):
         return repr(oracle(jr, problem, cfg, theta=theta))
     except InfeasibleError as exc:
         return ("infeasible", str(exc), exc.max_achievable)
+    except ConfigurationError as exc:
+        return ("configuration", str(exc))
 
 
 class TestIncrementalOracle:

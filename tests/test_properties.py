@@ -4,6 +4,10 @@
   point must recompute bit for bit from its quantization with the public
   measures.
 * No greedy run beats the exhaustive optimum of its problem.
+* Under a u2 distance with NaN, ``inf`` or negative values off the diagonal,
+  the oracle's value recomputes from its witness (within ``TOLERANCE``, as
+  ties go) and every greedy trace utility equals ``utility()`` bit for bit,
+  or they raise ``ConfigurationError``.
 * The walk of a whole lambda grid, projected on one config, is that
   config's own walk: the same steps in the same order, and the same end.
 * The decomposition a component-driven run reports partitions S exactly as
@@ -27,6 +31,8 @@ import pytest
 
 from helpers import reference_load_csv
 from privquant import (
+    TOLERANCE,
+    ConfigurationError,
     JointRange,
     LagrangianConfig,
     Problem,
@@ -119,6 +125,43 @@ def test_greedy_never_beats_the_oracle(jr, u, lam):
         else:
             achieved = lagrangian_l0(jr, q, cfg)
         assert achieved >= oracle_min(jr, problem, cfg).value - 1e-9
+
+
+@hypothesis.settings(max_examples=150, **SETTINGS)
+@hypothesis.given(
+    jr=joint_ranges(max_x=6),
+    policy=st.sampled_from(CodewordPolicy),
+    lam=st.one_of(st.sampled_from((0.0, 1.0)), lambdas),
+    off=st.sampled_from((math.nan, math.inf, -1.0, -math.inf)),
+    cutoff=st.floats(0.0, 25.0),
+)
+def test_u2_distance_contract_holds_on_every_path(jr, policy, lam, off, cutoff):
+    # Zero on the diagonal, |a - b| up to the cutoff, ``off`` beyond it.
+    def distance(a, b):
+        return 0.0 if a == b else (off if abs(a - b) > cutoff else abs(a - b))
+
+    u = UtilityChoice.u2(distance)
+    cfg = LagrangianConfig(lam, u, policy)
+    for problem in Problem:
+        measure = maximin_information if problem is Problem.MIN_ISTAR else l0
+        try:
+            found = oracle_min(jr, problem, cfg)
+        except ConfigurationError:
+            oracle_raised = True
+        else:
+            oracle_raised = False
+            # The witness is the first partition within TOLERANCE of the optimum.
+            q = found.quantization
+            recomputed = measure(jr, q) - lam * utility(jr, q, u)
+            assert recomputed - TOLERANCE <= found.value <= recomputed
+        try:
+            trace = run(jr, problem, cfg).trace
+        except ConfigurationError:
+            # A run scores only clusters the oracle's table scores too.
+            assert oracle_raised
+            continue
+        for entry in trace:
+            assert repr(entry.utility_value) == repr(utility(jr, entry.quantization, u))
 
 
 def _walk(jr, problem, cfgs):
