@@ -10,7 +10,8 @@ gets the manifest as a JSON sidecar next to it. Exit codes are stable:
     3  configuration error (bad flags, lambda < 0, U2 on categorical data,
        an unwritable --out, a --delimiter that is not one character, an
        unreadable or malformed --apply-quantization file, a CSV-only flag
-       with --pairs, a NaN --theta, a --grid count over MAX_GRID_COUNT)
+       with --pairs, a NaN --theta, a --grid count or a --lambdas list over
+       MAX_GRID_COUNT)
     4  size cap exceeded (oracle)
     5  infeasible constraint (theta or k out of reach)
 """
@@ -114,7 +115,7 @@ _INPUT_FLAGS = ("--input", *_CSV_FLAGS, "--pairs", "--x-values")
 _ECHOED_FLAGS = frozenset(
     ("--algorithm", "--problem", "--lambda", "--theta", "--utility", "--codeword", "--k")
 )
-#: The most lambdas ``--grid`` may ask for; the default grid has 65.
+#: The most lambdas ``--grid`` or ``--lambdas`` may ask for; the default grid has 65.
 MAX_GRID_COUNT = 10_000
 
 
@@ -297,9 +298,12 @@ def _parse_grid(args) -> Optional[list[float]]:
 
     if args.lambdas:
         try:
-            return [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+            lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
         except ValueError:
             raise ConfigurationError(f"bad --lambdas list: {args.lambdas!r}")
+        if len(lambdas) > MAX_GRID_COUNT:
+            raise ConfigurationError(f"--lambdas lists at most {MAX_GRID_COUNT} lambdas")
+        return lambdas
     if args.grid:
         parts = args.grid.split(":")
         if len(parts) not in (3, 4):

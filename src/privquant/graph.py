@@ -10,12 +10,11 @@ Components are found over X clusters; edges are detected with bitmask
 intersections of the conditional ranges. Two independent routes to the same
 partition are kept side by side on purpose:
 
-* ``finest_decomposition(build_graph(...))`` (union-find) and
-  ``component_count`` (a fold over disjoint component masks) -- over the
-  released clusters, used everywhere in production code;
+* ``components`` -- a fold over disjoint component bitmasks, the one
+  component routine of production code (graph, greedy walk and oracle);
 * ``overlap_partition_oracle`` -- a definitional union-find over the S
   alphabet (values are united whenever one released cluster covers both),
-  used by tests as a cross-check of the cluster route.
+  the reference that tests check the fold against.
 
 ``merge_update`` coarsens an existing decomposition under a quantization
 without rebuilding the graph.
@@ -36,6 +35,7 @@ __all__ = [
     "UnionFind",
     "build_graph",
     "component_count",
+    "components",
     "finest_decomposition",
     "maximin_information",
     "overlap_partition_oracle",
@@ -44,7 +44,7 @@ __all__ = [
 
 
 class UnionFind:
-    """Minimal union-find with path halving; the primitive wherever component blocks are built."""
+    """Minimal union-find with path halving, kept for the reference ``overlap_partition_oracle``."""
 
     __slots__ = ("parent",)
 
@@ -112,14 +112,6 @@ class Decomposition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_of(self) -> dict[int, int]:
-        """Map every x-index to the position of its block."""
-        out: dict[int, int] = {}
-        for pos, block in enumerate(self.blocks):
-            for x in block:
-                out[x] = pos
-        return out
-
 
 def build_graph(jr: JointRange, q) -> ConfusabilityGraph:
     """Confusability graph of a quantization's clusters.
@@ -138,18 +130,10 @@ def build_graph(jr: JointRange, q) -> ConfusabilityGraph:
     return ConfusabilityGraph(clusters, frozenset(edges))
 
 
-def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
-    """Connected components of the graph, as blocks of x-indices."""
-    uf = UnionFind(g.n_nodes)
-    for i, j in g.edges:
-        uf.union(i, j)
-    return Decomposition(uf.blocks(g.clusters))
-
-
-def component_count(masks: Sequence[int]) -> int:
-    """Connected components of the overlap graph on S-range bitmasks (an edge
-    joins every two masks that intersect), folded into disjoint component
-    masks: each mask absorbs every component it intersects."""
+def components(masks: Iterable[int]) -> list[int]:
+    """Connected components of the overlap graph on bitmasks (an edge joins
+    every two masks that intersect), folded into disjoint component masks:
+    each mask absorbs every component it intersects."""
     comps: list[int] = []
     for m in masks:
         rest = []
@@ -160,7 +144,31 @@ def component_count(masks: Sequence[int]) -> int:
                 rest.append(c)
         rest.append(m)
         comps = rest
-    return len(comps)
+    return comps
+
+
+def component_count(masks: Sequence[int]) -> int:
+    """Number of ``components`` of the masks."""
+    return len(components(masks))
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending; O(set bits)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
+    """Connected components of the graph, as blocks of x-indices."""
+    nodes = [1 << i for i in range(g.n_nodes)]  # edge (i, j): bit j in node i meets node j
+    for i, j in g.edges:
+        nodes[i] |= 1 << j
+    blocks = (frozenset().union(*(g.clusters[i] for i in _bits(m))) for m in components(nodes))
+    return Decomposition(tuple(sorted(blocks, key=min)))
 
 
 def maximin_information(jr: JointRange, q) -> float:
@@ -197,11 +205,6 @@ def merge_update(dec: Decomposition, q) -> Decomposition:
     if dec_universe != q_universe:
         raise ContractViolation("decomposition and quantization cover different alphabets")
 
-    block_of = dec.block_of()
-    uf = UnionFind(len(dec.blocks))
-    for cluster in clusters:
-        it = iter(cluster)
-        first = block_of[next(it)]
-        for x in it:
-            uf.union(first, block_of[x])
-    return Decomposition(uf.blocks(dec.blocks))
+    masks = [sum(1 << x for x in part) for part in (*dec.blocks, *clusters)]
+    blocks = (frozenset(_bits(m)) for m in components(masks))
+    return Decomposition(tuple(sorted(blocks, key=min)))

@@ -35,18 +35,13 @@ import copy
 import enum
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
 from .errors import ConfigurationError
-from .graph import (
-    Decomposition,
-    UnionFind,
-    build_graph,
-    finest_decomposition,
-    merge_update,
-)
+from .graph import Decomposition, _bits, build_graph, components, finest_decomposition
 from .quantize import (
     CodewordPolicy,
     Problem,
@@ -160,53 +155,21 @@ class _Cluster:
         self.cost = cost  # see _State.pair_cost
 
 
-class _Components:
-    """Connected components of the evolving cluster graph.
-
-    Seeded from the singleton confusability graph; fusing the components of
-    two merged clusters keeps it equal to the finest decomposition of the
-    current cluster graph (coarsening can only connect, never disconnect).
-    A cluster's id is one of its members, so the singleton block of that id
-    lies in the cluster's component.
-    """
-
-    def __init__(self, singletons: Decomposition):
-        self.block_of = singletons.block_of()
-        self.uf = UnionFind(len(singletons.blocks))
-        self.x_count = {pos: len(block) for pos, block in enumerate(singletons.blocks)}
-        self.count = len(singletons.blocks)
-
-    def root(self, cid: int) -> int:
-        return self.uf.find(self.block_of[cid])
-
-    def fuse(self, a: int, b: int) -> None:
-        ra, rb = self.root(a), self.root(b)
-        if ra == rb:
-            raise AssertionError("candidate pair was not cross-component")
-        self.uf.union(ra, rb)
-        self.x_count[self.uf.find(ra)] = self.x_count[ra] + self.x_count[rb]
-        self.count -= 1
-
-    def copy(self) -> "_Components":
-        other = copy.copy(self)
-        other.uf = copy.deepcopy(self.uf)
-        other.x_count = dict(self.x_count)
-        return other
-
-
 class _State:
     """Cluster bookkeeping with O(1) merged-distortion for the default metric.
 
     Utility is decreasing in one per-cluster cost: the size under
     resolution utility, the worst member distortion under max distortion.
     ``pair_cost`` and ``utility_of`` are the only places the two differ.
-    ``comps`` tracks the components of the component-driven problems, seeded
-    from the decomposition ``singletons`` (None for algorithm 1).
+    For the component-driven problems (None for algorithm 1) ``comp`` maps
+    each cluster id to its component's S-mask and ``comp_size`` each
+    component mask to its X count; ``len(comp_size)`` is the component count.
+    One fold of the singleton S-masks seeds them, and ``merge`` fuses two.
     """
 
     def __init__(
         self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
-        singletons: Optional[Decomposition],
+        track_components: bool,
     ):
         self.jr = jr
         self.utility = utility
@@ -225,7 +188,12 @@ class _State:
         for x in range(jr.n_x):
             v = self.values[x]
             self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, cost)
-        self.comps = None if singletons is None else _Components(singletons)
+        self.comp = self.comp_size = None
+        if track_components:
+            comps = components(c.smask for c in self.clusters.values())
+            owner = {1 << s: m for m in comps for s in _bits(m)}  # S bit -> its component
+            self.comp = {x: owner[c.smask & -c.smask] for x, c in self.clusters.items()}
+            self.comp_size = dict(Counter(self.comp.values()))
 
     def pair_cost(self, a: int, b: int):
         """Cost of the cluster that fusing ``a`` and ``b`` would give."""
@@ -248,8 +216,14 @@ class _State:
         return self.h0_x - math.log2(worst)
 
     def merge(self, a: int, b: int) -> int:
-        if self.comps is not None:
-            self.comps.fuse(a, b)
+        if self.comp is not None:
+            ma, mb = self.comp.pop(a), self.comp.pop(b)
+            if ma == mb:
+                raise AssertionError("candidate pair was not cross-component")
+            fused = ma | mb
+            self.comp_size[fused] = self.comp_size.pop(ma) + self.comp_size.pop(mb)
+            self.comp = {cid: fused if m in (ma, mb) else m for cid, m in self.comp.items()}
+            self.comp[min(a, b)] = fused  # the merged cluster's id
         cost = self.pair_cost(a, b)
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
@@ -267,8 +241,8 @@ class _State:
         """An independent state; _Cluster objects are never mutated, so they are shared."""
         other = copy.copy(self)
         other.clusters = dict(self.clusters)
-        if self.comps is not None:
-            other.comps = self.comps.copy()
+        if self.comp is not None:
+            other.comp, other.comp_size = dict(self.comp), dict(self.comp_size)
         return other
 
     # -- measures of the current state ------------------------------------------
@@ -432,13 +406,13 @@ def _cross_component_pairs(state: _State):
     """Cluster pairs (a < b) in different components, each with its tie key.
 
     The key prefers pairs connecting the two largest components (larger
-    first), then the smallest cluster ids. Component roots and sizes are
-    read once per scan.
+    first), then the smallest cluster ids. Components are compared by their
+    position in ``comp_size``; small ints compare faster than S-masks.
     """
-    comps = state.comps
     cids = sorted(state.clusters)
-    roots = [comps.root(cid) for cid in cids]
-    sizes = [comps.x_count[r] for r in roots]
+    position = {m: i for i, m in enumerate(state.comp_size)}
+    roots = [position[state.comp[cid]] for cid in cids]
+    sizes = [state.comp_size[state.comp[cid]] for cid in cids]
     for i, a in enumerate(cids):
         ra, sa = roots[i], sizes[i]
         for j in range(i + 1, len(cids)):
@@ -517,7 +491,7 @@ def _moves(problem: Problem, state: _State):
         if len({c.smask for c in state.clusters.values()}) == 1:
             return Termination.NO_ELIGIBLE_MERGE
         return [(None, None, None)]
-    count = state.comps.count
+    count = len(state.comp_size)
     if count == 1:
         return Termination.SINGLE_COMPONENT
     if problem is Problem.MIN_L0_ZERO_ISTAR:
@@ -534,21 +508,16 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     Yields ``(runs, step)`` once per state of the tree the runs form, parent
     before child: the ascending indices of the configs whose runs reach the
     state, and its step. The walk of one config is its run, in order.
-    Returns ``(singletons, ends)``: the finest decomposition of the singleton
-    confusability graph, which seeds the component-driven problems (None for
-    ``Problem.MIN_L0``), and each config's ``(termination, rejected_delta_l)``.
+    Returns ``ends``: each config's ``(termination, rejected_delta_l)``.
     """
     utility, policy = cfgs[0].utility, cfgs[0].policy
-    singletons = None
-    if problem is not Problem.MIN_L0:
-        singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
 
     def step(state: _State, merged, u: float, dpriv: Optional[float]) -> _Step:
-        count = None if state.comps is None else state.comps.count
+        count = None if state.comp is None else len(state.comp_size)
         privacy = math.log2(count) if problem is Problem.MIN_ISTAR else state.leakage_l0()
         return _Step(merged, privacy, u, dpriv, count, state.partition())
 
-    state = _State(jr, utility, policy, singletons)
+    state = _State(jr, utility, policy, problem is not Problem.MIN_L0)
     runs = list(range(len(cfgs)))
     root = step(state, (), state.utility_value(), None)
     yield runs, root
@@ -587,7 +556,7 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
             if branch:
                 yield branch, taken
                 pending.append((child, taken, branch))
-    return singletons, ends
+    return ends
 
 
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
@@ -599,7 +568,7 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
         try:
             _, step = next(walk)
         except StopIteration as end:
-            singletons, ((termination, rejected),) = end.value
+            ((termination, rejected),) = end.value
             break
         delta = _decision(prev, step, lam, kind)[1] if trace else None
         q = Quantization.from_clusters(jr, step.partition, cfg.policy)
@@ -609,5 +578,5 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
         ))
         prev = step
     q = trace[-1].quantization
-    decomposition = None if singletons is None else merge_update(singletons, q)
+    decomposition = None if problem is Problem.MIN_L0 else finest_decomposition(build_graph(jr, q))
     return GreedyResult(q, tuple(trace), decomposition, termination, rejected_delta_l=rejected)

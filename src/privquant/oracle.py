@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
-from .graph import component_count
+from .graph import components
 from .greedy import LagrangianConfig, Problem
 from .quantize import Quantization, UtilityKind, cluster_cost, compute_codeword, require_u2
 
@@ -35,7 +35,8 @@ MAX_ORACLE_SYMBOLS = 12
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum: its value, one witness, and how many partitions tie."""
+    """One optimal witness, its objective (within ``TOLERANCE`` of the exact
+    optimum) as ``value``, and how many partitions tie."""
 
     value: float
     quantization: Quantization
@@ -121,7 +122,8 @@ def oracle_min(
     to partitions whose cluster graph is connected.
 
     One enumeration pass keeps the optimum, the number of partitions within
-    ``TOLERANCE`` of it and the lexicographically first of them (the witness).
+    ``TOLERANCE`` of it and the lexicographically first of them (the witness),
+    whose own objective is the reported ``value``.
     """
     if theta is not None and math.isnan(theta):
         raise ConfigurationError("theta must be a number, not NaN")
@@ -168,7 +170,7 @@ def oracle_min(
     # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
     near: dict[float, list] = {}
     for rgs, blocks in _walk_partitions(n):
-        if connected_only and component_count([smask[b] for b in blocks]) != 1:
+        if connected_only and len(components([smask[b] for b in blocks])) != 1:
             continue
         util = min([block_util[b] for b in blocks])
         if util > best_util:
@@ -176,7 +178,7 @@ def oracle_min(
         if floor is not None and not util >= floor:
             continue
         if istar:
-            privacy = math.log2(component_count([smask[b] for b in blocks]))
+            privacy = math.log2(len(components([smask[b] for b in blocks])))
         else:
             privacy = max([leak[b] for b in blocks])
         obj = privacy if floor is not None else privacy - lam * util
@@ -198,6 +200,6 @@ def oracle_min(
         )
     if not near:
         raise ConfigurationError("no partition has a comparable objective; every one is NaN")
-    witness = min(rgs for _, rgs in near.values())
+    value, (_, witness) = min(near.items(), key=lambda item: item[1][1])
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
-    return OracleResult(best, q, sum(count for count, _ in near.values()))
+    return OracleResult(value, q, sum(count for count, _ in near.values()))

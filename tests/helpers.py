@@ -259,7 +259,7 @@ def reference_oracle_min(
     against: each partition's blocks, S-masks, codewords and distortions are
     rebuilt from its RGS; the first pass finds the optimum, the second
     counts the partitions within ``TOLERANCE`` of it and takes the first of
-    them as the witness. It checks the u2 distance contract inline, without
+    them as the witness, whose objective is the value. It checks the u2 distance contract inline, without
     ``quantize``'s own checks, and raises their messages.
     """
     n = jr.n_x
@@ -341,9 +341,9 @@ def reference_oracle_min(
         if feasible and obj <= best + TOLERANCE:
             count += 1
             if witness is None:
-                witness = rgs
+                witness, value = rgs, obj
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
-    return OracleResult(best, q, count)
+    return OracleResult(value, q, count)
 
 
 def reference_load_csv(

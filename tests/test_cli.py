@@ -307,6 +307,8 @@ class TestPareto:
         assert err == f"error: grid needs 1 <= count <= {MAX_GRID_COUNT}, 0 <= min <= max\n"
         grid = _parse_grid(argparse.Namespace(lambdas=None, grid=f"{MAX_GRID_COUNT}:0:1:lin"))
         assert len(grid) == MAX_GRID_COUNT
+        lambdas = ",".join(["1"] * MAX_GRID_COUNT)
+        assert len(_parse_grid(argparse.Namespace(lambdas=lambdas, grid=None))) == MAX_GRID_COUNT
 
 
 class TestBaselineAndOracle:
@@ -483,9 +485,11 @@ class TestFlagTable:
             ("stats", "--pairs", "a:b", "--s", "foo", "--x", "bar", "--delimiter", ";",
              "--no-header", "--missing", "zz", "--x-numeric"),
             ("oracle", "--pairs", TOY_PAIRS_ARG, "--problem", "l0", "--theta", "nan"),
+            ("pareto", "--pairs", TOY_PAIRS_ARG, "--lambdas", ",".join(["1"] * (MAX_GRID_COUNT + 1))),
         ],
         ids=["utility", "codeword", "algorithm", "problem", "format", "pairs", "x-values",
-             "x-values-with-input", "lambdas", "grid", "csv-flags-with-pairs", "theta-nan"],
+             "x-values-with-input", "lambdas", "grid", "csv-flags-with-pairs", "theta-nan",
+             "lambdas-over-cap"],
     )
     def test_invalid_value_exits_3_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -13,6 +13,7 @@ from privquant import (
     LagrangianConfig,
     Problem,
     SizeLimitError,
+    TOLERANCE,
     UtilityChoice,
     algorithm2_min_istar,
     algorithm3_l0_zero_istar,
@@ -198,12 +199,26 @@ class TestOnePassOracle:
     def test_near_tie_found_before_the_optimum_is_the_witness(self):
         # {a,b},{c,d} (RGS 0,0,1,1) is enumerated before the optimum
         # {a,b},{c},{d} (RGS 0,0,1,2) and is worse by 5e-13, inside TOLERANCE.
+        # The value is the witness's own objective, not the optimum's 0.5.
         pairs = [("s0", "a"), ("s1", "b"), ("s0", "c"), ("s1", "c"), ("s0", "d"), ("s1", "d")]
         jr = JointRange.from_id_pairs(pairs, {"a": 0.0, "b": 1.0, "c": 10.0, "d": 11.000000000001})
         cfg = LagrangianConfig(1.0, UtilityChoice.u2())
         res = oracle_min(jr, Problem.MIN_L0, cfg)
-        assert (res.value, res.optima_count) == (0.5, 2)
+        assert res.optima_count == 2
         assert res.quantization.clusters == (frozenset({0, 1}), frozenset({2, 3}))
+        assert res.value == lagrangian_l0(jr, res.quantization, cfg)
+        assert 0.5 < res.value <= 0.5 + TOLERANCE
+        assert repr(res) == repr(reference_oracle_min(jr, Problem.MIN_L0, cfg))
+
+    def test_value_is_the_objective_of_its_witness(self):
+        # The singletons score 0.0; the one-cluster witness (RGS 0,0) comes
+        # first and scores 1e-10 * 0.5 = 5e-11, inside TOLERANCE of it.
+        jr = JointRange.from_id_pairs([("s", "a"), ("s", "b")], {"a": 0.0, "b": 1.0})
+        cfg = LagrangianConfig(1e-10, UtilityChoice.u2())
+        res = oracle_min(jr, Problem.MIN_L0, cfg)
+        assert res.quantization.clusters == (frozenset({0, 1}),)
+        assert (res.value, res.optima_count) == (5e-11, 2)
+        assert res.value == lagrangian_l0(jr, res.quantization, cfg)
         assert repr(res) == repr(reference_oracle_min(jr, Problem.MIN_L0, cfg))
 
 

@@ -5,13 +5,16 @@
   measures.
 * No greedy run beats the exhaustive optimum of its problem.
 * Under a u2 distance with NaN, ``inf`` or negative values off the diagonal,
-  the oracle's value recomputes from its witness (within ``TOLERANCE``, as
-  ties go) and every greedy trace utility equals ``utility()`` bit for bit,
-  or they raise ``ConfigurationError``.
+  the oracle's value recomputes bit for bit from its witness and every
+  greedy trace utility equals ``utility()`` bit for bit, or they raise
+  ``ConfigurationError``.
 * The walk of a whole lambda grid, projected on one config, is that
   config's own walk: the same steps in the same order, and the same end.
 * The decomposition a component-driven run reports partitions S exactly as
-  the overlap relation of its quantization does.
+  the overlap relation of its quantization does, and so do
+  ``finest_decomposition`` and ``merge_update`` on random quantizations.
+* The component count every trace entry and every walk step reports is the
+  number of blocks of the overlap partition (union-find, the reference).
 * ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
   errors and their row numbers included, and ``privquant stats`` exits 0
   on exactly the files that load, else 2 or 3.
@@ -31,7 +34,6 @@ import pytest
 
 from helpers import reference_load_csv
 from privquant import (
-    TOLERANCE,
     ConfigurationError,
     JointRange,
     LagrangianConfig,
@@ -41,7 +43,11 @@ from privquant import (
     lagrangian_l0,
     maximin_information,
     PrivQuantError,
+    build_graph,
+    cond_range_cluster,
+    finest_decomposition,
     load_csv,
+    merge_update,
     oracle_min,
     overlap_partition_oracle,
     run,
@@ -150,10 +156,8 @@ def test_u2_distance_contract_holds_on_every_path(jr, policy, lam, off, cutoff):
             oracle_raised = True
         else:
             oracle_raised = False
-            # The witness is the first partition within TOLERANCE of the optimum.
             q = found.quantization
-            recomputed = measure(jr, q) - lam * utility(jr, q, u)
-            assert recomputed - TOLERANCE <= found.value <= recomputed
+            assert found.value == measure(jr, q) - lam * utility(jr, q, u)
         try:
             trace = run(jr, problem, cfg).trace
         except ConfigurationError:
@@ -185,11 +189,16 @@ def _walk(jr, problem, cfgs):
 )
 def test_the_walk_of_one_config_is_its_run(jr, problem, u, policy, grid):
     cfgs = [LagrangianConfig(lam, u, policy) for lam in grid]
-    yields, (_, ends) = _walk(jr, problem, cfgs)
+    yields, ends = _walk(jr, problem, cfgs)
     for i, cfg in enumerate(cfgs):
-        alone, (_, (end,)) = _walk(jr, problem, [cfg])
+        alone, (end,) = _walk(jr, problem, [cfg])
         assert [step for runs, step in yields if i in runs] == [step for _, step in alone]
         assert ends[i] == end
+
+
+def _s_ranges(jr, decomposition) -> set:
+    """The S-range of every block of ``decomposition``."""
+    return {frozenset(cond_range_cluster(jr, block)) for block in decomposition.blocks}
 
 
 @hypothesis.settings(max_examples=100, **SETTINGS)
@@ -201,13 +210,49 @@ def test_the_walk_of_one_config_is_its_run(jr, problem, u, policy, grid):
 )
 def test_decomposition_blocks_are_the_overlap_partition(jr, problem, u, lam):
     result = run(jr, problem, LagrangianConfig(lam, u))
-    s_ranges = set()
-    for block in result.decomposition.blocks:
-        mask = jr.cond_mask_cluster(block)
-        s_ranges.add(frozenset(s for s in range(jr.n_s) if mask >> s & 1))
+    s_ranges = _s_ranges(jr, result.decomposition)
     assert s_ranges == set(overlap_partition_oracle(jr, result.quantization))
     assert len(s_ranges) == len(result.decomposition.blocks)
     assert math.log2(len(s_ranges)) == maximin_information(jr, result.quantization)
+
+
+@st.composite
+def quantized(draw):
+    """A joint range and a random partition of its X alphabet."""
+    jr = draw(joint_ranges(max_s=8, max_x=10))
+    labels = draw(st.lists(st.integers(0, jr.n_x - 1), min_size=jr.n_x, max_size=jr.n_x))
+    clusters: dict[int, set] = {}
+    for x, label in enumerate(labels):
+        clusters.setdefault(label, set()).add(x)
+    return jr, list(clusters.values())
+
+
+@hypothesis.settings(max_examples=200, **SETTINGS)
+@hypothesis.given(case=quantized())
+def test_fold_decompositions_are_the_overlap_partition(case):
+    jr, q = case
+    expected = set(overlap_partition_oracle(jr, q))
+    finest = finest_decomposition(build_graph(jr, q))
+    singletons = finest_decomposition(build_graph(jr, [{x} for x in range(jr.n_x)]))
+    coarsened = merge_update(singletons, q)
+    for dec in (finest, coarsened):
+        assert _s_ranges(jr, dec) == expected and len(dec) == len(expected)
+    assert coarsened == finest
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=st.one_of(joint_ranges(), joint_ranges(max_s=10, max_x=12)),
+    problem=st.sampled_from((Problem.MIN_ISTAR, Problem.MIN_L0_ZERO_ISTAR)),
+    u=st.sampled_from(UTILITIES),
+    grid=st.lists(lambdas, min_size=2, max_size=6),
+)
+def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid):
+    for entry in run(jr, problem, LagrangianConfig(grid[0], u)).trace:
+        assert entry.component_count == len(overlap_partition_oracle(jr, entry.quantization))
+    yields, _ = _walk(jr, problem, [LagrangianConfig(lam, u) for lam in grid])
+    for _, step in yields:
+        assert step.component_count == len(overlap_partition_oracle(jr, step.partition))
 
 
 # Fuzzed CSV cells: padded and bare ids, numbers, non-finite and overflowing
