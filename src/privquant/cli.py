@@ -407,7 +407,7 @@ _COMMANDS = {
     ),
     "oracle": (
         _cmd_oracle,
-        "exact optimum by full partition enumeration",
+        "exact optimum by partition enumeration; --theta skips what cannot meet it",
         ("--problem", "--lambda", "--theta", "--utility", "--codeword"),
         {"lam": None},  # unset unless given: oracle takes --lambda or --theta
     ),

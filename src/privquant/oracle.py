@@ -7,9 +7,14 @@ memory per item and lexicographic, which gives a canonical deterministic
 representative among ties (the least RGS).
 
 Each possible block's S-mask, l0 term and utility are computed once, in a
-table indexed by the block's member bitmask, and the RGS walker keeps every
-block's member bitmask as it steps, so scoring a partition is a few table
-lookups and a component count.
+table indexed by the block's member bitmask, and the depth-first RGS walker
+keeps every block's member bitmask as it steps, so scoring a partition is a
+few table lookups and a component count.
+
+A theta query skips every RGS prefix with a block that no completion can
+lift to theta: such a prefix has no feasible partition below it, so the
+result is the same as with the full walk. Only an infeasible query walks
+everything, for the best achievable utility its error reports.
 
 Hard-capped at 12 symbols (Bell(12) is ~4.2 million partitions); beyond
 that this stops being a desk-scale tool and the cap errors out rather than
@@ -54,11 +59,18 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(rgs)
 
 
-def _walk_partitions(n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The lexicographic RGS enumeration, carrying each block's member bitmask.
+def _walk_partitions(
+    n: int, alive: Optional[list[bool]] = None
+) -> Iterator[tuple[list[int], list[int]]]:
+    """The lexicographic RGS enumeration, depth first, carrying each block's
+    member bitmask.
 
     Yields the same two lists every time, updated in place: ``rgs`` and
     ``blocks``, where ``blocks[r]`` has bit x set iff ``rgs[x] == r``.
+
+    With ``alive`` (indexed by member bitmask), element i joins block r, or
+    opens a new block, only if ``alive[blocks[r] | 1 << i]`` holds; a prefix
+    that fails skips its whole subtree, in which its blocks only gain members.
     """
     if n < 1:
         raise ContractViolation("partition enumeration needs n >= 1")
@@ -67,31 +79,51 @@ def _walk_partitions(n: int) -> Iterator[tuple[list[int], list[int]]]:
             f"refusing to enumerate partitions of {n} > {MAX_ORACLE_SYMBOLS} symbols"
         )
     rgs = [0] * n
-    # prefix_max[i] = max(rgs[0..i-1]); rgs[i] may range over 0..prefix_max[i]+1.
-    prefix_max = [0] * n
-    blocks = [(1 << n) - 1]
-    while True:
-        yield rgs, blocks
-        i = n - 1
-        while i > 0 and rgs[i] == prefix_max[i] + 1:
-            i -= 1
-        if i == 0:
-            return
-        r = rgs[i]
-        blocks[r] ^= 1 << i
-        rgs[i] = r = r + 1
-        if r == len(blocks):
-            blocks.append(0)
-        blocks[r] |= 1 << i
-        if i < n - 1:
-            # The suffix resets into block 0, which can leave blocks above m empty.
-            m = max(prefix_max[i], r)
-            for j in range(i + 1, n):
-                blocks[rgs[j]] ^= 1 << j
-                rgs[j] = 0
-                prefix_max[j] = m
-            blocks[0] |= (1 << n) - (2 << i)
-            del blocks[m + 1 :]
+    blocks: list[int] = []
+    last = n - 1
+    top = 1 << last
+    # Element i tries blocks r, r + 1, ..., len(blocks) (a new block).
+    i = r = 0
+    while i >= 0:
+        if i == last:
+            k = len(blocks)
+            for r in range(k):
+                b = blocks[r]
+                if alive is None or alive[b | top]:
+                    blocks[r] = b | top
+                    rgs[last] = r
+                    yield rgs, blocks
+                    blocks[r] = b
+            if alive is None or alive[top]:
+                blocks.append(top)
+                rgs[last] = k
+                yield rgs, blocks
+                blocks.pop()
+        else:
+            bit = 1 << i
+            k = len(blocks)
+            while r < k and not (alive is None or alive[blocks[r] | bit]):
+                r += 1
+            if r < k or r == k and (alive is None or alive[bit]):
+                if r < k:
+                    blocks[r] |= bit
+                else:
+                    blocks.append(bit)
+                rgs[i] = r
+                i += 1
+                r = 0
+                continue
+        # Every choice for element i is spent: take element i - 1 out of its
+        # block and move it to the next one.
+        i -= 1
+        if i >= 0:
+            r = rgs[i]
+            b = blocks[r] ^ (1 << i)
+            if b:
+                blocks[r] = b
+            else:
+                blocks.pop()
+            r += 1
 
 
 def blocks_from_rgs(rgs: tuple[int, ...]) -> list[list[int]]:
@@ -107,7 +139,7 @@ def oracle_min(
     cfg: LagrangianConfig,
     theta: Optional[float] = None,
 ) -> OracleResult:
-    """Exact optimum of a quantization problem by full enumeration.
+    """Exact optimum of a quantization problem by enumeration.
 
     With ``theta`` unset, minimizes the Lagrangian of the problem at
     ``cfg.lam`` (the same bit-valued objective the greedy runs report).
@@ -121,9 +153,11 @@ def oracle_min(
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
 
-    One enumeration pass keeps the optimum, the number of partitions within
-    ``TOLERANCE`` of it and the lexicographically first of them (the witness),
-    whose own objective is the reported ``value``.
+    A theta query walks only the RGS prefixes whose blocks can each still
+    reach ``theta`` (see the module docstring). One enumeration pass keeps
+    the optimum, the number of partitions within ``TOLERANCE`` of it and
+    the lexicographically first of them (the witness), whose own objective
+    is the reported ``value``.
     """
     if theta is not None and math.isnan(theta):
         raise ConfigurationError("theta must be a number, not NaN")
@@ -152,46 +186,60 @@ def oracle_min(
         low = b & -b
         smask[b] = sm = smask[b ^ low] | masks[low.bit_length() - 1]
         leak[b] = h0_s - math.log2(sm.bit_count())
-        members = [x for x in range(n) if b >> x & 1]
         if u2:
-            vals = [values[x] for x in members]
+            vals = [values[x] for x in range(n) if b >> x & 1]
             block_util[b] = -cluster_cost(vals, compute_codeword(vals, cfg.policy), dist)
         else:
-            block_util[b] = h0_x - math.log2(len(members))
+            block_util[b] = h0_x - math.log2(b.bit_count())
 
     istar = problem is Problem.MIN_ISTAR
     connected_only = problem is Problem.MIN_L0_ZERO_ISTAR
     floor = None if theta is None else theta - TOLERANCE
-    best = math.inf
-    # Best utility over the structurally valid partitions, theta ignored: the
-    # infeasibility diagnostic.
-    best_util = -math.inf
-    any_feasible = False
-    # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
-    near: dict[float, list] = {}
-    for rgs, blocks in _walk_partitions(n):
-        if connected_only and len(components([smask[b] for b in blocks])) != 1:
-            continue
-        util = min([block_util[b] for b in blocks])
-        if util > best_util:
-            best_util = util
-        if floor is not None and not util >= floor:
-            continue
-        if istar:
-            privacy = math.log2(len(components([smask[b] for b in blocks])))
-        else:
-            privacy = max([leak[b] for b in blocks])
-        obj = privacy if floor is not None else privacy - lam * util
-        any_feasible = True
-        if obj < best:
-            best = obj
-            near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
-        if obj <= best + TOLERANCE:
-            tie = near.get(obj)
-            if tie is None:
-                near[obj] = [1, tuple(rgs)]
+    alive = None
+    if floor is not None:
+        # ext[b]: the best utility of b joined by any elements above its
+        # greatest member, the blocks an RGS prefix holding b can still end in.
+        ext = block_util[:]
+        for b in range(size - 1, 0, -1):
+            for j in range(b.bit_length(), n):
+                if ext[b | 1 << j] > ext[b]:
+                    ext[b] = ext[b | 1 << j]
+        alive = [e >= floor for e in ext]
+    # The pruned walk visits every feasible partition; only an infeasible
+    # query walks again, unpruned, for the best achievable utility.
+    for prune in (alive, None):
+        best = math.inf
+        # Best utility over the structurally valid partitions, theta ignored:
+        # the infeasibility diagnostic.
+        best_util = -math.inf
+        any_feasible = False
+        # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
+        near: dict[float, list] = {}
+        for rgs, blocks in _walk_partitions(n, prune):
+            if connected_only and len(components([smask[b] for b in blocks])) != 1:
+                continue
+            util = min([block_util[b] for b in blocks])
+            if util > best_util:
+                best_util = util
+            if floor is not None and not util >= floor:
+                continue
+            if istar:
+                privacy = math.log2(len(components([smask[b] for b in blocks])))
             else:
-                tie[0] += 1
+                privacy = max([leak[b] for b in blocks])
+            obj = privacy if floor is not None else privacy - lam * util
+            any_feasible = True
+            if obj < best:
+                best = obj
+                near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
+            if obj <= best + TOLERANCE:
+                tie = near.get(obj)
+                if tie is None:
+                    near[obj] = [1, tuple(rgs)]
+                else:
+                    tie[0] += 1
+        if any_feasible or prune is None:
+            break
     if not any_feasible:
         raise InfeasibleError(
             f"no quantization satisfies the constraint; best achievable utility is "

@@ -247,6 +247,21 @@ def reference_component_count(masks: Sequence[int]) -> int:
     return sum(p == i for i, p in enumerate(uf.parent))
 
 
+def reference_rgs_strings(n: int) -> list[tuple[int, ...]]:
+    """Every restricted-growth string of length n, lexicographically, by recursion."""
+    out = []
+
+    def grow(prefix: list[int], top: int) -> None:
+        if len(prefix) == n:
+            out.append(tuple(prefix))
+            return
+        for v in range(top + 2):
+            grow(prefix + [v], max(top, v))
+
+    grow([0], 0)
+    return out
+
+
 def reference_oracle_min(
     jr: JointRange,
     problem: Problem,

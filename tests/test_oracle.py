@@ -3,7 +3,12 @@ import random
 
 import pytest
 
-from helpers import random_joint_range, reference_oracle_min
+from helpers import (
+    random_joint_range,
+    random_quantization,
+    reference_oracle_min,
+    reference_rgs_strings,
+)
 from privquant import (
     CodewordPolicy,
     ConfigurationError,
@@ -22,7 +27,9 @@ from privquant import (
     maximin_information,
     oracle_min,
 )
+from privquant import oracle as oracle_module
 from privquant.oracle import _walk_partitions, blocks_from_rgs
+from privquant.quantize import utility
 
 CFG = LagrangianConfig(0.3, UtilityChoice.u1())
 
@@ -226,19 +233,7 @@ def _squared(a, b):
     return (a - b) ** 2
 
 
-def _rgs_strings(n: int) -> list[tuple[int, ...]]:
-    """Every restricted-growth string of length n, lexicographically, by recursion."""
-    out = []
-
-    def grow(prefix: list[int], top: int) -> None:
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(top + 2):
-            grow(prefix + [v], max(top, v))
-
-    grow([0], 0)
-    return out
+UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_squared))
 
 
 def _outcome(oracle, jr, problem, cfg, theta):
@@ -254,11 +249,9 @@ class TestIncrementalOracle:
     """The block-table oracle equals the re-scoring reference, and its walker
     enumerates exactly what ``enumerate_partitions`` always did."""
 
-    UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_squared))
-
     def test_enumeration_is_every_rgs_in_lexicographic_order(self):
         for n in range(1, 10):
-            assert list(enumerate_partitions(n)) == _rgs_strings(n)
+            assert list(enumerate_partitions(n)) == reference_rgs_strings(n)
 
     def test_walker_block_masks_match_blocks_from_rgs(self):
         for n in range(1, 10):
@@ -275,7 +268,7 @@ class TestIncrementalOracle:
         for _ in range(5):
             jr = random_joint_range(rng, max_s=6, max_x=7)
             for problem in Problem:
-                for u in self.UTILITIES:
+                for u in UTILITIES:
                     for policy in CodewordPolicy:
                         cfg = LagrangianConfig(rng.choice([0.0, 0.3, 2.5]), u, policy)
                         for theta in (None, rng.choice([-20.0, -2.0, 0.5, 3.0])):
@@ -291,7 +284,7 @@ class TestIncrementalOracle:
     def test_matches_reference_at_nine_symbols(self):
         rng = random.Random(909)
         checked = 0
-        for problem, u in zip(Problem, self.UTILITIES):
+        for problem, u in zip(Problem, UTILITIES):
             jr = random_joint_range(rng, max_s=7, max_x=9)
             while jr.n_x != 9:
                 jr = random_joint_range(rng, max_s=7, max_x=9)
@@ -318,3 +311,73 @@ class TestIncrementalOracle:
                     assert _outcome(oracle_min, jr, problem, cfg, theta) == _outcome(
                         reference_oracle_min, jr, problem, cfg, theta
                     )
+
+
+class TestThetaPruning:
+    """A theta query walks only prefixes that can still meet theta, and
+    answers exactly as the unpruned reference does."""
+
+    def test_boundary_thetas_match_reference(self):
+        rng = random.Random(4141)
+        checked = infeasible = 0
+        for max_x in (5, 7):
+            jr = random_joint_range(rng, max_s=6, max_x=max_x)
+            while jr.n_x != max_x:
+                jr = random_joint_range(rng, max_s=6, max_x=max_x)
+            for problem in Problem:
+                for u in UTILITIES:
+                    for policy in CodewordPolicy:
+                        cfg = LagrangianConfig(0.3, u, policy)
+                        q = random_quantization(rng, jr, policy)
+                        v = utility(jr, q, u)
+                        thetas = (v, v - TOLERANCE, v + TOLERANCE,
+                                  math.nextafter(v + TOLERANCE, math.inf), -math.inf, math.inf)
+                        for theta in thetas:
+                            outcomes = [
+                                _outcome(oracle, jr, problem, cfg, theta)
+                                for oracle in (oracle_min, reference_oracle_min)
+                            ]
+                            assert outcomes[0] == outcomes[1], (problem, u, policy, theta)
+                            checked += 1
+                            infeasible += isinstance(outcomes[0], tuple)
+        assert checked == 216 and infeasible > 36
+
+    @staticmethod
+    def _counting_walks(monkeypatch) -> list[list]:
+        """Wrap the oracle's walker; each walk appends [alive is None, yields]."""
+        walks = []
+        walk = oracle_module._walk_partitions
+
+        def counting(n, alive=None):
+            walks.append([alive is None, 0])
+            for item in walk(n, alive):
+                walks[-1][1] += 1
+                yield item
+
+        monkeypatch.setattr(oracle_module, "_walk_partitions", counting)
+        return walks
+
+    # Eight symbols on one S value with values 0..7: under u2 with the
+    # absolute distance, theta -1 keeps the partitions into runs of at most
+    # three neighbours, a small corner of the 4,140.
+    EIGHT = JointRange.from_id_pairs(
+        [("s", f"x{i}") for i in range(8)], {f"x{i}": float(i) for i in range(8)}
+    )
+
+    def test_theta_query_walks_far_fewer_partitions(self, monkeypatch):
+        walks = self._counting_walks(monkeypatch)
+        cfg = LagrangianConfig(0.3, UtilityChoice.u2())
+        res = oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=-1.0)
+        assert len(walks) == 1 and not walks[0][0]
+        assert walks[0][1] < bell_numbers(8)[-1] // 10
+        assert repr(res) == repr(reference_oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=-1.0))
+        oracle_min(self.EIGHT, Problem.MIN_L0, cfg)
+        assert walks[1] == [True, bell_numbers(8)[-1]]
+
+    def test_infeasible_query_walks_everything_once(self, monkeypatch):
+        walks = self._counting_walks(monkeypatch)
+        cfg = LagrangianConfig(0.3, UtilityChoice.u1())
+        with pytest.raises(InfeasibleError) as exc:
+            oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=10.0)
+        assert exc.value.max_achievable == 3.0
+        assert walks == [[False, 0], [True, bell_numbers(8)[-1]]]

@@ -15,6 +15,9 @@
   ``finest_decomposition`` and ``merge_update`` on random quantizations.
 * The component count every trace entry and every walk step reports is the
   number of blocks of the overlap partition (union-find, the reference).
+* The oracle's partition walk, given an ``alive`` table, yields exactly
+  the partitions, in lexicographic order, whose every block passes the
+  table each time it gains an element; without one it yields every RGS.
 * ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
   errors and their row numbers included, and ``privquant stats`` exits 0
   on exactly the files that load, else 2 or 3.
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -32,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_load_csv
+from helpers import reference_load_csv, reference_rgs_strings
 from privquant import (
     ConfigurationError,
     JointRange,
@@ -56,6 +60,7 @@ from privquant import (
 from privquant import cli
 from privquant.errors import IngestError
 from privquant.greedy import _runs
+from privquant.oracle import _walk_partitions
 from privquant.quantize import CodewordPolicy, UtilityChoice, utility
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -253,6 +258,35 @@ def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid
     yields, _ = _walk(jr, problem, [LagrangianConfig(lam, u) for lam in grid])
     for _, step in yields:
         assert step.component_count == len(overlap_partition_oracle(jr, step.partition))
+
+
+rgs_strings = functools.lru_cache(reference_rgs_strings)
+
+
+@st.composite
+def alive_tables(draw):
+    """A size n and a table over its block masks with a few dead masks."""
+    n = draw(st.integers(1, 8))
+    dead = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=12))
+    return n, [b not in dead for b in range(1 << n)]
+
+
+@hypothesis.settings(max_examples=200, **SETTINGS)
+@hypothesis.given(case=alive_tables())
+def test_partition_walk_keeps_exactly_the_alive_prefixes(case):
+    n, alive = case
+    expected = []
+    for rgs in rgs_strings(n):
+        blocks = [0] * (max(rgs) + 1)
+        for x, r in enumerate(rgs):
+            blocks[r] |= 1 << x
+            if not alive[blocks[r]]:
+                break
+        else:
+            expected.append((rgs, blocks))
+    walked = [(tuple(rgs), list(blocks)) for rgs, blocks in _walk_partitions(n, alive)]
+    assert walked == expected
+    assert [tuple(rgs) for rgs, _ in _walk_partitions(n)] == rgs_strings(n)
 
 
 # Fuzzed CSV cells: padded and bare ids, numbers, non-finite and overflowing
