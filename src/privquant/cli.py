@@ -315,16 +315,16 @@ def _parse_grid(args) -> Optional[list[float]]:
         spacing = parts[3] if len(parts) == 4 else "log"
         if not 1 <= count <= MAX_GRID_COUNT or lo < 0 or hi < lo:
             raise ConfigurationError(f"grid needs 1 <= count <= {MAX_GRID_COUNT}, 0 <= min <= max")
+        if spacing not in ("lin", "log"):
+            raise ConfigurationError(f"unknown grid spacing {spacing!r}")
         if count == 1:
             return [lo]
         if spacing == "lin":
             step = (hi - lo) / (count - 1)
             return [lo + i * step for i in range(count)]
-        if spacing == "log":
-            if lo <= 0:
-                raise ConfigurationError("log spacing needs min > 0")
-            return geometric_grid(lo, hi, count)
-        raise ConfigurationError(f"unknown grid spacing {spacing!r}")
+        if lo <= 0:
+            raise ConfigurationError("log spacing needs min > 0")
+        return geometric_grid(lo, hi, count)
     return None
 
 

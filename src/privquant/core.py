@@ -203,25 +203,24 @@ class JointRange:
         return f"JointRange(|S|={self.n_s}, |X|={self.n_x}, pairs={len(self.pairs)})"
 
 
-def _mask_to_set(mask: int) -> frozenset[int]:
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending; O(set bits)."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def cond_range_x(jr: JointRange, x: int) -> frozenset[int]:
     """S indices compatible with observing X = x (never empty)."""
-    return _mask_to_set(jr.cond_mask_x(x))
+    return frozenset(_bits(jr.cond_mask_x(x)))
 
 
 def cond_range_cluster(jr: JointRange, cluster: Iterable[int]) -> frozenset[int]:
     """Union of per-observation ranges over a non-empty cluster of x's."""
-    return _mask_to_set(jr.cond_mask_cluster(cluster))
+    return frozenset(_bits(jr.cond_mask_cluster(cluster)))
 
 
 def _cluster_sets(q) -> Sequence[Iterable[int]]:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import JointRange, cond_range_cluster
+from .core import JointRange, _bits, cond_range_cluster
 from .errors import ContractViolation
 
 __all__ = [
@@ -150,16 +150,6 @@ def components(masks: Iterable[int]) -> list[int]:
 def component_count(masks: Sequence[int]) -> int:
     """Number of ``components`` of the masks."""
     return len(components(masks))
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending; O(set bits)."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:

@@ -39,9 +39,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import JointRange, h0, l0
+from .core import JointRange, _bits, h0, l0
 from .errors import ConfigurationError
-from .graph import Decomposition, _bits, build_graph, components, finest_decomposition
+from .graph import Decomposition, build_graph, components, finest_decomposition
 from .quantize import (
     CodewordPolicy,
     Problem,
@@ -208,6 +208,13 @@ class _State:
             return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
         members = ca.members + cb.members
         return cluster_cost([self.values[x] for x in members], cw, self.utility.distance)
+
+    def codeword(self, cid: int) -> float:
+        """``compute_codeword`` of cluster ``cid``'s members (see ``exact_numerators``)."""
+        c = self.clusters[cid]
+        if self.policy is CodewordPolicy.CENTROID:
+            return c.total / self.scale / c.size
+        return self.values[cid]
 
     def utility_of(self, worst) -> float:
         """Utility of a quantization whose costliest cluster costs ``worst``."""

@@ -22,9 +22,11 @@ Axes are normalized as plotted throughout this package's outputs:
   alongside for that reason).
 
 ``sweeney_baseline`` is the classic generalization-and-suppression loop:
-keep merging under-populated release values into their nearest neighbor
-until every release is consistent with at least k sensitive values. It has
-no utility term, which is exactly what the frontier comparison is for.
+keep merging the release value of smallest S-range into its nearest
+neighbor (by codeword, or by id when X is categorical) until every release
+is consistent with at least k sensitive values. It merges on the greedy
+walk's cluster state, and it has no utility term, which is exactly what the
+frontier comparison is for.
 """
 
 from __future__ import annotations
@@ -32,19 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ContractViolation, InfeasibleError
-from .greedy import LagrangianConfig, Problem, _runs
-from .quantize import (
-    CodewordPolicy,
-    Quantization,
-    UtilityChoice,
-    UtilityKind,
-    absolute_difference,
-    compute_codeword,
-)
+from .greedy import LagrangianConfig, Problem, _runs, _State
+from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind
 
 __all__ = [
     "ParetoPoint",
@@ -192,17 +187,16 @@ def sweep(
 
 
 def sweeney_baseline(
-    jr: JointRange,
-    k: int,
-    distance: Callable[[float, float], float] = absolute_difference,
-    policy: CodewordPolicy = CodewordPolicy.CENTROID,
+    jr: JointRange, k: int, policy: CodewordPolicy = CodewordPolicy.CENTROID
 ) -> Quantization:
     """Generalize under-populated release values until k-anonymity holds.
 
     While some cluster's conditional range holds fewer than k sensitive
     values, the worst offender (smallest range, then smallest id) is merged
-    into its nearest neighbor: nearest by codeword distance when X is
-    numeric, by cluster id distance otherwise. Terminates because merging
+    into its nearest neighbor, ties to the smallest id: nearest by absolute
+    codeword difference when X is numeric, by cluster id distance otherwise.
+    The merges run on greedy's cluster state (a u2 one for numeric X, which
+    keeps the exact value sums of its codewords). Terminates because merging
     strictly reduces the cluster count and the single-cluster release has
     the full range.
     """
@@ -213,32 +207,20 @@ def sweeney_baseline(
             f"{k}-anonymity is impossible: S has only {jr.n_s} values",
             max_achievable=float(jr.n_s),
         )
-    values = jr.x_values()
-    numeric = all(v is not None for v in values)
-    clusters: dict[int, set[int]] = {x: {x} for x in range(jr.n_x)}
-
-    def range_size(cid: int) -> int:
-        return jr.cond_mask_cluster(clusters[cid]).bit_count()
-
+    numeric = all(v is not None for v in jr.x_values())
+    state = _State(jr, UtilityChoice.u2() if numeric else UtilityChoice.u1(), policy, False)
     while True:
-        offenders = [cid for cid in clusters if range_size(cid) < k]
-        if not offenders:
+        size, cid = min((c.smask.bit_count(), c.cid) for c in state.clusters.values())
+        if size >= k:
             break
-        cid = min(offenders, key=lambda c: (range_size(c), c))
-        others = [c for c in clusters if c != cid]
+        others = [c for c in state.clusters if c != cid]
         if numeric:
-            def codeword(c: int) -> float:
-                return compute_codeword([values[x] for x in sorted(clusters[c])], policy)
-
-            own = codeword(cid)
-            partner = min(others, key=lambda c: (distance(codeword(c), own), c))
+            own = state.codeword(cid)
+            partner = min(others, key=lambda c: (abs(state.codeword(c) - own), c))
         else:
             partner = min(others, key=lambda c: (abs(c - cid), c))
-        keep = min(cid, partner)
-        drop = max(cid, partner)
-        clusters[keep] = clusters[keep] | clusters[drop]
-        del clusters[drop]
-    return Quantization.from_clusters(jr, clusters.values(), policy)
+        state.merge(cid, partner)
+    return Quantization.from_clusters(jr, state.partition(), policy)
 
 
 def frontier_csv_rows(frontier: Frontier) -> list[list[str]]:

@@ -232,6 +232,50 @@ def reference_sweep(
     return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)
 
 
+def reference_sweeney_baseline(
+    jr: JointRange, k: int, policy: CodewordPolicy = CodewordPolicy.CENTROID
+) -> Quantization:
+    """``sweeney_baseline`` over a dict of member sets.
+
+    The reference the state-based ``sweeney_baseline`` is checked against:
+    its loop before it merged on greedy's cluster state, which rescored every
+    cluster's range and codeword from its members on each merge.
+    """
+    if k < 1:
+        raise ContractViolation("k must be at least 1")
+    if k > jr.n_s:
+        raise InfeasibleError(
+            f"{k}-anonymity is impossible: S has only {jr.n_s} values",
+            max_achievable=float(jr.n_s),
+        )
+    values = jr.x_values()
+    numeric = all(v is not None for v in values)
+    clusters: dict[int, set[int]] = {x: {x} for x in range(jr.n_x)}
+
+    def range_size(cid: int) -> int:
+        return jr.cond_mask_cluster(clusters[cid]).bit_count()
+
+    while True:
+        offenders = [cid for cid in clusters if range_size(cid) < k]
+        if not offenders:
+            break
+        cid = min(offenders, key=lambda c: (range_size(c), c))
+        others = [c for c in clusters if c != cid]
+        if numeric:
+            def codeword(c: int) -> float:
+                return compute_codeword([values[x] for x in sorted(clusters[c])], policy)
+
+            own = codeword(cid)
+            partner = min(others, key=lambda c: (absolute_difference(codeword(c), own), c))
+        else:
+            partner = min(others, key=lambda c: (abs(c - cid), c))
+        keep = min(cid, partner)
+        drop = max(cid, partner)
+        clusters[keep] = clusters[keep] | clusters[drop]
+        del clusters[drop]
+    return Quantization.from_clusters(jr, clusters.values(), policy)
+
+
 def reference_component_count(masks: Sequence[int]) -> int:
     """``graph.component_count`` as a union-find over every intersecting pair.
 

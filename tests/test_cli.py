@@ -299,6 +299,14 @@ class TestPareto:
             capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--grid", "nonsense"
         )
         assert code == 3
+        # An unknown spacing is refused for every count, and a count of 1 is one lambda.
+        for count in (1, 2):
+            code, out, err = run_cli(
+                capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--grid", f"{count}:0:1:bogus"
+            )
+            assert code == 3 and out == ""
+            assert err == "error: unknown grid spacing 'bogus'\n"
+        assert _parse_grid(argparse.Namespace(lambdas=None, grid="1:0:1")) == [0.0]
         # A count over the cap is refused before any lambda is built.
         code, out, err = run_cli(
             capsys, "pareto", "--pairs", TOY_PAIRS_ARG, "--grid", f"{MAX_GRID_COUNT + 1}:0:1:lin"

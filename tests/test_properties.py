@@ -18,6 +18,9 @@
 * The oracle's partition walk, given an ``alive`` table, yields exactly
   the partitions, in lexicographic order, whose every block passes the
   table each time it gains an element; without one it yields every RGS.
+* ``sweeney_baseline`` returns the quantization, codewords included, of
+  the set-based reference loop, for numeric and categorical X, both
+  codeword policies and every feasible k.
 * ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
   errors and their row numbers included, and ``privquant stats`` exits 0
   on exactly the files that load, else 2 or 3.
@@ -36,7 +39,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import reference_load_csv, reference_rgs_strings
+from helpers import reference_load_csv, reference_rgs_strings, reference_sweeney_baseline
 from privquant import (
     ConfigurationError,
     JointRange,
@@ -56,6 +59,7 @@ from privquant import (
     overlap_partition_oracle,
     run,
     sweep,
+    sweeney_baseline,
 )
 from privquant import cli
 from privquant.errors import IngestError
@@ -287,6 +291,20 @@ def test_partition_walk_keeps_exactly_the_alive_prefixes(case):
     walked = [(tuple(rgs), list(blocks)) for rgs, blocks in _walk_partitions(n, alive)]
     assert walked == expected
     assert [tuple(rgs) for rgs, _ in _walk_partitions(n)] == rgs_strings(n)
+
+
+@hypothesis.settings(max_examples=200, **SETTINGS)
+@hypothesis.given(
+    jr=joint_ranges(max_s=8, max_x=10),
+    categorical=st.booleans(),
+    policy=st.sampled_from(CodewordPolicy),
+)
+def test_baseline_matches_the_set_based_reference(jr, categorical, policy):
+    if categorical:
+        jr = JointRange(jr.s_symbols, [Symbol(sym.id) for sym in jr.x_symbols], jr.pairs)
+    for k in range(1, jr.n_s + 1):
+        # Quantization equality compares the codewords too.
+        assert sweeney_baseline(jr, k, policy) == reference_sweeney_baseline(jr, k, policy)
 
 
 # Fuzzed CSV cells: padded and bare ids, numbers, non-finite and overflowing
