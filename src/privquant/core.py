@@ -93,8 +93,9 @@ class JointRange:
     and output boundaries.
 
     Invariants enforced here: at least one pair, no out-of-range indices,
-    and every symbol of either alphabet occurs in at least one pair (the
-    marginal ranges are the full alphabets).
+    every symbol of either alphabet occurs in at least one pair (the
+    marginal ranges are the full alphabets), and the X values given are
+    finite with a finite ``sum(|v|)`` (see ``finite_magnitude``).
     """
 
     __slots__ = ("s_symbols", "x_symbols", "pairs", "_s_mask_by_x")
@@ -124,6 +125,12 @@ class JointRange:
             raise ContractViolation("every S symbol must occur in some pair")
         if any(m == 0 for m in masks):
             raise ContractViolation("every X symbol must occur in some pair")
+        numeric = [sym for sym in x_syms if sym.value is not None]
+        for sym in numeric:
+            if not math.isfinite(sym.value):
+                raise ContractViolation(f"X symbol {sym.id!r} has a non-finite value {sym.value!r}")
+        if not finite_magnitude(sym.value for sym in numeric):
+            raise ContractViolation("x_values are too large: |x| sums past the float range")
 
         self.s_symbols = s_syms
         self.x_symbols = x_syms
@@ -142,7 +149,7 @@ class JointRange:
 
         Alphabets are assembled in first-appearance order, which keeps runs
         reproducible for a given input sequence. ``x_values`` optionally
-        attaches finite numeric values to X symbols by id.
+        attaches numeric values to X symbols by id.
         """
         s_index: dict[str, int] = {}
         x_index: dict[str, int] = {}
@@ -155,11 +162,6 @@ class JointRange:
         unknown = set(x_values) - set(x_index)
         if unknown:
             raise ContractViolation(f"x_values given for unknown ids: {sorted(unknown)}")
-        non_finite = sorted(i for i, v in x_values.items() if not math.isfinite(v))
-        if non_finite:
-            raise ContractViolation(f"x_values must be finite numbers: {non_finite}")
-        if not finite_magnitude(x_values.values()):
-            raise ContractViolation("x_values are too large: |x| sums past the float range")
         s_syms = [Symbol(i) for i in s_index]
         x_syms = [Symbol(i, x_values.get(i)) for i in x_index]
         return cls(s_syms, x_syms, pairs)

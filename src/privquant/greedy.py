@@ -20,6 +20,16 @@ privacy objective against ``lambda`` times the utility:
 All reported Lagrangians and deltas are in bits, and runs are fully
 deterministic: every argmin/argmax is tie-broken down to cluster ids.
 
+The candidate searches visit only pairs that can win (every pair under a
+custom u2 distance), and pick what a scan of every pair picks. Algorithm 1
+keeps a sorted index of the live clusters per round: under resolution
+utility its first entry with another S-mask is the partner; under max
+distortion with ``absolute_difference`` a merged distortion is at least
+half the clusters' ``vmin`` gap, so the index is walked outward in
+``vmin`` until that bound strictly passes the best cost (see
+``_best_partner_min_l0``). Algorithms 2 and 3 bucket the clusters by
+component and pair only clusters of different buckets.
+
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
 Resolution utility is itself logarithmic, so the scale cancels and the test
@@ -35,13 +45,14 @@ import copy
 import enum
 import heapq
 import math
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .core import JointRange, _bits, h0, l0
+from .core import JointRange, h0, l0
 from .errors import ConfigurationError
-from .graph import Decomposition, build_graph, components, finest_decomposition
+from .graph import Decomposition, _component_of
 from .quantize import (
     CodewordPolicy,
     Problem,
@@ -190,9 +201,8 @@ class _State:
             self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, cost)
         self.comp = self.comp_size = None
         if track_components:
-            comps = components(c.smask for c in self.clusters.values())
-            owner = {1 << s: m for m in comps for s in _bits(m)}  # S bit -> its component
-            self.comp = {x: owner[c.smask & -c.smask] for x, c in self.clusters.items()}
+            masks = [c.smask for c in self.clusters.values()]
+            self.comp = dict(zip(self.clusters, _component_of(masks)))
             self.comp_size = dict(Counter(self.comp.values()))
 
     def pair_cost(self, a: int, b: int):
@@ -350,7 +360,14 @@ def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
+#: A merged distortion under ``absolute_difference`` is at least half the
+#: clusters' ``vmin`` gap. The factor is shrunk by 2**-50, more than the
+#: rounding of the gap, the product and the cost together, so the computed
+#: bound never passes a computed cost it bounds.
+_HALF_GAP = 0.5 * (1.0 - 2.0**-50)
+
+
+def _best_partner_min_l0(state: _State, cid: int, index: list) -> Optional[int]:
     """Partner giving the least-cost merged cluster (the smallest merged size
     under resolution utility, the smallest merged distortion under max
     distortion) among clusters whose conditional range differs from
@@ -358,24 +375,53 @@ def _best_partner_min_l0(state: _State, cid: int) -> Optional[int]:
 
     Ties: smaller merged cluster, then smaller merged minimum index, then
     smaller partner id.
+
+    ``index`` is the sorted ``_min_l0_round`` index of the live clusters.
+    Under resolution utility the merged cost is the size sum, and
+    ``(min(cid, o), o)`` orders partners ``o`` as ``o`` does; so the partner
+    is the first ``(size, cid)`` entry with another S-mask. Under max
+    distortion the ``(vmin, cid)`` index is walked outward from ``cid``'s
+    entry, nearest ``vmin`` first, scoring each partner it reaches. With
+    ``absolute_difference`` the codeword lies in the merged ``[vmin, vmax]``,
+    so the walk stops once ``_HALF_GAP`` times the ``vmin`` gap strictly
+    passes the least cost so far: every partner it skips costs more, and
+    every tie is still scored. A custom distance walks the whole index.
     """
     cx = state.clusters[cid]
-    best_key = None
-    best = None
-    for other in state.clusters.values():
-        if other.cid == cid or other.smask == cx.smask:
-            continue
-        o = other.cid
-        key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = o
+    if not state.needs_values:
+        return next((o for _, o in index if state.clusters[o].smask != cx.smask), None)
+    v = cx.vmin
+    here = bisect_left(index, (v, cid))
+    left, right = here - 1, here + 1
+    best_key = best = None
+    while left >= 0 or right < len(index):
+        if right == len(index) or (left >= 0 and v - index[left][0] <= index[right][0] - v):
+            gap, o = v - index[left][0], index[left][1]
+            left -= 1
+        else:
+            gap, o = index[right][0] - v, index[right][1]
+            right += 1
+        if state.fast and best_key is not None and gap * _HALF_GAP > best_key[0]:
+            break
+        other = state.clusters[o]
+        if other.smask != cx.smask:
+            key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
+            if best_key is None or key < best_key:
+                best_key, best = key, o
     return best
 
 
 def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
     """Merge every cluster of smallest conditional range with its best
-    partner; returns the merged pairs."""
+    partner; returns the merged pairs.
+
+    Partners come from one sorted index of the live clusters, ``(size,
+    cid)`` under resolution utility and ``(vmin, cid)`` under max distortion
+    (see ``_best_partner_min_l0``). It is built once per round, and each
+    merge pops its two clusters' entries and inserts the merged one.
+    """
+    entry = (lambda c: (c.vmin, c.cid)) if state.needs_values else (lambda c: (c.size, c.cid))
+    index = sorted(map(entry, state.clusters.values()))
     smallest = min(c.smask.bit_count() for c in state.clusters.values())
     pi = sorted(c.cid for c in state.clusters.values() if c.smask.bit_count() == smallest)
     consumed: set[int] = set()
@@ -383,12 +429,14 @@ def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
     for cid in pi:
         if cid in consumed:
             continue
-        partner = _best_partner_min_l0(state, cid)
+        partner = _best_partner_min_l0(state, cid, index)
         if partner is None:
             continue
         consumed.add(cid)
         consumed.add(partner)
-        state.merge(cid, partner)
+        for old in (cid, partner):
+            del index[bisect_left(index, entry(state.clusters[old]))]
+        insort(index, entry(state.clusters[state.merge(cid, partner)]))
         merged_pairs.append((cid, partner))
     return tuple(merged_pairs)
 
@@ -413,19 +461,25 @@ def _cross_component_pairs(state: _State):
     """Cluster pairs (a < b) in different components, each with its tie key.
 
     The key prefers pairs connecting the two largest components (larger
-    first), then the smallest cluster ids. Components are compared by their
-    position in ``comp_size``; small ints compare faster than S-masks.
+    first), then the smallest cluster ids. The clusters are bucketed by
+    component once per scan and only pairs of two buckets are visited, so
+    the pairs inside a component cost nothing: a scan over k clusters whose
+    components hold k_c each visits (k² - Σ k_c²) / 2 pairs. The order of
+    the pairs is unspecified; every consumer takes a least key.
     """
-    cids = sorted(state.clusters)
-    position = {m: i for i, m in enumerate(state.comp_size)}
-    roots = [position[state.comp[cid]] for cid in cids]
-    sizes = [state.comp_size[state.comp[cid]] for cid in cids]
-    for i, a in enumerate(cids):
-        ra, sa = roots[i], sizes[i]
-        for j in range(i + 1, len(cids)):
-            if roots[j] != ra:
-                b, sb = cids[j], sizes[j]
-                yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
+    buckets: dict[int, list[int]] = {}
+    for cid, m in state.comp.items():
+        buckets.setdefault(m, []).append(cid)
+    groups = [(state.comp_size[m], cids) for m, cids in buckets.items()]
+    for i, (sa, xs) in enumerate(groups):
+        for sb, ys in groups[i + 1:]:
+            big, small = (-sa, -sb) if sa >= sb else (-sb, -sa)
+            for x in xs:
+                for y in ys:
+                    if x < y:
+                        yield x, y, (big, small, x, y)
+                    else:
+                        yield y, x, (big, small, y, x)
 
 
 def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -585,5 +639,11 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
         ))
         prev = step
     q = trace[-1].quantization
-    decomposition = None if problem is Problem.MIN_L0 else finest_decomposition(build_graph(jr, q))
+    decomposition = None
+    if problem is not Problem.MIN_L0:  # the final clusters, pooled per component
+        blocks: dict[int, set[int]] = {}
+        masks = [jr.cond_mask_cluster(c) for c in q.clusters]
+        for c, m in zip(q.clusters, _component_of(masks)):
+            blocks.setdefault(m, set()).update(c)
+        decomposition = Decomposition(tuple(sorted(map(frozenset, blocks.values()), key=min)))
     return GreedyResult(q, tuple(trace), decomposition, termination, rejected_delta_l=rejected)

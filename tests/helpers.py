@@ -291,6 +291,38 @@ def reference_component_count(masks: Sequence[int]) -> int:
     return sum(p == i for i, p in enumerate(uf.parent))
 
 
+def reference_best_partner_min_l0(state, cid: int) -> Optional[int]:
+    """``greedy._best_partner_min_l0`` as a scan that scores every live cluster.
+
+    The reference the indexed partner search is checked against.
+    """
+    cx = state.clusters[cid]
+    best_key = best = None
+    for other in state.clusters.values():
+        if other.cid == cid or other.smask == cx.smask:
+            continue
+        o = other.cid
+        key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
+        if best_key is None or key < best_key:
+            best_key, best = key, o
+    return best
+
+
+def reference_cross_component_pairs(state):
+    """``greedy._cross_component_pairs`` as a scan over every cluster pair.
+
+    The reference the component-bucketed scan is checked against; it yields
+    the pairs in ascending ``(a, b)`` order.
+    """
+    cids = sorted(state.clusters)
+    for i, a in enumerate(cids):
+        for b in cids[i + 1:]:
+            ma, mb = state.comp[a], state.comp[b]
+            if ma != mb:
+                sa, sb = state.comp_size[ma], state.comp_size[mb]
+                yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
+
+
 def reference_rgs_strings(n: int) -> list[tuple[int, ...]]:
     """Every restricted-growth string of length n, lexicographically, by recursion."""
     out = []

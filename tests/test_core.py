@@ -64,6 +64,18 @@ class TestJointRangeConstruction:
         with pytest.raises(ContractViolation):
             JointRange.from_id_pairs([("a", "x"), ("b", "y")], {"x": 1.0, "y": bad})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_constructor_rejects_non_finite_values(self, bad):
+        with pytest.raises(ContractViolation, match="X symbol 'a' has a non-finite value"):
+            JointRange(
+                [Symbol("s0"), Symbol("s1")], [Symbol("a", bad), Symbol("b", 1.0)], [(0, 0), (1, 1)]
+            )
+
+    def test_constructor_rejects_values_whose_magnitudes_overflow(self):
+        huge = [Symbol("a", 1.7e308), Symbol("b", -1.7e308)]
+        with pytest.raises(ContractViolation, match="too large"):
+            JointRange([Symbol("s0")], huge, [(0, 0), (0, 1)])
+
 
 class TestConditionalRanges:
     def test_single_observation(self, toy):

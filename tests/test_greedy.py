@@ -1,8 +1,9 @@
 import random
+from unittest import mock
 
 import pytest
 
-from helpers import id_clusters, random_joint_range
+from helpers import id_clusters, random_joint_range, reference_best_partner_min_l0
 from privquant import (
     ConfigurationError,
     JointRange,
@@ -22,6 +23,7 @@ from privquant import (
     singleton_quantization,
     sweep,
 )
+from privquant import greedy
 from privquant.quantize import CodewordPolicy, utility
 
 CFG_U1 = LagrangianConfig(0.3, UtilityChoice.u1())
@@ -282,3 +284,49 @@ class TestTraceBitEquality:
                         cfg = LagrangianConfig(lam, UtilityChoice.u2(), policy)
                         bad += _trace_mismatches(jr, problem, cfg)
         assert bad == []
+
+
+class TestPartnerSearchWork:
+    """Algorithm 1's indexed partner search scores a small share of the pairs
+    that a scan of every live cluster scores, and picks the same partners."""
+
+    @staticmethod
+    def table() -> JointRange:
+        rng = random.Random(150)
+        n_s, n_x = 40, 150
+        pairs = {(s, x) for x in range(n_x) for s in rng.sample(range(n_s), rng.randint(1, 3))}
+        pairs |= {(s, rng.randrange(n_x)) for s in range(n_s)}
+        x_syms = [Symbol(f"x{x}", round(rng.uniform(-50.0, 50.0), 1)) for x in range(n_x)]
+        return JointRange([Symbol(f"s{s}") for s in range(n_s)], x_syms, pairs)
+
+    @staticmethod
+    def scored(jr, u, search):
+        """The ``_State.pair_cost`` calls of one algorithm-1 run, and its trace."""
+        calls = 0
+        pair_cost = greedy._State.pair_cost
+
+        def counted(state, a, b):
+            nonlocal calls
+            calls += 1
+            return pair_cost(state, a, b)
+
+        with mock.patch.object(greedy._State, "pair_cost", counted), \
+                mock.patch.object(greedy, "_best_partner_min_l0", search):
+            trace = run(jr, Problem.MIN_L0, LagrangianConfig(0.0, u)).trace
+        return calls, [(e.merged, e.quantization) for e in trace]
+
+    @pytest.mark.parametrize("u, bounded", [
+        (UtilityChoice.u1(), True), (UtilityChoice.u2(), True),
+        (UtilityChoice.u2(lambda a, b: abs(a - b)), False),
+    ], ids=["u1", "u2", "u2-custom-distance"])
+    def test_indexed_rounds_score_few_pairs(self, u, bounded):
+        jr = self.table()
+        indexed, trace = self.scored(jr, u, greedy._best_partner_min_l0)
+        full, reference_trace = self.scored(
+            jr, u, lambda state, cid, index: reference_best_partner_min_l0(state, cid)
+        )
+        assert trace == reference_trace and len(trace) > 2
+        if bounded:
+            assert indexed < full / 10
+        else:  # a custom distance gives no bound, so every pair is scored
+            assert indexed == full

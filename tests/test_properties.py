@@ -15,6 +15,9 @@
   ``finest_decomposition`` and ``merge_update`` on random quantizations.
 * The component count every trace entry and every walk step reports is the
   number of blocks of the overlap partition (union-find, the reference).
+* Every partner search of algorithm 1 and every cross-component scan of
+  algorithms 2 and 3, along the walk of a lambda grid, gives what its
+  full-scan reference in ``helpers`` gives.
 * The oracle's partition walk, given an ``alive`` table, yields exactly
   the partitions, in lexicographic order, whose every block passes the
   table each time it gains an element; without one it yields every RGS.
@@ -36,10 +39,17 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from helpers import reference_load_csv, reference_rgs_strings, reference_sweeney_baseline
+from helpers import (
+    reference_best_partner_min_l0,
+    reference_cross_component_pairs,
+    reference_load_csv,
+    reference_rgs_strings,
+    reference_sweeney_baseline,
+)
 from privquant import (
     ConfigurationError,
     JointRange,
@@ -61,7 +71,7 @@ from privquant import (
     sweep,
     sweeney_baseline,
 )
-from privquant import cli
+from privquant import cli, greedy
 from privquant.errors import IngestError
 from privquant.greedy import _runs
 from privquant.oracle import _walk_partitions
@@ -262,6 +272,47 @@ def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid
     yields, _ = _walk(jr, problem, [LagrangianConfig(lam, u) for lam in grid])
     for _, step in yields:
         assert step.component_count == len(overlap_partition_oracle(jr, step.partition))
+
+
+@contextlib.contextmanager
+def _checked_searches(calls):
+    """Check every partner search and cross-pair scan of the greedy walk
+    against its full-scan reference, counting them in ``calls``."""
+    search, pairs = greedy._best_partner_min_l0, greedy._cross_component_pairs
+
+    def checked_search(state, cid, index):
+        calls["searches"] += 1
+        found = search(state, cid, index)
+        assert found == reference_best_partner_min_l0(state, cid)
+        return found
+
+    def checked_pairs(state):
+        calls["scans"] += 1
+        found = list(pairs(state))
+        assert sorted(found) == list(reference_cross_component_pairs(state))
+        return found
+
+    with mock.patch.object(greedy, "_best_partner_min_l0", checked_search), \
+            mock.patch.object(greedy, "_cross_component_pairs", checked_pairs):
+        yield
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=st.one_of(joint_ranges(max_s=12, max_x=40), joint_ranges(max_s=40, max_x=40)),
+    u=st.sampled_from(UTILITIES),
+    policy=st.sampled_from(CodewordPolicy),
+    grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=4),
+)
+def test_candidate_searches_match_their_full_scans(jr, u, policy, grid):
+    cfgs = [LagrangianConfig(lam, u, policy) for lam in grid]
+    for problem, kind in ((Problem.MIN_L0, "searches"), (Problem.MIN_ISTAR, "scans"),
+                          (Problem.MIN_L0_ZERO_ISTAR, "scans")):
+        calls = {"searches": 0, "scans": 0}
+        with _checked_searches(calls):
+            yields, _ = _walk(jr, problem, cfgs)
+        # Every state past the root was reached through a checked search.
+        assert len(yields) == 1 or calls[kind] > 0
 
 
 rgs_strings = functools.lru_cache(reference_rgs_strings)
