@@ -243,6 +243,8 @@ def _read_clusters(jr: JointRange, path: str) -> list[set[int]]:
         raise ConfigurationError(f"quantization file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"quantization file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigurationError(f"quantization file nests too deeply to parse: {path}") from None
     node = data.get("quantization", data) if isinstance(data, dict) else None
     raw_clusters = node.get("clusters") if isinstance(node, dict) else None
     if not isinstance(raw_clusters, list):

@@ -147,12 +147,6 @@ def components(masks: Iterable[int]) -> list[int]:
     return comps
 
 
-def _component_of(masks: Sequence[int]) -> list[int]:
-    """The ``components`` mask that holds each of ``masks`` (none empty)."""
-    owner = {1 << s: c for c in components(masks) for s in _bits(c)}  # S bit -> its component
-    return [owner[m & -m] for m in masks]
-
-
 def component_count(masks: Sequence[int]) -> int:
     """Number of ``components`` of the masks."""
     return len(components(masks))

@@ -27,8 +27,8 @@ utility its first entry with another S-mask is the partner; under max
 distortion with ``absolute_difference`` a merged distortion is at least
 half the clusters' ``vmin`` gap, so the index is walked outward in
 ``vmin`` until that bound strictly passes the best cost (see
-``_best_partner_min_l0``). Algorithms 2 and 3 bucket the clusters by
-component and pair only clusters of different buckets.
+``_best_partner_min_l0``). Algorithms 2 and 3 keep the clusters' ids in
+one bucket per component, and pair only clusters of different buckets.
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -46,13 +46,12 @@ import enum
 import heapq
 import math
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
 from .errors import ConfigurationError
-from .graph import Decomposition, _component_of
+from .graph import Decomposition, components
 from .quantize import (
     CodewordPolicy,
     Problem,
@@ -172,10 +171,10 @@ class _State:
     Utility is decreasing in one per-cluster cost: the size under
     resolution utility, the worst member distortion under max distortion.
     ``pair_cost`` and ``utility_of`` are the only places the two differ.
-    For the component-driven problems (None for algorithm 1) ``comp`` maps
-    each cluster id to its component's S-mask and ``comp_size`` each
-    component mask to its X count; ``len(comp_size)`` is the component count.
-    One fold of the singleton S-masks seeds them, and ``merge`` fuses two.
+    For the component-driven problems (None for algorithm 1) ``comps`` maps
+    each component's S-mask to its clusters' ids; one fold of the singleton
+    S-masks seeds it. ``merge`` builds a new dict, never changing one in
+    place, so copies of the state and the walk's steps share it.
     """
 
     def __init__(
@@ -199,11 +198,10 @@ class _State:
         for x in range(jr.n_x):
             v = self.values[x]
             self.clusters[x] = _Cluster(x, (x,), jr.cond_mask_x(x), 1, totals[x], v, v, cost)
-        self.comp = self.comp_size = None
-        if track_components:
-            masks = [c.smask for c in self.clusters.values()]
-            self.comp = dict(zip(self.clusters, _component_of(masks)))
-            self.comp_size = dict(Counter(self.comp.values()))
+        self.comps = None
+        if track_components:  # a singleton's id is its X index
+            ms = [c.smask for c in self.clusters.values()]
+            self.comps = {m: tuple(x for x in range(jr.n_x) if ms[x] & m) for m in components(ms)}
 
     def pair_cost(self, a: int, b: int):
         """Cost of the cluster that fusing ``a`` and ``b`` would give."""
@@ -233,14 +231,14 @@ class _State:
         return self.h0_x - math.log2(worst)
 
     def merge(self, a: int, b: int) -> int:
-        if self.comp is not None:
-            ma, mb = self.comp.pop(a), self.comp.pop(b)
+        if self.comps is not None:
+            ma, mb = (next(m for m in self.comps if m & self.clusters[c].smask) for c in (a, b))
             if ma == mb:
                 raise AssertionError("candidate pair was not cross-component")
-            fused = ma | mb
-            self.comp_size[fused] = self.comp_size.pop(ma) + self.comp_size.pop(mb)
-            self.comp = {cid: fused if m in (ma, mb) else m for cid, m in self.comp.items()}
-            self.comp[min(a, b)] = fused  # the merged cluster's id
+            comps = {m: cids for m, cids in self.comps.items() if m != ma and m != mb}
+            cids = self.comps[ma] + self.comps[mb]
+            comps[ma | mb] = (*(c for c in cids if c != a and c != b), min(a, b))
+            self.comps = comps
         cost = self.pair_cost(a, b)
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
@@ -255,11 +253,9 @@ class _State:
         return cid
 
     def copy(self) -> "_State":
-        """An independent state; _Cluster objects are never mutated, so they are shared."""
+        """An independent state; _Cluster objects and ``comps`` are never mutated, so shared."""
         other = copy.copy(self)
         other.clusters = dict(self.clusters)
-        if self.comp is not None:
-            other.comp, other.comp_size = dict(self.comp), dict(self.comp_size)
         return other
 
     # -- measures of the current state ------------------------------------------
@@ -326,14 +322,15 @@ class _Step(NamedTuple):
     is log2 of the component count for algorithm 2 and L0 otherwise.
     ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
     algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
-    ``partition`` is the state's ``Quantization.partition_key()``.
+    ``comps`` and ``partition`` are the state's ``_State.comps`` and
+    ``Quantization.partition_key()``.
     """
 
     merged: tuple[tuple[int, int], ...]
     privacy: float
     utility: float
     dpriv: Optional[float]
-    component_count: Optional[int]
+    comps: Optional[dict[int, tuple[int, ...]]]
     partition: tuple[tuple[int, ...], ...]
 
 
@@ -461,16 +458,14 @@ def _cross_component_pairs(state: _State):
     """Cluster pairs (a < b) in different components, each with its tie key.
 
     The key prefers pairs connecting the two largest components (larger
-    first), then the smallest cluster ids. The clusters are bucketed by
-    component once per scan and only pairs of two buckets are visited, so
-    the pairs inside a component cost nothing: a scan over k clusters whose
-    components hold k_c each visits (k² - Σ k_c²) / 2 pairs. The order of
-    the pairs is unspecified; every consumer takes a least key.
+    first, by X count), then the smallest cluster ids. Only pairs of two of
+    the state's ``comps`` buckets are visited, so the pairs inside a
+    component cost nothing: a scan over k clusters whose components hold
+    k_c each visits (k² - Σ k_c²) / 2 pairs. The order of the pairs is
+    unspecified; every consumer takes a least key.
     """
-    buckets: dict[int, list[int]] = {}
-    for cid, m in state.comp.items():
-        buckets.setdefault(m, []).append(cid)
-    groups = [(state.comp_size[m], cids) for m, cids in buckets.items()]
+    clusters = state.clusters
+    groups = [(sum(clusters[c].size for c in cids), cids) for cids in state.comps.values()]
     for i, (sa, xs) in enumerate(groups):
         for sb, ys in groups[i + 1:]:
             big, small = (-sa, -sb) if sa >= sb else (-sb, -sa)
@@ -552,7 +547,7 @@ def _moves(problem: Problem, state: _State):
         if len({c.smask for c in state.clusters.values()}) == 1:
             return Termination.NO_ELIGIBLE_MERGE
         return [(None, None, None)]
-    count = len(state.comp_size)
+    count = len(state.comps)
     if count == 1:
         return Termination.SINGLE_COMPONENT
     if problem is Problem.MIN_L0_ZERO_ISTAR:
@@ -574,9 +569,9 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     utility, policy = cfgs[0].utility, cfgs[0].policy
 
     def step(state: _State, merged, u: float, dpriv: Optional[float]) -> _Step:
-        count = None if state.comp is None else len(state.comp_size)
-        privacy = math.log2(count) if problem is Problem.MIN_ISTAR else state.leakage_l0()
-        return _Step(merged, privacy, u, dpriv, count, state.partition())
+        istar = problem is Problem.MIN_ISTAR
+        privacy = math.log2(len(state.comps)) if istar else state.leakage_l0()
+        return _Step(merged, privacy, u, dpriv, state.comps, state.partition())
 
     state = _State(jr, utility, policy, problem is not Problem.MIN_L0)
     runs = list(range(len(cfgs)))
@@ -635,15 +630,12 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
         q = Quantization.from_clusters(jr, step.partition, cfg.policy)
         trace.append(TraceEntry(
             len(trace), q, step.privacy - lam * step.utility, delta, step.merged,
-            step.component_count, step.utility,
+            None if step.comps is None else len(step.comps), step.utility,
         ))
         prev = step
-    q = trace[-1].quantization
     decomposition = None
-    if problem is not Problem.MIN_L0:  # the final clusters, pooled per component
-        blocks: dict[int, set[int]] = {}
-        masks = [jr.cond_mask_cluster(c) for c in q.clusters]
-        for c, m in zip(q.clusters, _component_of(masks)):
-            blocks.setdefault(m, set()).update(c)
-        decomposition = Decomposition(tuple(sorted(map(frozenset, blocks.values()), key=min)))
+    if prev.comps is not None:  # the final clusters, pooled per component
+        members = {c[0]: c for c in prev.partition}  # a cluster's id is its least member
+        blocks = (frozenset().union(*map(members.get, cids)) for cids in prev.comps.values())
+        decomposition = Decomposition(tuple(sorted(blocks, key=min)))
     return GreedyResult(q, tuple(trace), decomposition, termination, rejected_delta_l=rejected)

@@ -312,14 +312,25 @@ def reference_cross_component_pairs(state):
     """``greedy._cross_component_pairs`` as a scan over every cluster pair.
 
     The reference the component-bucketed scan is checked against; it yields
-    the pairs in ascending ``(a, b)`` order.
+    the pairs in ascending ``(a, b)`` order. It reads only the live clusters,
+    not the state's component record: components come from a union-find
+    over every pair of intersecting S-masks, and a component's size is the
+    sum of its clusters' sizes.
     """
     cids = sorted(state.clusters)
+    uf = UnionFind(len(cids))
     for i, a in enumerate(cids):
-        for b in cids[i + 1:]:
-            ma, mb = state.comp[a], state.comp[b]
-            if ma != mb:
-                sa, sb = state.comp_size[ma], state.comp_size[mb]
+        for j in range(i + 1, len(cids)):
+            if state.clusters[a].smask & state.clusters[cids[j]].smask:
+                uf.union(i, j)
+    root = [uf.find(i) for i in range(len(cids))]
+    size = dict.fromkeys(root, 0)
+    for i, a in enumerate(cids):
+        size[root[i]] += state.clusters[a].size
+    for i, a in enumerate(cids):
+        for j in range(i + 1, len(cids)):
+            if root[i] != root[j]:
+                b, sa, sb = cids[j], size[root[i]], size[root[j]]
                 yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
 
 

@@ -455,9 +455,10 @@ class TestUnreadableInputAndOutput:
             '{"clusters": [{"id": "x1"}]}',
             b'{"clusters": [["\xff"]]}',
             None,
+            "[" * 100_000 + "]" * 100_000,
         ],
         ids=["top-level-list", "top-level-string", "non-list-cluster", "nested-member",
-             "no-members-key", "non-utf8", "directory"],
+             "no-members-key", "non-utf8", "directory", "too-deep"],
     )
     def test_malformed_apply_quantization_exits_3(self, capsys, tmp_path, content):
         path = tmp_path / "q.json"

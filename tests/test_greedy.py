@@ -16,6 +16,7 @@ from privquant import (
     algorithm2_min_istar,
     algorithm3_l0_zero_istar,
     build_graph,
+    default_lambda_grid,
     finest_decomposition,
     lagrangian_l0,
     maximin_information,
@@ -180,6 +181,30 @@ class TestZeroMaximin:
         r = algorithm3_l0_zero_istar(jr, CFG_U1)
         assert len(r.quantization.clusters) == 2
         assert maximin_information(jr, r.quantization) == 0.0
+
+    @pytest.mark.parametrize("u", [UtilityChoice.u1(), UtilityChoice.u2()], ids=["u1", "u2"])
+    def test_lambda_tree_steps_keep_their_buckets(self, u):
+        # Merges build a new component record, so the walk's states share
+        # it: a step keeps the buckets it was yielded with after the runs
+        # through it merge further, on its own state or on a copy.
+        rng = random.Random(16)
+        pairs, x = set(), 0
+        for c in range(12):  # component c holds S values 2c and 2c + 1
+            for _ in range(rng.randint(1, 3)):
+                pairs |= {(2 * c, x), (2 * c + rng.randrange(2), x)}
+                x += 1
+            pairs.add((2 * c + 1, x - 1))
+        jr = JointRange(
+            [Symbol(f"s{s}") for s in range(24)],
+            [Symbol(f"x{i}", round(rng.uniform(0.0, 10.0), 2)) for i in range(x)], pairs,
+        )
+        cfgs = [LagrangianConfig(lam, u) for lam in default_lambda_grid()]
+        walk = greedy._runs(jr, Problem.MIN_L0_ZERO_ISTAR, cfgs)
+        seen = [(runs, step, dict(step.comps)) for runs, step in walk]
+        assert len(seen[0][2]) == 12
+        assert any(len(runs) < len(cfgs) for runs, _, _ in seen)  # the runs part
+        for _, step, buckets in seen:
+            assert step.comps == buckets
 
 
 class TestRunContracts:

@@ -271,7 +271,15 @@ def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid
         assert entry.component_count == len(overlap_partition_oracle(jr, entry.quantization))
     yields, _ = _walk(jr, problem, [LagrangianConfig(lam, u) for lam in grid])
     for _, step in yields:
-        assert step.component_count == len(overlap_partition_oracle(jr, step.partition))
+        # The buckets hold each live cluster id once, and each bucket's
+        # clusters' S-ranges union to exactly one block of the overlap
+        # partition, a block per bucket.
+        members = {c[0]: c for c in step.partition}
+        assert sorted(c for cids in step.comps.values() for c in cids) == sorted(members)
+        s_ranges = [frozenset().union(*(cond_range_cluster(jr, members[c]) for c in cids))
+                    for cids in step.comps.values()]
+        blocks = overlap_partition_oracle(jr, step.partition)
+        assert len(s_ranges) == len(blocks) and set(s_ranges) == set(blocks)
 
 
 @contextlib.contextmanager
