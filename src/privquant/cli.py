@@ -5,7 +5,7 @@ input, configuration echo, tool version, timestamp). CSV written to a file
 gets the manifest as a JSON sidecar next to it. Exit codes are stable:
 
     0  success
-    1  a result JSON cannot hold (a non-finite number)
+    1  a result JSON cannot hold (a non-finite number), or an internal error
     2  ingestion failure
     3  configuration error (bad flags, lambda < 0, U2 on categorical data,
        an unwritable --out, a --delimiter that is not one character, an
@@ -115,8 +115,6 @@ _INPUT_FLAGS = ("--input", *_CSV_FLAGS, "--pairs", "--x-values")
 _ECHOED_FLAGS = frozenset(
     ("--algorithm", "--problem", "--lambda", "--theta", "--utility", "--codeword", "--k")
 )
-#: The most lambdas ``--grid`` or ``--lambdas`` may ask for; the default grid has 65.
-MAX_GRID_COUNT = 10_000
 
 
 def _entries(text: str, flag: str, form: str, value=str) -> list[tuple[str, object]]:
@@ -155,13 +153,10 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
     if args.s_column is None or args.x_column is None:
         raise ConfigurationError("--input needs --s and --x columns")
     jr, dataset_stats = load_csv(
-        args.input,
-        args.s_column,
-        args.x_column,
+        args.input, args.s_column, args.x_column,
         missing=tuple(args.missing) if args.missing else DEFAULT_MISSING,
-        has_header=not args.no_header,
+        has_header=not args.no_header, require_numeric_x=args.x_numeric,
         delimiter="," if args.delimiter is None else args.delimiter,
-        require_numeric_x=args.x_numeric,
     )
     input_desc = {"file": args.input, "s": args.s_column, "x": args.x_column}
     return jr, dataset_stats.to_dict(), input_desc
@@ -173,10 +168,7 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
     clusters = []
     for pos, members in enumerate(q.clusters):
-        entry = {
-            "id": jr.x_symbols[min(members)].id,
-            "members": list(jr.x_ids(members)),
-        }
+        entry = {"id": jr.x_symbols[min(members)].id, "members": list(jr.x_ids(members))}
         if q.codewords is not None:
             entry["codeword"] = q.codewords[pos]
         clusters.append(entry)
@@ -195,22 +187,15 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
 
 def _trace_json(jr: JointRange, trace) -> list[dict]:
-    rows = []
-    for e in trace:
-        rows.append(
-            {
-                "t": e.t,
-                "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
-                "lagrangian": e.lagrangian,
-                "delta_l": e.delta_l,
-                "merged": [
-                    [jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged
-                ],
-                "component_count": e.component_count,
-                "utility": e.utility_value,
-            }
-        )
-    return rows
+    return [{
+        "t": e.t,
+        "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
+        "lagrangian": e.lagrangian,
+        "delta_l": e.delta_l,
+        "merged": [[jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged],
+        "component_count": e.component_count,
+        "utility": e.utility_value,
+    } for e in trace]
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -296,16 +281,13 @@ def _cmd_quantize(args, jr: JointRange, dataset_stats: dict, config: dict) -> di
 
 
 def _parse_grid(args) -> Optional[list[float]]:
-    from .pareto import geometric_grid
+    from .pareto import MAX_GRID_COUNT, geometric_grid
 
-    if args.lambdas:
+    if args.lambdas:  # sweep caps the list's length
         try:
-            lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+            return [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
         except ValueError:
             raise ConfigurationError(f"bad --lambdas list: {args.lambdas!r}")
-        if len(lambdas) > MAX_GRID_COUNT:
-            raise ConfigurationError(f"--lambdas lists at most {MAX_GRID_COUNT} lambdas")
-        return lambdas
     if args.grid:
         parts = args.grid.split(":")
         if len(parts) not in (3, 4):
@@ -458,6 +440,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         row = getattr(exc, "row", None)  # an IngestError's 1-based row, when known
         print(f"error: {exc}" + ("" if row is None else f" (row {row})"), file=sys.stderr)
         return next((code for kind, code in _EXIT_BY_ERROR if isinstance(exc, kind)), 1)
+    except Exception as exc:  # a fault of privquant itself; python -X dev shows its traceback
+        if sys.flags.dev_mode:
+            raise
+        print(f"error: internal error: {type(exc).__name__}: {exc}".replace("\n", " "),
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,10 @@ distortion with ``absolute_difference`` a merged distortion is at least
 half the clusters' ``vmin`` gap, so the index is walked outward in
 ``vmin`` until that bound strictly passes the best cost (see
 ``_best_partner_min_l0``). Algorithms 2 and 3 keep the clusters' ids in
-one bucket per component, and pair only clusters of different buckets.
+one bucket per component and pair only clusters of different buckets, in
+one loop with the merged cost inlined. Algorithm 3 scores in full only the
+pairs touching one of its at most two extreme clusters, and offers only
+the moves no other move beats at every lambda (``_l0_zero_istar_candidates``).
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -177,10 +180,8 @@ class _State:
     place, so copies of the state and the walk's steps share it.
     """
 
-    def __init__(
-        self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
-        track_components: bool,
-    ):
+    def __init__(self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
+                 track_components: bool):
         self.jr = jr
         self.utility = utility
         self.policy = policy
@@ -190,9 +191,8 @@ class _State:
             require_u2(self.values, utility.distance)
         self.fast = utility.distance is absolute_difference
         self.h0_x = h0(jr.n_x)
-        totals, self.scale = (
-            exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
-        )
+        totals, self.scale = (exact_numerators(self.values) if self.needs_values
+                              else ([0] * jr.n_x, 1))
         cost = 0.0 if self.needs_values else 1  # require_u2: a singleton's d(v, v) is 0
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
@@ -274,12 +274,9 @@ class _State:
         return tuple(self.clusters[cid].members for cid in sorted(self.clusters))
 
 
-# Exclusion maxima/minima: merging clusters a and b leaves every other
-# cluster untouched, so "the extreme over the rest" only ever needs the three
-# most extreme entries (at most two are excluded). Computing the top three
-# once per scan (of a negated key, for a minimum) keeps candidate evaluation
-# O(1). Which clusters win a tie for the top three does not change any value
-# ``_excluding`` returns.
+# Merging a and b leaves every other cluster as it is, so the extreme over
+# the rest needs only the top three (of a negated key, for a minimum), once
+# per scan; ties among them change no value ``_excluding`` returns.
 
 
 def _top3(state: _State, key) -> list[tuple[float, int]]:
@@ -454,27 +451,50 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _cross_component_pairs(state: _State):
-    """Cluster pairs (a < b) in different components, each with its tie key.
+def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple]]]:
+    """The ``comps`` buckets as ``(-x_count, row)``, largest first. A row holds
+    ``(cid, range, size, total, vmin, vmax, value)`` per cluster: its S-range
+    size (0 unless ``ranged``) and what ``_State.pair_cost`` reads."""
+    rows = []
+    for cids in state.comps.values():
+        cs = [state.clusters[c] for c in cids]
+        rows.append((-sum(c.size for c in cs), [(c.cid, c.smask.bit_count() if ranged else 0,
+                     c.size, c.total, c.vmin, c.vmax, state.values[c.cid]) for c in cs]))
+    return sorted(rows, key=lambda r: r[0])
 
-    The key prefers pairs connecting the two largest components (larger
-    first, by X count), then the smallest cluster ids. Only pairs of two of
-    the state's ``comps`` buckets are visited, so the pairs inside a
-    component cost nothing: a scan over k clusters whose components hold
-    k_c each visits (k² - Σ k_c²) / 2 pairs. The order of the pairs is
-    unspecified; every consumer takes a least key.
+
+def _least_per_cost(state: _State, rows, floor, shrink: bool) -> dict:
+    """``{cost: (cost, rest)}``: per merged cost, clamped from below at ``floor``,
+    the pair of two of ``rows``' buckets least in ``rest = (range_sum, big,
+    small, a, b)``, with ``(big, small)`` the buckets' ``-x_count``. The cost
+    is ``_State.pair_cost``, inlined but for a custom distance. ``shrink``
+    skips the pairs costlier than the least so far, keeping the least entry.
     """
-    clusters = state.clusters
-    groups = [(sum(clusters[c].size for c in cids), cids) for cids in state.comps.values()]
-    for i, (sa, xs) in enumerate(groups):
-        for sb, ys in groups[i + 1:]:
-            big, small = (-sa, -sb) if sa >= sb else (-sb, -sa)
-            for x in xs:
-                for y in ys:
-                    if x < y:
-                        yield x, y, (big, small, x, y)
+    best: dict = {}
+    cut, u1, fast, scale = math.inf, not state.needs_values, state.fast, state.scale
+    centroid = state.policy is CodewordPolicy.CENTROID
+    for i, (big, xs) in enumerate(rows):
+        for small, ys in rows[i + 1:]:
+            for p in xs:
+                for q in ys:
+                    (a, ra, sa, ta, loa, hia, va), (b, rb, sb, tb, lob, hib, _) = (
+                        (p, q) if p[0] < q[0] else (q, p))
+                    if u1:
+                        cost = sa + sb
+                    elif fast:  # min and max as pair_cost calls them: a tie keeps the first
+                        cw = (ta + tb) / scale / (sa + sb) if centroid else va
+                        lo, hi = cw - (lob if lob < loa else loa), (hib if hib > hia else hia) - cw
+                        cost = hi if hi > lo else lo
                     else:
-                        yield y, x, (big, small, y, x)
+                        cost = state.pair_cost(a, b)
+                    cost = floor if floor > cost else cost
+                    if cost <= cut:
+                        rest = (ra + rb, big, small, a, b)
+                        old = best.get(cost)
+                        if old is None or rest < old[1]:
+                            best[cost] = (cost, rest)
+                            cut = cost if shrink else cut
+    return best
 
 
 def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -490,29 +510,55 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 
 
 def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
-    """Algorithm 3's cross-component candidates, grouped by the exact pair
-    ``(dpriv, u_new)`` of privacy change and post-merge utility.
-
-    Every pair of a group has the same Lagrangian change at any lambda, so
-    each group keeps only its pair least in ``(range_sum, *tie)`` and a
-    lambda's argmin over the groups is its argmin over all pairs. Returns
-    one ``(dpriv, u_new, rest)`` per group, with ``rest = (range_sum, *tie)``.
+    """Algorithm 3's moves: per group of cross-component pairs with equal
+    privacy change and post-merge utility (so equal Lagrangian change at any
+    lambda), ``(dpriv, u_new, rest)`` with ``rest = (range_sum, *tie)`` of
+    its least pair; only the groups no other group dominates, unless a
+    utility is not finite. Only the pairs touching the first holder of the
+    least S-range, or of the top cost ``cmax``, when fewer than three hold
+    it are scored in full: any other pair leaves a holder of each outside
+    it, so ``dpriv == 0.0`` and ``u_new`` is ``utility_of(max(cost, cmax))``.
+    Float ``-``, ``*`` by lambda >= 0 and ``+`` are monotone, so a group with
+    ``dpriv' <= dpriv``, ``u_new' >= u_new`` and ``rest' < rest`` is first.
     """
     min_range_bits = state.min_range_bits()
     neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
     cost_tops = _top3(state, lambda c: c.cost)
-    groups: dict[tuple[float, float], tuple] = {}
-    for a, b, tie in _cross_component_pairs(state):
-        ca, cb = state.clusters[a], state.clusters[b]
-        merged_range = (ca.smask | cb.smask).bit_count()
-        new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
-        u_new = _post_merge_utility(state, a, b, cost_tops)
-        dpriv = min_range_bits - math.log2(new_min)
-        rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)
-        best = groups.get((dpriv, u_new))
+    extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
+               if len(tops) < 3 or tops[2][0] != tops[0][0]}
+    rows = _bucket_rows(state, True)
+    groups: dict[tuple[float, float], tuple] = {}  # (dpriv, -u_new) -> group
+
+    def add(dpriv: float, u_new: float, rest: tuple) -> None:
+        best = groups.get((dpriv, -u_new))
         if best is None or rest < best[2]:
-            groups[dpriv, u_new] = (dpriv, u_new, rest)
-    return list(groups.values())
+            groups[dpriv, -u_new] = (dpriv, u_new, rest)
+
+    where = {r[0]: (i, size, r[1]) for i, (size, row) in enumerate(rows) for r in row}
+    for x in extreme:
+        i, sx, rx = where[x]
+        for y, (j, sy, ry) in where.items():
+            if i != j and (y not in extreme or x < y):
+                a, b = min(x, y), max(x, y)
+                merged = (state.clusters[a].smask | state.clusters[b].smask).bit_count()
+                new_min = min(merged, -_excluding(neg_range_tops, a, b, -math.inf))
+                u_new = _post_merge_utility(state, a, b, cost_tops)
+                add(min_range_bits - math.log2(new_min), u_new, (rx + ry, *sorted((sx, sy)), a, b))
+    generic = [(size, [r for r in row if r[0] not in extreme]) for size, row in rows]
+    pairs = sorted(_least_per_cost(state, generic, cost_tops[0][0], False).values())
+    finite = math.isfinite(pairs[-1][0] if pairs else cost_tops[0][0]) and all(
+        math.isfinite(u) for _, u, _ in groups.values())
+    least = (math.inf,)
+    for cost, rest in pairs:  # u_new falls, so only a pair less in rest than those before counts
+        if rest < least or not finite:
+            least = rest
+            add(0.0, state.utility_of(cost), rest)
+    moves = [groups[key] for key in sorted(groups)]  # dpriv ascending, then u_new descending
+    front: list[tuple] = []
+    for m in moves:
+        if not any(f[1] >= m[1] and f[2] < m[2] for f in front):
+            front.append(m)
+    return front if finite else moves
 
 
 def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -537,9 +583,9 @@ def _moves(problem: Problem, state: _State):
 
     A move is ``(dpriv, u_new, rest)``: the privacy change and post-merge
     utility of a component merge, with the merged pair last in ``rest``.
-    Algorithm 1's one move is its round, ``(None, None, None)``; the walk
-    scores it once merged. With two or more clusters the round merges
-    nothing exactly when every cluster has the same S-mask.
+    Algorithm 3 drops moves another beats at every lambda. Algorithm 1's
+    one move is its round, ``(None, None, None)``, scored once merged; with
+    two or more clusters it merges nothing iff every S-mask is the same.
     """
     if problem is Problem.MIN_L0:
         if len(state.clusters) == 1:
@@ -553,7 +599,8 @@ def _moves(problem: Problem, state: _State):
     if problem is Problem.MIN_L0_ZERO_ISTAR:
         return _l0_zero_istar_candidates(state)
     # The least (cost, *tie) key; a tie key ends with its pair.
-    *_, a, b = min((state.pair_cost(a, b), *tie) for a, b, tie in _cross_component_pairs(state))
+    least = _least_per_cost(state, _bucket_rows(state, False), -math.inf, True)
+    _, (*_, a, b) = min(least.values())
     u_new = _post_merge_utility(state, a, b, _top3(state, lambda c: c.cost))
     return [(math.log2((count - 1) / count), u_new, (a, b))]
 

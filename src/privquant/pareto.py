@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0
-from .errors import ContractViolation, InfeasibleError
+from .errors import ConfigurationError, ContractViolation, InfeasibleError
 from .greedy import LagrangianConfig, Problem, _runs, _State
 from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind
 
@@ -82,6 +82,10 @@ class NormalizationContext:
     h0_x: float
     u2_floor: Optional[float]
     degenerate: bool
+
+
+#: The most lambdas a grid may hold; the default grid has 65.
+MAX_GRID_COUNT = 10_000
 
 
 def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
@@ -137,6 +141,8 @@ def sweep(
     grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
     if not grid:
         raise ContractViolation("lambda grid must be non-empty")
+    if len(grid) > MAX_GRID_COUNT:
+        raise ConfigurationError(f"a lambda grid holds at most {MAX_GRID_COUNT} lambdas")
     cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
     # partition key -> (least config reaching it, raw leakage, utility)
     firsts: dict[tuple, tuple[int, float, float]] = {}

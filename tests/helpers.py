@@ -26,6 +26,7 @@ from privquant.core import TOLERANCE, finite_magnitude
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
 from privquant.graph import UnionFind
+from privquant.greedy import _excluding, _post_merge_utility, _top3
 from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
 from privquant.pareto import (
     Frontier,
@@ -309,13 +310,14 @@ def reference_best_partner_min_l0(state, cid: int) -> Optional[int]:
 
 
 def reference_cross_component_pairs(state):
-    """``greedy._cross_component_pairs`` as a scan over every cluster pair.
+    """Every cluster pair ``(a, b)``, ``a < b``, in different components, with
+    its tie key ``(-larger x_count, -smaller x_count, a, b)``.
 
-    The reference the component-bucketed scan is checked against; it yields
-    the pairs in ascending ``(a, b)`` order. It reads only the live clusters,
-    not the state's component record: components come from a union-find
-    over every pair of intersecting S-masks, and a component's size is the
-    sum of its clusters' sizes.
+    The pairs the bucket loop ``greedy._least_per_cost`` visits, as a scan
+    over every cluster pair, in ascending ``(a, b)`` order. It reads only
+    the live clusters, not the state's component record: components come
+    from a union-find over every pair of intersecting S-masks, and a
+    component's size is the sum of its clusters' sizes.
     """
     cids = sorted(state.clusters)
     uf = UnionFind(len(cids))
@@ -332,6 +334,72 @@ def reference_cross_component_pairs(state):
             if root[i] != root[j]:
                 b, sa, sb = cids[j], size[root[i]], size[root[j]]
                 yield a, b, ((-sa, -sb, a, b) if sa >= sb else (-sb, -sa, a, b))
+
+
+def reference_min_istar_pair(state) -> tuple[int, int]:
+    """Algorithm 2's pair as the least ``(cost, *tie)`` over every cross-component pair."""
+    pairs = reference_cross_component_pairs(state)
+    *_, a, b = min((state.pair_cost(a, b), *tie) for a, b, tie in pairs)
+    return a, b
+
+
+def reference_l0_zero_istar_candidates(state) -> list[tuple]:
+    """Algorithm 3's moves as a scan that scores every cross-component pair.
+
+    ``greedy._l0_zero_istar_candidates`` before its extreme-cluster shortcut
+    and its dominance filter: every group of equal ``(dpriv, u_new)``, each
+    with its least ``rest = (range_sum, *tie)``. Each lambda picks the same
+    move from these groups as from the search's.
+    """
+    min_range_bits = state.min_range_bits()
+    neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
+    cost_tops = _top3(state, lambda c: c.cost)
+    groups: dict[tuple[float, float], tuple] = {}
+    for a, b, tie in reference_cross_component_pairs(state):
+        ca, cb = state.clusters[a], state.clusters[b]
+        merged_range = (ca.smask | cb.smask).bit_count()
+        new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
+        u_new = _post_merge_utility(state, a, b, cost_tops)
+        dpriv = min_range_bits - math.log2(new_min)
+        rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)
+        best = groups.get((dpriv, u_new))
+        if best is None or rest < best[2]:
+            groups[dpriv, u_new] = (dpriv, u_new, rest)
+    return list(groups.values())
+
+
+def reference_pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
+    """The move a run at ``lam`` takes from ``moves`` (``greedy._runs``' rule):
+    the least Lagrangian change ``dpriv + lam * (u_old - u_new)``, then ``rest``."""
+    return min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
+
+
+def sparse_joint_range(rng: random.Random, n_x: int) -> JointRange:
+    """A table of many small confusability components.
+
+    Two in five X values are singleton components, each alone on its S
+    value. The others fall in groups of 2 to 6 that share an S value, and
+    about half the groups give one member a second S value of its own, so
+    S-ranges differ. X ids are shuffled across components, and values lie
+    on a 0.1 grid, so component sizes and merged costs tie often.
+    """
+    xs = list(range(n_x))
+    rng.shuffle(xs)
+    n_single = round(0.4 * n_x)
+    pairs = {(s, x) for s, x in enumerate(xs[:n_single])}
+    s, start = n_single, n_single
+    while start < n_x:
+        group = xs[start:start + rng.randint(2, 6)]
+        pairs |= {(s, x) for x in group}
+        if rng.random() < 0.5:
+            s += 1
+            pairs.add((s, rng.choice(group)))
+        s, start = s + 1, start + len(group)
+    return JointRange(
+        [Symbol(f"s{i}") for i in range(s)],
+        [Symbol(f"x{i}", rng.randrange(200) / 10) for i in range(n_x)],
+        pairs,
+    )
 
 
 def reference_rgs_strings(n: int) -> list[tuple[int, ...]]:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from helpers import TOY_PAIRS, TOY_VALUES
-from privquant.cli import MAX_GRID_COUNT, _parse_grid, main
+from privquant import cli
+from privquant.cli import _parse_grid, main
+from privquant.pareto import MAX_GRID_COUNT
 
 TOY_PAIRS_ARG = ",".join(f"{s}:{x}" for s, x in TOY_PAIRS)
 TOY_VALUES_ARG = ",".join(f"{x}={v}" for x, v in TOY_VALUES.items())
@@ -653,6 +655,19 @@ class TestUsageErrors:
 
     def test_missing_input_exits_3(self, capsys):
         assert run_cli(capsys, "stats")[0] == 3
+
+    def test_internal_error_is_one_line_exit_1(self, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("first line\nsecond line")
+
+        monkeypatch.setitem(cli._COMMANDS, "stats", (broken, *cli._COMMANDS["stats"][1:]))
+        code, out, err = run_cli(capsys, "stats", "--pairs", TOY_PAIRS_ARG)
+        assert (code, out) == (1, "")
+        assert err == "error: internal error: RuntimeError: first line second line\n"
+        # Under python -X dev the fault keeps its traceback.
+        monkeypatch.setattr(cli.sys, "flags", argparse.Namespace(dev_mode=True))
+        with pytest.raises(RuntimeError, match="second line"):
+            main(["stats", "--pairs", TOY_PAIRS_ARG])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

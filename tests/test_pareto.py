@@ -24,7 +24,7 @@ from privquant import (
     utility,
 )
 from privquant.core import min_range_size
-from privquant.pareto import NormalizationContext, frontier_csv_rows, normalize
+from privquant.pareto import MAX_GRID_COUNT, NormalizationContext, frontier_csv_rows, normalize
 from privquant.quantize import UtilityKind
 
 U1 = UtilityChoice.u1()
@@ -90,6 +90,12 @@ class TestSweep:
     def test_empty_grid_rejected(self, toy):
         with pytest.raises(ContractViolation):
             sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[])
+
+    def test_grid_longer_than_the_cap_rejected(self, toy):
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_GRID_COUNT} lambdas"):
+            sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[0.3] * (MAX_GRID_COUNT + 1))
+        at_cap = sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[0.3] * MAX_GRID_COUNT)
+        assert at_cap == sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[0.3])
 
     @pytest.mark.parametrize("problem", list(Problem))
     @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])

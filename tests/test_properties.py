@@ -15,9 +15,12 @@
   ``finest_decomposition`` and ``merge_update`` on random quantizations.
 * The component count every trace entry and every walk step reports is the
   number of blocks of the overlap partition (union-find, the reference).
-* Every partner search of algorithm 1 and every cross-component scan of
+* Every partner search of algorithm 1 and every cross-component search of
   algorithms 2 and 3, along the walk of a lambda grid, gives what its
-  full-scan reference in ``helpers`` gives.
+  full-scan reference in ``helpers`` gives: algorithm 2 the same pair, and
+  algorithm 3 some of the reference's move groups, from which every lambda
+  of the grid and 0.0 picks the same move. Seeded sparse tables of 60 to
+  150 X values walk the default grid the same way.
 * The oracle's partition walk, given an ``alive`` table, yields exactly
   the partitions, in lexicographic order, whose every block passes the
   table each time it gains an element; without one it yields every RGS.
@@ -37,6 +40,7 @@ import functools
 import io
 import json
 import math
+import random
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -45,10 +49,13 @@ import pytest
 
 from helpers import (
     reference_best_partner_min_l0,
-    reference_cross_component_pairs,
+    reference_l0_zero_istar_candidates,
     reference_load_csv,
+    reference_min_istar_pair,
+    reference_pick,
     reference_rgs_strings,
     reference_sweeney_baseline,
+    sparse_joint_range,
 )
 from privquant import (
     ConfigurationError,
@@ -62,6 +69,7 @@ from privquant import (
     PrivQuantError,
     build_graph,
     cond_range_cluster,
+    default_lambda_grid,
     finest_decomposition,
     load_csv,
     merge_update,
@@ -283,10 +291,12 @@ def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid
 
 
 @contextlib.contextmanager
-def _checked_searches(calls):
-    """Check every partner search and cross-pair scan of the greedy walk
-    against its full-scan reference, counting them in ``calls``."""
-    search, pairs = greedy._best_partner_min_l0, greedy._cross_component_pairs
+def _checked_searches(calls, lams):
+    """Check every partner search of algorithm 1 and every move list of
+    algorithms 2 and 3 against its full-scan reference, counting them in
+    ``calls``. Algorithm 3's moves must be some of the reference's groups,
+    and every lambda of ``lams`` must pick the same move from both."""
+    search, moves = greedy._best_partner_min_l0, greedy._moves
 
     def checked_search(state, cid, index):
         calls["searches"] += 1
@@ -294,15 +304,35 @@ def _checked_searches(calls):
         assert found == reference_best_partner_min_l0(state, cid)
         return found
 
-    def checked_pairs(state):
-        calls["scans"] += 1
-        found = list(pairs(state))
-        assert sorted(found) == list(reference_cross_component_pairs(state))
+    def checked_moves(problem, state):
+        found = moves(problem, state)
+        if problem is not Problem.MIN_L0 and isinstance(found, list):
+            calls["scans"] += 1
+            if problem is Problem.MIN_ISTAR:
+                assert found[0][2] == reference_min_istar_pair(state)
+            else:
+                groups = reference_l0_zero_istar_candidates(state)
+                assert set(found) <= set(groups)
+                u_old = state.utility_value()
+                for lam in lams:
+                    assert reference_pick(found, lam, u_old) == reference_pick(groups, lam, u_old)
         return found
 
     with mock.patch.object(greedy, "_best_partner_min_l0", checked_search), \
-            mock.patch.object(greedy, "_cross_component_pairs", checked_pairs):
+            mock.patch.object(greedy, "_moves", checked_moves):
         yield
+
+
+def _check_searches(jr, cfgs):
+    """Walk ``cfgs`` for each problem with every search checked (``_checked_searches``)."""
+    lams = (0.0, *(cfg.lam for cfg in cfgs))
+    for problem, kind in ((Problem.MIN_L0, "searches"), (Problem.MIN_ISTAR, "scans"),
+                          (Problem.MIN_L0_ZERO_ISTAR, "scans")):
+        calls = {"searches": 0, "scans": 0}
+        with _checked_searches(calls, lams):
+            yields, _ = _walk(jr, problem, cfgs)
+        # Every state past the root was reached through a checked search.
+        assert len(yields) == 1 or calls[kind] > 0
 
 
 @hypothesis.settings(max_examples=100, **SETTINGS)
@@ -313,14 +343,16 @@ def _checked_searches(calls):
     grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=4),
 )
 def test_candidate_searches_match_their_full_scans(jr, u, policy, grid):
-    cfgs = [LagrangianConfig(lam, u, policy) for lam in grid]
-    for problem, kind in ((Problem.MIN_L0, "searches"), (Problem.MIN_ISTAR, "scans"),
-                          (Problem.MIN_L0_ZERO_ISTAR, "scans")):
-        calls = {"searches": 0, "scans": 0}
-        with _checked_searches(calls):
-            yields, _ = _walk(jr, problem, cfgs)
-        # Every state past the root was reached through a checked search.
-        assert len(yields) == 1 or calls[kind] > 0
+    _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in grid])
+
+
+@pytest.mark.parametrize("policy", CodewordPolicy)
+@pytest.mark.parametrize("u", UTILITIES, ids=("u1", "u2", "u2-squared"))
+def test_candidate_searches_match_their_full_scans_on_sparse_tables(u, policy):
+    # Seeded tables of many small components, walked as the default grid's lambda tree.
+    rng = random.Random(f"{UTILITIES.index(u)}-{policy.value}")
+    jr = sparse_joint_range(rng, rng.randint(60, 150))
+    _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in default_lambda_grid()])
 
 
 rgs_strings = functools.lru_cache(reference_rgs_strings)
