@@ -153,10 +153,13 @@ def _load_joint_range(args) -> tuple[JointRange, dict, dict]:
     if args.s_column is None or args.x_column is None:
         raise ConfigurationError("--input needs --s and --x columns")
     jr, dataset_stats = load_csv(
-        args.input, args.s_column, args.x_column,
+        args.input,
+        args.s_column,
+        args.x_column,
         missing=tuple(args.missing) if args.missing else DEFAULT_MISSING,
-        has_header=not args.no_header, require_numeric_x=args.x_numeric,
+        has_header=not args.no_header,
         delimiter="," if args.delimiter is None else args.delimiter,
+        require_numeric_x=args.x_numeric,
     )
     input_desc = {"file": args.input, "s": args.s_column, "x": args.x_column}
     return jr, dataset_stats.to_dict(), input_desc
@@ -168,7 +171,10 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
     clusters = []
     for pos, members in enumerate(q.clusters):
-        entry = {"id": jr.x_symbols[min(members)].id, "members": list(jr.x_ids(members))}
+        entry = {
+            "id": jr.x_symbols[min(members)].id,
+            "members": list(jr.x_ids(members)),
+        }
         if q.codewords is not None:
             entry["codeword"] = q.codewords[pos]
         clusters.append(entry)
@@ -187,15 +193,22 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
 
 def _trace_json(jr: JointRange, trace) -> list[dict]:
-    return [{
-        "t": e.t,
-        "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
-        "lagrangian": e.lagrangian,
-        "delta_l": e.delta_l,
-        "merged": [[jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged],
-        "component_count": e.component_count,
-        "utility": e.utility_value,
-    } for e in trace]
+    rows = []
+    for e in trace:
+        rows.append(
+            {
+                "t": e.t,
+                "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
+                "lagrangian": e.lagrangian,
+                "delta_l": e.delta_l,
+                "merged": [
+                    [jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged
+                ],
+                "component_count": e.component_count,
+                "utility": e.utility_value,
+            }
+        )
+    return rows
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:

@@ -225,13 +225,9 @@ def cond_range_cluster(jr: JointRange, cluster: Iterable[int]) -> frozenset[int]
     return frozenset(_bits(jr.cond_mask_cluster(cluster)))
 
 
-def _cluster_sets(q) -> Sequence[Iterable[int]]:
-    # Accept either a Quantization (has .clusters) or a bare list of clusters.
-    return getattr(q, "clusters", q)
-
-
 def _range_sizes(jr: JointRange, q) -> list[int]:
-    return [jr.cond_mask_cluster(c).bit_count() for c in _cluster_sets(q)]
+    # Accept either a Quantization (has .clusters) or a bare list of clusters.
+    return [jr.cond_mask_cluster(c).bit_count() for c in getattr(q, "clusters", q)]
 
 
 def h0(alphabet_size: int) -> float:

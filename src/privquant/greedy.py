@@ -29,7 +29,7 @@ half the clusters' ``vmin`` gap, so the index is walked outward in
 ``vmin`` until that bound strictly passes the best cost (see
 ``_best_partner_min_l0``). Algorithms 2 and 3 keep the clusters' ids in
 one bucket per component and pair only clusters of different buckets, in
-one loop with the merged cost inlined. Algorithm 3 scores in full only the
+one loop (``_least_per_cost``). Algorithm 3 scores in full only the
 pairs touching one of its at most two extreme clusters, and offers only
 the moves no other move beats at every lambda (``_l0_zero_istar_candidates``).
 
@@ -180,8 +180,10 @@ class _State:
     place, so copies of the state and the walk's steps share it.
     """
 
-    def __init__(self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
-                 track_components: bool):
+    def __init__(
+        self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
+        track_components: bool,
+    ):
         self.jr = jr
         self.utility = utility
         self.policy = policy
@@ -191,8 +193,9 @@ class _State:
             require_u2(self.values, utility.distance)
         self.fast = utility.distance is absolute_difference
         self.h0_x = h0(jr.n_x)
-        totals, self.scale = (exact_numerators(self.values) if self.needs_values
-                              else ([0] * jr.n_x, 1))
+        totals, self.scale = (
+            exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
+        )
         cost = 0.0 if self.needs_values else 1  # require_u2: a singleton's d(v, v) is 0
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
@@ -266,17 +269,17 @@ class _State:
     def min_range_bits(self) -> float:
         return math.log2(min(c.smask.bit_count() for c in self.clusters.values()))
 
-    def leakage_l0(self) -> float:
-        return h0(self.jr.n_s) - self.min_range_bits()
-
     def partition(self) -> tuple[tuple[int, ...], ...]:
         """The state's ``Quantization.partition_key()``."""
         return tuple(self.clusters[cid].members for cid in sorted(self.clusters))
 
 
-# Merging a and b leaves every other cluster as it is, so the extreme over
-# the rest needs only the top three (of a negated key, for a minimum), once
-# per scan; ties among them change no value ``_excluding`` returns.
+# Exclusion maxima/minima: merging clusters a and b leaves every other
+# cluster untouched, so "the extreme over the rest" only ever needs the three
+# most extreme entries (at most two are excluded). Computing the top three
+# once per scan (of a negated key, for a minimum) keeps candidate evaluation
+# O(1). Which clusters win a tie for the top three does not change any value
+# ``_excluding`` returns.
 
 
 def _top3(state: _State, key) -> list[tuple[float, int]]:
@@ -451,45 +454,35 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple]]]:
+def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple[int, int]]]]:
     """The ``comps`` buckets as ``(-x_count, row)``, largest first. A row holds
-    ``(cid, range, size, total, vmin, vmax, value)`` per cluster: its S-range
-    size (0 unless ``ranged``) and what ``_State.pair_cost`` reads."""
+    ``(cid, range)`` per cluster, ``range`` its S-range size (0 unless ``ranged``)."""
     rows = []
     for cids in state.comps.values():
         cs = [state.clusters[c] for c in cids]
-        rows.append((-sum(c.size for c in cs), [(c.cid, c.smask.bit_count() if ranged else 0,
-                     c.size, c.total, c.vmin, c.vmax, state.values[c.cid]) for c in cs]))
+        row = [(c.cid, c.smask.bit_count() if ranged else 0) for c in cs]
+        rows.append((-sum(c.size for c in cs), row))
     return sorted(rows, key=lambda r: r[0])
 
 
 def _least_per_cost(state: _State, rows, floor, shrink: bool) -> dict:
-    """``{cost: (cost, rest)}``: per merged cost, clamped from below at ``floor``,
-    the pair of two of ``rows``' buckets least in ``rest = (range_sum, big,
-    small, a, b)``, with ``(big, small)`` the buckets' ``-x_count``. The cost
-    is ``_State.pair_cost``, inlined but for a custom distance. ``shrink``
-    skips the pairs costlier than the least so far, keeping the least entry.
+    """``{cost: (cost, rest)}``: per merged cost (``_State.pair_cost``), clamped
+    from below at ``floor``, the pair of two of ``rows``' buckets least in
+    ``rest = (range_sum, big, small, a, b)``, with ``(big, small)`` the
+    buckets' ``-x_count``. ``shrink`` skips the pairs costlier than the least
+    so far, keeping the least entry.
     """
     best: dict = {}
-    cut, u1, fast, scale = math.inf, not state.needs_values, state.fast, state.scale
-    centroid = state.policy is CodewordPolicy.CENTROID
+    cut = math.inf
     for i, (big, xs) in enumerate(rows):
         for small, ys in rows[i + 1:]:
-            for p in xs:
-                for q in ys:
-                    (a, ra, sa, ta, loa, hia, va), (b, rb, sb, tb, lob, hib, _) = (
-                        (p, q) if p[0] < q[0] else (q, p))
-                    if u1:
-                        cost = sa + sb
-                    elif fast:  # min and max as pair_cost calls them: a tie keeps the first
-                        cw = (ta + tb) / scale / (sa + sb) if centroid else va
-                        lo, hi = cw - (lob if lob < loa else loa), (hib if hib > hia else hia) - cw
-                        cost = hi if hi > lo else lo
-                    else:
-                        cost = state.pair_cost(a, b)
+            for x, rx in xs:
+                for y, ry in ys:
+                    a, b = (x, y) if x < y else (y, x)
+                    cost = state.pair_cost(a, b)
                     cost = floor if floor > cost else cost
                     if cost <= cut:
-                        rest = (ra + rb, big, small, a, b)
+                        rest = (rx + ry, big, small, a, b)
                         old = best.get(cost)
                         if old is None or rest < old[1]:
                             best[cost] = (cost, rest)
@@ -513,13 +506,13 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     """Algorithm 3's moves: per group of cross-component pairs with equal
     privacy change and post-merge utility (so equal Lagrangian change at any
     lambda), ``(dpriv, u_new, rest)`` with ``rest = (range_sum, *tie)`` of
-    its least pair; only the groups no other group dominates, unless a
-    utility is not finite. Only the pairs touching the first holder of the
-    least S-range, or of the top cost ``cmax``, when fewer than three hold
-    it are scored in full: any other pair leaves a holder of each outside
-    it, so ``dpriv == 0.0`` and ``u_new`` is ``utility_of(max(cost, cmax))``.
-    Float ``-``, ``*`` by lambda >= 0 and ``+`` are monotone, so a group with
-    ``dpriv' <= dpriv``, ``u_new' >= u_new`` and ``rest' < rest`` is first.
+    its least pair; only the groups no other group dominates. Only the pairs
+    touching the first holder of the least S-range, or of the top cost
+    ``cmax``, when fewer than three hold it are scored in full: any other
+    pair leaves a holder of each outside it, so ``dpriv == 0.0`` and
+    ``u_new`` is ``utility_of(max(cost, cmax))``. Float ``-``, ``*`` by
+    lambda >= 0 and ``+`` are monotone, so ``_pick`` takes a group with
+    ``dpriv' <= dpriv``, ``u_new' >= u_new`` and ``rest' < rest`` first.
     """
     min_range_bits = state.min_range_bits()
     neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
@@ -527,13 +520,7 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
                if len(tops) < 3 or tops[2][0] != tops[0][0]}
     rows = _bucket_rows(state, True)
-    groups: dict[tuple[float, float], tuple] = {}  # (dpriv, -u_new) -> group
-
-    def add(dpriv: float, u_new: float, rest: tuple) -> None:
-        best = groups.get((dpriv, -u_new))
-        if best is None or rest < best[2]:
-            groups[dpriv, -u_new] = (dpriv, u_new, rest)
-
+    moves = []
     where = {r[0]: (i, size, r[1]) for i, (size, row) in enumerate(rows) for r in row}
     for x in extreme:
         i, sx, rx = where[x]
@@ -543,22 +530,19 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
                 merged = (state.clusters[a].smask | state.clusters[b].smask).bit_count()
                 new_min = min(merged, -_excluding(neg_range_tops, a, b, -math.inf))
                 u_new = _post_merge_utility(state, a, b, cost_tops)
-                add(min_range_bits - math.log2(new_min), u_new, (rx + ry, *sorted((sx, sy)), a, b))
+                dpriv = min_range_bits - math.log2(new_min)
+                moves.append((dpriv, u_new, (rx + ry, *sorted((sx, sy)), a, b)))
     generic = [(size, [r for r in row if r[0] not in extreme]) for size, row in rows]
-    pairs = sorted(_least_per_cost(state, generic, cost_tops[0][0], False).values())
-    finite = math.isfinite(pairs[-1][0] if pairs else cost_tops[0][0]) and all(
-        math.isfinite(u) for _, u, _ in groups.values())
     least = (math.inf,)
-    for cost, rest in pairs:  # u_new falls, so only a pair less in rest than those before counts
-        if rest < least or not finite:
+    for cost, rest in sorted(_least_per_cost(state, generic, cost_tops[0][0], False).values()):
+        if rest < least:  # u_new falls as cost rises, so the others are dominated
             least = rest
-            add(0.0, state.utility_of(cost), rest)
-    moves = [groups[key] for key in sorted(groups)]  # dpriv ascending, then u_new descending
-    front: list[tuple] = []
-    for m in moves:
+            moves.append((0.0, state.utility_of(cost), rest))
+    front: list[tuple] = []  # of moves by dpriv, then u_new descending, then rest
+    for m in sorted(moves, key=lambda m: (m[0], -m[1], m[2])):
         if not any(f[1] >= m[1] and f[2] < m[2] for f in front):
             front.append(m)
-    return front if finite else moves
+    return front
 
 
 def algorithm3_l0_zero_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
@@ -605,6 +589,19 @@ def _moves(problem: Problem, state: _State):
     return [(math.log2((count - 1) / count), u_new, (a, b))]
 
 
+def _pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
+    """The move a run at ``lam`` takes: the least in Lagrangian change
+    ``dpriv + lam * (u_old - u_new)``, then in ``rest``. A NaN change (from
+    an infinite utility, as the oracle meets it too) comes after every number."""
+
+    def key(m):
+        change = m[0] + lam * (u_old - m[1])
+        nan = math.isnan(change)
+        return nan, 0.0 if nan else change, m[2]
+
+    return min(moves, key=key)
+
+
 def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     """Walk the runs of several configs (one utility and policy) at once.
 
@@ -617,7 +614,7 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
 
     def step(state: _State, merged, u: float, dpriv: Optional[float]) -> _Step:
         istar = problem is Problem.MIN_ISTAR
-        privacy = math.log2(len(state.comps)) if istar else state.leakage_l0()
+        privacy = math.log2(len(state.comps)) if istar else h0(jr.n_s) - state.min_range_bits()
         return _Step(merged, privacy, u, dpriv, state.comps, state.partition())
 
     state = _State(jr, utility, policy, problem is not Problem.MIN_L0)
@@ -637,9 +634,7 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
         if len(moves) > 1:
             picks, u_old = {}, prev.utility
             for i in runs:
-                lam = cfgs[i].lam
-                pick = min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
-                picks.setdefault(pick, []).append(i)
+                picks.setdefault(_pick(moves, cfgs[i].lam, u_old), []).append(i)
         for n, ((dpriv, u_new, rest), branch) in enumerate(picks.items()):
             # The runs part here: every branch but the last takes a copy.
             child = state.copy() if n < len(picks) - 1 else state

@@ -134,12 +134,7 @@ class Quantization:
         parts = [frozenset(c) for c in clusters]
         if any(not p for p in parts):
             raise ContractViolation("clusters must be non-empty")
-        covered: set[int] = set()
-        total = 0
-        for p in parts:
-            total += len(p)
-            covered |= p
-        if covered != set(range(jr.n_x)) or total != jr.n_x:
+        if set().union(*parts) != set(range(jr.n_x)) or sum(map(len, parts)) != jr.n_x:
             raise ContractViolation("clusters must partition the X alphabet")
         parts.sort(key=min)
         values = jr.x_values()

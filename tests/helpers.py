@@ -369,9 +369,14 @@ def reference_l0_zero_istar_candidates(state) -> list[tuple]:
 
 
 def reference_pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
-    """The move a run at ``lam`` takes from ``moves`` (``greedy._runs``' rule):
-    the least Lagrangian change ``dpriv + lam * (u_old - u_new)``, then ``rest``."""
-    return min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
+    """The move a run at ``lam`` takes from ``moves`` (``greedy._pick``' rule):
+    the least Lagrangian change ``dpriv + lam * (u_old - u_new)``, then ``rest``.
+    A NaN change loses to every number; among NaN changes the least ``rest`` wins."""
+    scored = [(m[0] + lam * (u_old - m[1]), m[2], m) for m in moves]
+    numbers = [entry for entry in scored if not math.isnan(entry[0])]
+    if numbers:
+        return min(numbers)[2]
+    return min(moves, key=lambda m: m[2])
 
 
 def sparse_joint_range(rng: random.Random, n_x: int) -> JointRange:

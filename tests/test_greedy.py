@@ -206,6 +206,18 @@ class TestZeroMaximin:
         for _, step, buckets in seen:
             assert step.comps == buckets
 
+    def test_pick_ranks_nan_changes_after_numbers_then_by_rest(self):
+        # An infinite distance makes a utility -inf: at lambda 0 the change
+        # dpriv + 0 * inf is NaN, and so is every change once u_old is -inf.
+        # The pick must not follow the order the moves are listed in.
+        inf = float("inf")
+        moves = [(0.0, -inf, (2, 0, 1)), (1.0, -2.0, (3, 0, 2)), (0.0, -inf, (1, 0, 3))]
+        for order in (moves, moves[::-1]):
+            assert greedy._pick(order, 0.0, -1.0) == moves[1]
+        nan_only = [moves[0], moves[2]]
+        for order in (nan_only, nan_only[::-1]):
+            assert greedy._pick(order, 1.0, -inf) == moves[2]
+
 
 class TestRunContracts:
     def test_determinism(self, toy, toy_v4):

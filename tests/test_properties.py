@@ -20,7 +20,8 @@
   full-scan reference in ``helpers`` gives: algorithm 2 the same pair, and
   algorithm 3 some of the reference's move groups, from which every lambda
   of the grid and 0.0 picks the same move. Seeded sparse tables of 60 to
-  150 X values walk the default grid the same way.
+  150 X values walk the default grid the same way, and so do distances
+  that turn infinite, whose Lagrangian changes can be NaN.
 * The oracle's partition walk, given an ``alive`` table, yields exactly
   the partitions, in lexicographic order, whose every block passes the
   table each time it gains an element; without one it yields every RGS.
@@ -315,7 +316,7 @@ def _checked_searches(calls, lams):
                 assert set(found) <= set(groups)
                 u_old = state.utility_value()
                 for lam in lams:
-                    assert reference_pick(found, lam, u_old) == reference_pick(groups, lam, u_old)
+                    assert greedy._pick(found, lam, u_old) == reference_pick(groups, lam, u_old)
         return found
 
     with mock.patch.object(greedy, "_best_partner_min_l0", checked_search), \
@@ -353,6 +354,25 @@ def test_candidate_searches_match_their_full_scans_on_sparse_tables(u, policy):
     rng = random.Random(f"{UTILITIES.index(u)}-{policy.value}")
     jr = sparse_joint_range(rng, rng.randint(60, 150))
     _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in default_lambda_grid()])
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=joint_ranges(max_s=12, max_x=20),
+    policy=st.sampled_from(CodewordPolicy),
+    cutoff=st.floats(0.0, 25.0),
+    grid=st.lists(st.one_of(st.sampled_from((0.0, 1.0)), lambdas), min_size=1, max_size=4),
+)
+def test_candidate_searches_match_their_full_scans_under_infinite_distances(
+    jr, policy, cutoff, grid
+):
+    # |a - b| up to the cutoff, ``inf`` beyond it: a utility of -inf makes the
+    # change of a move NaN at lambda 0, and of every move once it is reached.
+    def distance(a, b):
+        return abs(a - b) if abs(a - b) <= cutoff else math.inf
+
+    u = UtilityChoice.u2(distance)
+    _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in grid])
 
 
 rgs_strings = functools.lru_cache(reference_rgs_strings)
