@@ -46,7 +46,6 @@ __all__ = [
     "i0_forward",
     "is_k_anonymous",
     "min_range_size",
-    "max_range_size",
 ]
 
 #: Absolute tolerance for comparisons between bit-valued measures.
@@ -242,11 +241,6 @@ def min_range_size(jr: JointRange, q) -> int:
     return min(_range_sizes(jr, q))
 
 
-def max_range_size(jr: JointRange, q) -> int:
-    """Largest conditional-range cardinality over the clusters of ``q``."""
-    return max(_range_sizes(jr, q))
-
-
 def b0(jr: JointRange, q) -> float:
     """Worst-case posterior uncertainty about S given the release, in bits."""
     return math.log2(min_range_size(jr, q))
@@ -259,7 +253,7 @@ def l0(jr: JointRange, q) -> float:
 
 def i0_forward(jr: JointRange, q) -> float:
     """Guaranteed uncertainty reduction h0(S) - max posterior log-range."""
-    return h0(jr.n_s) - math.log2(max_range_size(jr, q))
+    return h0(jr.n_s) - math.log2(max(_range_sizes(jr, q)))
 
 
 def is_k_anonymous(jr: JointRange, q, k: int) -> bool:

@@ -21,17 +21,17 @@ All reported Lagrangians and deltas are in bits, and runs are fully
 deterministic: every argmin/argmax is tie-broken down to cluster ids.
 
 The candidate searches visit only pairs that can win (every pair under a
-custom u2 distance), and pick what a scan of every pair picks. Algorithm 1
-keeps a sorted index of the live clusters per round: under resolution
-utility its first entry with another S-mask is the partner; under max
-distortion with ``absolute_difference`` a merged distortion is at least
-half the clusters' ``vmin`` gap, so the index is walked outward in
-``vmin`` until that bound strictly passes the best cost (see
-``_best_partner_min_l0``). Algorithms 2 and 3 keep the clusters' ids in
-one bucket per component and pair only clusters of different buckets, in
-one loop (``_least_per_cost``). Algorithm 3 scores in full only the
-pairs touching one of its at most two extreme clusters, and offers only
-the moves no other move beats at every lambda (``_l0_zero_istar_candidates``).
+custom u2 distance), pick what a scan of every pair picks, and score a pair
+by ``_State.pair_cost`` on the two ``_Cluster`` records. Algorithm 1 keeps
+a sorted index of the live clusters per round: under resolution utility its
+first entry with another S-mask is the partner; under max distortion with
+``absolute_difference`` a merged distortion is at least half the clusters'
+``vmin`` gap, so the index is walked outward in ``vmin`` until that bound
+strictly passes the best cost (see ``_best_partner_min_l0``). Algorithms 2
+and 3 pair only the records of different component buckets, in one loop
+(``_least_per_cost``). Algorithm 3 scores in full only the pairs touching
+one of its at most two extreme clusters, and offers only the moves no
+other move beats at every lambda (``_l0_zero_istar_candidates``).
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import heapq
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -64,6 +63,7 @@ from .quantize import (
     absolute_difference,
     cluster_cost,
     exact_numerators,
+    quantizer,
     require_u2,
     utility,
 )
@@ -165,26 +165,25 @@ class _Cluster:
         self.total = total  # exact value sum in units of 1 / scale (exact_numerators)
         self.vmin = vmin
         self.vmax = vmax
-        self.cost = cost  # see _State.pair_cost
+        self.cost = cost  # the cluster's own cost, as _State.pair_cost scores a fused one
 
 
 class _State:
     """Cluster bookkeeping with O(1) merged-distortion for the default metric.
 
-    Utility is decreasing in one per-cluster cost: the size under
-    resolution utility, the worst member distortion under max distortion.
-    ``pair_cost`` and ``utility_of`` are the only places the two differ.
-    For the component-driven problems (None for algorithm 1) ``comps`` maps
-    each component's S-mask to its clusters' ids; one fold of the singleton
-    S-masks seeds it. ``merge`` builds a new dict, never changing one in
-    place, so copies of the state and the walk's steps share it.
+    Utility is decreasing in one per-cluster cost: the size under resolution
+    utility, the worst member distortion under max distortion. ``pair_cost``
+    (of two ``_Cluster`` records) and ``utility_of`` are the only places the
+    two differ. For the component-driven problems (None for algorithm 1)
+    ``comps`` maps each component's S-mask to its clusters' ids; one fold of
+    the singleton S-masks seeds it. ``merge`` builds a new dict, never
+    changing one in place, so copies of the state and the walk's steps share it.
     """
 
     def __init__(
         self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
         track_components: bool,
     ):
-        self.jr = jr
         self.utility = utility
         self.policy = policy
         self.needs_values = utility.kind is UtilityKind.U2_MAX_DISTORTION
@@ -206,15 +205,14 @@ class _State:
             ms = [c.smask for c in self.clusters.values()]
             self.comps = {m: tuple(x for x in range(jr.n_x) if ms[x] & m) for m in components(ms)}
 
-    def pair_cost(self, a: int, b: int):
-        """Cost of the cluster that fusing ``a`` and ``b`` would give."""
-        ca, cb = self.clusters[a], self.clusters[b]
+    def pair_cost(self, ca: _Cluster, cb: _Cluster):
+        """Cost of the cluster that fusing ``ca`` and ``cb`` would give."""
         if not self.needs_values:
             return ca.size + cb.size
         if self.policy is CodewordPolicy.CENTROID:
             cw = (ca.total + cb.total) / self.scale / (ca.size + cb.size)
         else:
-            cw = self.values[min(a, b)]
+            cw = self.values[min(ca.cid, cb.cid)]
         if self.fast:
             return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
         members = ca.members + cb.members
@@ -242,9 +240,9 @@ class _State:
             cids = self.comps[ma] + self.comps[mb]
             comps[ma | mb] = (*(c for c in cids if c != a and c != b), min(a, b))
             self.comps = comps
-        cost = self.pair_cost(a, b)
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
+        cost = self.pair_cost(ca, cb)
         members = tuple(sorted(ca.members + cb.members))
         vmin = min(ca.vmin, cb.vmin) if self.needs_values else None
         vmax = max(ca.vmax, cb.vmax) if self.needs_values else None
@@ -266,9 +264,6 @@ class _State:
     def utility_value(self) -> float:
         return self.utility_of(max(c.cost for c in self.clusters.values()))
 
-    def min_range_bits(self) -> float:
-        return math.log2(min(c.smask.bit_count() for c in self.clusters.values()))
-
     def partition(self) -> tuple[tuple[int, ...], ...]:
         """The state's ``Quantization.partition_key()``."""
         return tuple(self.clusters[cid].members for cid in sorted(self.clusters))
@@ -283,7 +278,7 @@ class _State:
 
 
 def _top3(state: _State, key) -> list[tuple[float, int]]:
-    return heapq.nlargest(3, ((key(c), c.cid) for c in state.clusters.values()))
+    return sorted(((key(c), c.cid) for c in state.clusters.values()), reverse=True)[:3]
 
 
 def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float) -> float:
@@ -291,12 +286,6 @@ def _excluding(extremes: list[tuple[float, int]], a: int, b: int, default: float
         if cid != a and cid != b:
             return value
     return default
-
-
-def _post_merge_utility(state: _State, a: int, b: int, cost_tops: list) -> float:
-    """Utility of the quantization obtained by fusing clusters a and b;
-    ``cost_tops`` is ``_top3(state, lambda c: c.cost)``."""
-    return state.utility_of(max(state.pair_cost(a, b), _excluding(cost_tops, a, b, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +391,7 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> Optional[int]:
             break
         other = state.clusters[o]
         if other.smask != cx.smask:
-            key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
+            key = (state.pair_cost(cx, other), cx.size + other.size, min(cid, o), o)
             if best_key is None or key < best_key:
                 best_key, best = key, o
     return best
@@ -454,23 +443,23 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple[int, int]]]]:
+def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple[_Cluster, int]]]]:
     """The ``comps`` buckets as ``(-x_count, row)``, largest first. A row holds
-    ``(cid, range)`` per cluster, ``range`` its S-range size (0 unless ``ranged``)."""
+    ``(cluster, range)`` per cluster, ``range`` its S-range size (0 unless ``ranged``)."""
     rows = []
     for cids in state.comps.values():
         cs = [state.clusters[c] for c in cids]
-        row = [(c.cid, c.smask.bit_count() if ranged else 0) for c in cs]
+        row = [(c, c.smask.bit_count() if ranged else 0) for c in cs]
         rows.append((-sum(c.size for c in cs), row))
     return sorted(rows, key=lambda r: r[0])
 
 
 def _least_per_cost(state: _State, rows, floor, shrink: bool) -> dict:
-    """``{cost: (cost, rest)}``: per merged cost (``_State.pair_cost``), clamped
-    from below at ``floor``, the pair of two of ``rows``' buckets least in
-    ``rest = (range_sum, big, small, a, b)``, with ``(big, small)`` the
-    buckets' ``-x_count``. ``shrink`` skips the pairs costlier than the least
-    so far, keeping the least entry.
+    """``{cost: (cost, rest)}``: per merged cost (``_State.pair_cost`` of the
+    two records), clamped from below at ``floor``, the pair of two of ``rows``'
+    buckets least in ``rest = (range_sum, big, small, a, b)``, with ``(big,
+    small)`` the buckets' ``-x_count``, built only for pairs within the cut.
+    ``shrink`` skips the pairs costlier than the least so far, keeping the least.
     """
     best: dict = {}
     cut = math.inf
@@ -478,10 +467,10 @@ def _least_per_cost(state: _State, rows, floor, shrink: bool) -> dict:
         for small, ys in rows[i + 1:]:
             for x, rx in xs:
                 for y, ry in ys:
-                    a, b = (x, y) if x < y else (y, x)
-                    cost = state.pair_cost(a, b)
+                    cost = state.pair_cost(x, y)
                     cost = floor if floor > cost else cost
                     if cost <= cut:
+                        a, b = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
                         rest = (rx + ry, big, small, a, b)
                         old = best.get(cost)
                         if old is None or rest < old[1]:
@@ -514,25 +503,25 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     lambda >= 0 and ``+`` are monotone, so ``_pick`` takes a group with
     ``dpriv' <= dpriv``, ``u_new' >= u_new`` and ``rest' < rest`` first.
     """
-    min_range_bits = state.min_range_bits()
     neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
+    min_range_bits = math.log2(-neg_range_tops[0][0])
     cost_tops = _top3(state, lambda c: c.cost)
     extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
                if len(tops) < 3 or tops[2][0] != tops[0][0]}
     rows = _bucket_rows(state, True)
     moves = []
-    where = {r[0]: (i, size, r[1]) for i, (size, row) in enumerate(rows) for r in row}
+    where = {c.cid: (i, size, c, r) for i, (size, row) in enumerate(rows) for c, r in row}
     for x in extreme:
-        i, sx, rx = where[x]
-        for y, (j, sy, ry) in where.items():
+        i, sx, cx, rx = where[x]
+        for y, (j, sy, cy, ry) in where.items():
             if i != j and (y not in extreme or x < y):
-                a, b = min(x, y), max(x, y)
-                merged = (state.clusters[a].smask | state.clusters[b].smask).bit_count()
-                new_min = min(merged, -_excluding(neg_range_tops, a, b, -math.inf))
-                u_new = _post_merge_utility(state, a, b, cost_tops)
+                merged = (cx.smask | cy.smask).bit_count()
+                new_min = min(merged, -_excluding(neg_range_tops, x, y, -math.inf))
+                worst = max(state.pair_cost(cx, cy), _excluding(cost_tops, x, y, 0.0))
+                u_new = state.utility_of(worst)
                 dpriv = min_range_bits - math.log2(new_min)
-                moves.append((dpriv, u_new, (rx + ry, *sorted((sx, sy)), a, b)))
-    generic = [(size, [r for r in row if r[0] not in extreme]) for size, row in rows]
+                moves.append((dpriv, u_new, (rx + ry, *sorted((sx, sy)), *sorted((x, y)))))
+    generic = [(size, [r for r in row if r[0].cid not in extreme]) for size, row in rows]
     least = (math.inf,)
     for cost, rest in sorted(_least_per_cost(state, generic, cost_tops[0][0], False).values()):
         if rest < least:  # u_new falls as cost rises, so the others are dominated
@@ -584,8 +573,8 @@ def _moves(problem: Problem, state: _State):
         return _l0_zero_istar_candidates(state)
     # The least (cost, *tie) key; a tie key ends with its pair.
     least = _least_per_cost(state, _bucket_rows(state, False), -math.inf, True)
-    _, (*_, a, b) = min(least.values())
-    u_new = _post_merge_utility(state, a, b, _top3(state, lambda c: c.cost))
+    cost, (*_, a, b) = min(least.values())
+    u_new = state.utility_of(max(cost, _excluding(_top3(state, lambda c: c.cost), a, b, 0.0)))
     return [(math.log2((count - 1) / count), u_new, (a, b))]
 
 
@@ -613,8 +602,10 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     utility, policy = cfgs[0].utility, cfgs[0].policy
 
     def step(state: _State, merged, u: float, dpriv: Optional[float]) -> _Step:
-        istar = problem is Problem.MIN_ISTAR
-        privacy = math.log2(len(state.comps)) if istar else h0(jr.n_s) - state.min_range_bits()
+        if problem is Problem.MIN_ISTAR:
+            privacy = math.log2(len(state.comps))
+        else:  # L0, from the least S-range
+            privacy = h0(jr.n_s) - h0(min(c.smask.bit_count() for c in state.clusters.values()))
         return _Step(merged, privacy, u, dpriv, state.comps, state.partition())
 
     state = _State(jr, utility, policy, problem is not Problem.MIN_L0)
@@ -660,7 +651,7 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
     """One greedy run of the given problem: the walk of the single config ``cfg``."""
     walk = _runs(jr, problem, [cfg])
-    lam, kind = cfg.lam, cfg.utility.kind
+    lam, kind, quantize = cfg.lam, cfg.utility.kind, quantizer(jr, cfg.policy)
     trace: list[TraceEntry] = []
     while True:
         try:
@@ -669,7 +660,7 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
             ((termination, rejected),) = end.value
             break
         delta = _decision(prev, step, lam, kind)[1] if trace else None
-        q = Quantization.from_clusters(jr, step.partition, cfg.policy)
+        q = quantize(step.partition)
         trace.append(TraceEntry(
             len(trace), q, step.privacy - lam * step.utility, delta, step.merged,
             None if step.comps is None else len(step.comps), step.utility,

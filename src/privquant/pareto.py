@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError
 from .greedy import LagrangianConfig, Problem, _runs, _State
-from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind
+from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind, quantizer
 
 __all__ = [
     "ParetoPoint",
@@ -183,11 +183,11 @@ def sweep(
         u2_floor = min(util for _, _, util, _ in survivors)
     ctx = NormalizationContext(singleton_leak, h0(jr.n_x), u2_floor, degenerate)
 
+    quantize = quantizer(jr, policy)
     points = []
     for lam, leak, util, key in survivors:
         loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
-        q = Quantization.from_clusters(jr, key, policy)
-        points.append(ParetoPoint(lam, leak, leak_norm, util, loss, q))
+        points.append(ParetoPoint(lam, leak, leak_norm, util, loss, quantize(key)))
     points.sort(key=lambda p: p.loss_norm)
     return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)
 

@@ -16,15 +16,17 @@ Two utilities measure how useful the release still is:
   included (infinite distortion). A NaN or negative distance is a
   ``ConfigurationError``; ``require_u2`` and ``cluster_cost`` enforce it.
 
-Quantizations are immutable value types. Code that grows clusters
-incrementally keeps each cluster's value sum exact, as an integer
-over the alphabet's common power-of-two denominator (``exact_numerators``),
-so its centroids equal ``compute_codeword`` bit for bit in any merge order.
+Quantizations are immutable value types, built by ``quantizer``, which
+reuses the clusters and codewords it has built. Code that grows clusters
+incrementally keeps each cluster's value sum exact, as an integer over the
+alphabet's common power-of-two denominator (``exact_numerators``), so its
+centroids equal ``compute_codeword`` bit for bit in any merge order.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -131,23 +133,36 @@ class Quantization:
         clusters: Iterable[Iterable[int]],
         policy: CodewordPolicy = CodewordPolicy.CENTROID,
     ) -> "Quantization":
+        """Check that ``clusters`` partition the X alphabet, then build it with ``quantizer``."""
         parts = [frozenset(c) for c in clusters]
         if any(not p for p in parts):
             raise ContractViolation("clusters must be non-empty")
         if set().union(*parts) != set(range(jr.n_x)) or sum(map(len, parts)) != jr.n_x:
             raise ContractViolation("clusters must partition the X alphabet")
-        parts.sort(key=min)
-        values = jr.x_values()
-        codewords = None
-        if all(v is not None for v in values):
-            codewords = tuple(
-                compute_codeword([values[x] for x in sorted(p)], policy) for p in parts
-            )
-        return cls(tuple(parts), policy, values, codewords)
+        return quantizer(jr, policy)(sorted(tuple(sorted(p)) for p in parts))
 
     def partition_key(self) -> tuple[tuple[int, ...], ...]:
         """Hashable canonical form, independent of codeword policy."""
         return tuple(tuple(sorted(c)) for c in self.clusters)
+
+
+def quantizer(jr: JointRange, policy: CodewordPolicy):
+    """The one construction of ``Quantization``s: a function from canonical
+    partitions (``partition_key``'s form) to quantizations, which builds each
+    cluster's frozenset and ``compute_codeword`` value once and then reuses it."""
+    values = jr.x_values()
+    numeric = all(v is not None for v in values)
+
+    @functools.cache
+    def part(members: tuple[int, ...]) -> tuple[frozenset[int], Optional[float]]:
+        cw = compute_codeword([values[x] for x in members], policy) if numeric else None
+        return frozenset(members), cw
+
+    def quantize(partition: Iterable[tuple[int, ...]]) -> Quantization:
+        clusters, codewords = zip(*map(part, partition))
+        return Quantization(clusters, policy, values, codewords if numeric else None)
+
+    return quantize
 
 
 def singleton_quantization(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
 import random
 
@@ -26,7 +27,7 @@ from privquant.core import TOLERANCE, finite_magnitude
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
 from privquant.graph import UnionFind
-from privquant.greedy import _excluding, _post_merge_utility, _top3
+from privquant.greedy import _excluding
 from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
 from privquant.pareto import (
     Frontier,
@@ -40,6 +41,7 @@ from privquant.quantize import (
     UtilityChoice,
     UtilityKind,
     absolute_difference,
+    cluster_cost,
     compute_codeword,
     utility,
 )
@@ -292,6 +294,54 @@ def reference_component_count(masks: Sequence[int]) -> int:
     return sum(p == i for i, p in enumerate(uf.parent))
 
 
+def reference_from_clusters(jr: JointRange, clusters, policy: CodewordPolicy) -> Quantization:
+    """``Quantization.from_clusters`` building every cluster and codeword afresh.
+
+    The reference the quantizations of ``quantize.quantizer``, which reuses
+    the clusters it has built, are checked against: the construction before
+    the quantizer, with its own sort and codeword loop.
+    """
+    parts = [frozenset(c) for c in clusters]
+    if any(not p for p in parts):
+        raise ContractViolation("clusters must be non-empty")
+    if set().union(*parts) != set(range(jr.n_x)) or sum(map(len, parts)) != jr.n_x:
+        raise ContractViolation("clusters must partition the X alphabet")
+    parts.sort(key=min)
+    values = jr.x_values()
+    codewords = None
+    if all(v is not None for v in values):
+        codewords = tuple(
+            compute_codeword([values[x] for x in sorted(p)], policy) for p in parts
+        )
+    return Quantization(tuple(parts), policy, values, codewords)
+
+
+def reference_pair_cost(state, a: int, b: int):
+    """Cost of the cluster that fusing the clusters of ids ``a`` and ``b`` of
+    ``state`` would give.
+
+    The reference the cost rule ``_State.pair_cost``, which takes the two
+    ``_Cluster`` records, is checked against: the rule as it was when it
+    looked its clusters up by id.
+    """
+    ca, cb = state.clusters[a], state.clusters[b]
+    if not state.needs_values:
+        return ca.size + cb.size
+    if state.policy is CodewordPolicy.CENTROID:
+        cw = (ca.total + cb.total) / state.scale / (ca.size + cb.size)
+    else:
+        cw = state.values[min(a, b)]
+    if state.fast:
+        return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
+    members = ca.members + cb.members
+    return cluster_cost([state.values[x] for x in members], cw, state.utility.distance)
+
+
+def reference_top3(state, key) -> list[tuple[float, int]]:
+    """The three greatest ``(key(cluster), cid)`` of ``state``, by ``heapq.nlargest``."""
+    return heapq.nlargest(3, ((key(c), c.cid) for c in state.clusters.values()))
+
+
 def reference_best_partner_min_l0(state, cid: int) -> Optional[int]:
     """``greedy._best_partner_min_l0`` as a scan that scores every live cluster.
 
@@ -303,7 +353,7 @@ def reference_best_partner_min_l0(state, cid: int) -> Optional[int]:
         if other.cid == cid or other.smask == cx.smask:
             continue
         o = other.cid
-        key = (state.pair_cost(cid, o), cx.size + other.size, min(cid, o), o)
+        key = (reference_pair_cost(state, cid, o), cx.size + other.size, min(cid, o), o)
         if best_key is None or key < best_key:
             best_key, best = key, o
     return best
@@ -339,7 +389,7 @@ def reference_cross_component_pairs(state):
 def reference_min_istar_pair(state) -> tuple[int, int]:
     """Algorithm 2's pair as the least ``(cost, *tie)`` over every cross-component pair."""
     pairs = reference_cross_component_pairs(state)
-    *_, a, b = min((state.pair_cost(a, b), *tie) for a, b, tie in pairs)
+    *_, a, b = min((reference_pair_cost(state, a, b), *tie) for a, b, tie in pairs)
     return a, b
 
 
@@ -351,15 +401,16 @@ def reference_l0_zero_istar_candidates(state) -> list[tuple]:
     with its least ``rest = (range_sum, *tie)``. Each lambda picks the same
     move from these groups as from the search's.
     """
-    min_range_bits = state.min_range_bits()
-    neg_range_tops = _top3(state, lambda c: -c.smask.bit_count())
-    cost_tops = _top3(state, lambda c: c.cost)
+    min_range_bits = math.log2(min(c.smask.bit_count() for c in state.clusters.values()))
+    neg_range_tops = reference_top3(state, lambda c: -c.smask.bit_count())
+    cost_tops = reference_top3(state, lambda c: c.cost)
     groups: dict[tuple[float, float], tuple] = {}
     for a, b, tie in reference_cross_component_pairs(state):
         ca, cb = state.clusters[a], state.clusters[b]
         merged_range = (ca.smask | cb.smask).bit_count()
         new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
-        u_new = _post_merge_utility(state, a, b, cost_tops)
+        cost = max(reference_pair_cost(state, a, b), _excluding(cost_tops, a, b, 0.0))
+        u_new = state.utility_of(cost)
         dpriv = min_range_bits - math.log2(new_min)
         rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)
         best = groups.get((dpriv, u_new))

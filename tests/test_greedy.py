@@ -3,6 +3,7 @@ from unittest import mock
 
 import pytest
 
+import helpers
 from helpers import id_clusters, random_joint_range, reference_best_partner_min_l0
 from privquant import (
     ConfigurationError,
@@ -338,16 +339,20 @@ class TestPartnerSearchWork:
 
     @staticmethod
     def scored(jr, u, search):
-        """The ``_State.pair_cost`` calls of one algorithm-1 run, and its trace."""
+        """The pair costs one algorithm-1 run scores, through the cost rule
+        ``_State.pair_cost`` or through ``reference_pair_cost``, and its trace."""
         calls = 0
-        pair_cost = greedy._State.pair_cost
 
-        def counted(state, a, b):
-            nonlocal calls
-            calls += 1
-            return pair_cost(state, a, b)
+        def counting(score):
+            def counted(*args):
+                nonlocal calls
+                calls += 1
+                return score(*args)
+            return counted
 
-        with mock.patch.object(greedy._State, "pair_cost", counted), \
+        with mock.patch.object(greedy._State, "pair_cost", counting(greedy._State.pair_cost)), \
+                mock.patch.object(helpers, "reference_pair_cost",
+                                  counting(helpers.reference_pair_cost)), \
                 mock.patch.object(greedy, "_best_partner_min_l0", search):
             trace = run(jr, Problem.MIN_L0, LagrangianConfig(0.0, u)).trace
         return calls, [(e.merged, e.quantization) for e in trace]

@@ -22,6 +22,12 @@
   of the grid and 0.0 picks the same move. Seeded sparse tables of 60 to
   150 X values walk the default grid the same way, and so do distances
   that turn infinite, whose Lagrangian changes can be NaN.
+* At every state of every walk, the cost rule ``_State.pair_cost`` gives
+  ``reference_pair_cost`` bit for bit on every live pair, in both orders,
+  under u1, u2, a squared and an infinite-valued distance and both policies.
+* Every trace quantization of a run and every frontier point of a sweep is
+  ``reference_from_clusters`` of its clusters, codewords bit for bit, for
+  numeric, categorical and partly valued X under both policies.
 * The oracle's partition walk, given an ``alive`` table, yields exactly
   the partitions, in lexicographic order, whose every block passes the
   table each time it gains an element; without one it yields every RGS.
@@ -50,9 +56,11 @@ import pytest
 
 from helpers import (
     reference_best_partner_min_l0,
+    reference_from_clusters,
     reference_l0_zero_istar_candidates,
     reference_load_csv,
     reference_min_istar_pair,
+    reference_pair_cost,
     reference_pick,
     reference_rgs_strings,
     reference_sweeney_baseline,
@@ -373,6 +381,81 @@ def test_candidate_searches_match_their_full_scans_under_infinite_distances(
 
     u = UtilityChoice.u2(distance)
     _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in grid])
+
+
+def _bits(value):
+    """``value`` as its bits: ``float.hex`` of a float, an int (a u1 cost) as it is."""
+    return value.hex() if isinstance(value, float) else value
+
+
+def _infinite_beyond_4(a, b):
+    return abs(a - b) if abs(a - b) <= 4.0 else math.inf
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=joint_ranges(max_s=8, max_x=10),
+    u=st.sampled_from((*UTILITIES, UtilityChoice.u2(_infinite_beyond_4))),
+    policy=st.sampled_from(CodewordPolicy),
+    grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=4),
+)
+def test_the_cost_rule_is_the_reference_on_every_walked_state(jr, u, policy, grid):
+    moves, states = greedy._moves, []
+
+    def checked_moves(problem, state):
+        states.append(problem)
+        for ca in state.clusters.values():
+            for cb in state.clusters.values():
+                if ca.cid < cb.cid:
+                    expected = _bits(reference_pair_cost(state, ca.cid, cb.cid))
+                    assert _bits(state.pair_cost(ca, cb)) == expected
+                    assert _bits(state.pair_cost(cb, ca)) == expected
+        return moves(problem, state)
+
+    cfgs = [LagrangianConfig(lam, u, policy) for lam in grid]
+    with mock.patch.object(greedy, "_moves", checked_moves):
+        for problem in Problem:
+            _walk(jr, problem, cfgs)
+    assert set(states) == set(Problem)
+
+
+@st.composite
+def valued_joint_ranges(draw):
+    """A ``joint_ranges`` table whose X values are all kept, all dropped
+    (categorical X) or dropped from some symbols (partly valued X)."""
+    jr = draw(joint_ranges(max_s=8, max_x=10))
+    kept = draw(st.sampled_from(("all", "none", "some")))
+    if kept == "all":
+        return jr
+    drop = [True] * jr.n_x if kept == "none" else draw(
+        st.lists(st.booleans(), min_size=jr.n_x, max_size=jr.n_x))
+    x_syms = [Symbol(s.id, None if d else s.value) for s, d in zip(jr.x_symbols, drop)]
+    return JointRange(jr.s_symbols, x_syms, jr.pairs)
+
+
+def _assert_is_reference(jr, q, policy):
+    expected = reference_from_clusters(jr, q.clusters, policy)
+    assert q == expected  # a None against a tuple of codewords differs here too
+    if q.codewords is not None:
+        assert [c.hex() for c in q.codewords] == [c.hex() for c in expected.codewords]
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=valued_joint_ranges(),
+    problem=st.sampled_from(Problem),
+    u2=st.booleans(),
+    grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=4),
+)
+def test_releases_are_the_reference_quantizations(jr, problem, u2, grid):
+    numeric = all(v is not None for v in jr.x_values())
+    u = UtilityChoice.u2() if u2 and numeric else UtilityChoice.u1()
+    # Both policies in one example, so a codeword kept across policies shows.
+    for policy in CodewordPolicy:
+        for entry in run(jr, problem, LagrangianConfig(grid[0], u, policy)).trace:
+            _assert_is_reference(jr, entry.quantization, policy)
+        for point in sweep(jr, problem, u, grid, policy).points:
+            _assert_is_reference(jr, point.quantization, policy)
 
 
 rgs_strings = functools.lru_cache(reference_rgs_strings)
