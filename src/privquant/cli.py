@@ -171,10 +171,7 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
     clusters = []
     for pos, members in enumerate(q.clusters):
-        entry = {
-            "id": jr.x_symbols[min(members)].id,
-            "members": list(jr.x_ids(members)),
-        }
+        entry = {"id": jr.x_symbols[min(members)].id, "members": list(jr.x_ids(members))}
         if q.codewords is not None:
             entry["codeword"] = q.codewords[pos]
         clusters.append(entry)
@@ -193,22 +190,18 @@ def _release_json(jr: JointRange, q: Quantization, u: Optional[UtilityChoice]) -
 
 
 def _trace_json(jr: JointRange, trace) -> list[dict]:
-    rows = []
-    for e in trace:
-        rows.append(
-            {
-                "t": e.t,
-                "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
-                "lagrangian": e.lagrangian,
-                "delta_l": e.delta_l,
-                "merged": [
-                    [jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged
-                ],
-                "component_count": e.component_count,
-                "utility": e.utility_value,
-            }
-        )
-    return rows
+    return [
+        {
+            "t": e.t,
+            "clusters": [list(jr.x_ids(c)) for c in e.quantization.clusters],
+            "lagrangian": e.lagrangian,
+            "delta_l": e.delta_l,
+            "merged": [[jr.x_symbols[a].id, jr.x_symbols[b].id] for a, b in e.merged],
+            "component_count": e.component_count,
+            "utility": e.utility_value,
+        }
+        for e in trace
+    ]
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:

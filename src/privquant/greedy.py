@@ -185,7 +185,7 @@ class _State:
         track_components: bool,
     ):
         self.utility = utility
-        self.policy = policy
+        self.centroid = policy is CodewordPolicy.CENTROID
         self.needs_values = utility.kind is UtilityKind.U2_MAX_DISTORTION
         self.values = jr.x_values()
         if self.needs_values:
@@ -209,7 +209,7 @@ class _State:
         """Cost of the cluster that fusing ``ca`` and ``cb`` would give."""
         if not self.needs_values:
             return ca.size + cb.size
-        if self.policy is CodewordPolicy.CENTROID:
+        if self.centroid:
             cw = (ca.total + cb.total) / self.scale / (ca.size + cb.size)
         else:
             cw = self.values[min(ca.cid, cb.cid)]
@@ -221,7 +221,7 @@ class _State:
     def codeword(self, cid: int) -> float:
         """``compute_codeword`` of cluster ``cid``'s members (see ``exact_numerators``)."""
         c = self.clusters[cid]
-        if self.policy is CodewordPolicy.CENTROID:
+        if self.centroid:
             return c.total / self.scale / c.size
         return self.values[cid]
 

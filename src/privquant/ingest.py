@@ -6,6 +6,8 @@ first-appearance order (deterministic for a given file). A column becomes
 numeric iff every retained cell parses as a decimal number; otherwise it
 stays categorical and distortion-based utility is unavailable for it. A
 numeric column holding a non-finite value (``nan``, ``inf``) is an error.
+The file's lines are counted per distinct line; when no quote character
+``"`` is in it, each line is one row, so only the distinct lines are parsed.
 
 The default sentinels are "-9" (the UCI heart-disease convention), the
 empty string and "?". The exact filter behind any reference record count
@@ -94,7 +96,9 @@ def load_csv(
     joint-range pair while statistics count every retained record. With
     ``require_numeric_x`` a non-numeric X cell is an error (reported with
     its 1-based row number) instead of silently demoting the column to
-    categorical.
+    categorical. Each distinct line is parsed once unless the file holds a
+    quote (a row may then span lines, so rows are read); either way rows,
+    errors and row numbers are those of a row-by-row read.
     """
     if len(delimiter) != 1:
         raise ConfigurationError(f"delimiter must be one character, got {delimiter!r}")
@@ -104,44 +108,48 @@ def load_csv(
     missing_set = set(missing)
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        first: Counter = Counter()
-        failure = _count_rows(reader, first, limit=1)
-        if failure is not None:
-            raise failure
-        if not first:
-            raise IngestError("file is empty")
-        first_row = next(iter(first))
+        head, lines, failure = _count_rows(fh, has_header)
+
+    def bad_row(message: str, row: Sequence[str]) -> IngestError:
+        return IngestError(message, row=_row_number(path, delimiter, has_header, row))
+
+    # Distinct data rows and their occurrences, in first-appearance order. The
+    # checks below run once per distinct row, in that order, so the first row
+    # to fail is the first in the file to fail, as a row-by-row scan would
+    # find; a read error is raised only if no row before it fails.
+    try:  # only a distinct line's parse raises a CSV error here
+        if '"' in head or '"' in "".join(lines):  # a quoted row may span lines
+            with path.open(newline="", encoding="utf-8-sig") as fh:
+                reader = csv.reader(fh, delimiter=delimiter)
+                first_row, counts, failure = _count_rows(map(tuple, reader), has_header, reader)
+            rows = counts.items()
+        else:  # each line is one row: parse each distinct line once, lazily
+            first_row = next(csv.reader([head], delimiter=delimiter))
+            rows = zip(csv.reader(lines, delimiter=delimiter), lines.values())
         header = [cell.strip() for cell in first_row] if has_header else None
         s_idx = _resolve_column(s_column, header, len(first_row), "sensitive")
         x_idx = _resolve_column(x_column, header, len(first_row), "public")
-        # Distinct raw data rows -> occurrences, in first-appearance order. The
-        # checks below run once per distinct row, in that order, so the first
-        # row to fail is the first in the file to fail, as a row-by-row scan
-        # would find; a read error is raised only if no row before it fails.
-        rows = Counter() if has_header else first
-        failure = _count_rows(reader, rows)
-
-    def bad_row(message: str, row: tuple[str, ...]) -> IngestError:
-        return IngestError(message, row=_row_number(path, delimiter, has_header, row))
-
-    width = max(s_idx, x_idx) + 1
-    records: dict[tuple[str, str], int] = {}  # retained (s, x) -> count, first appearance first
-    for row, count in rows.items():
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) < width:
-            raise bad_row(f"row has only {len(row)} columns", row)
-        s_cell = row[s_idx].strip()
-        x_cell = row[x_idx].strip()
-        if s_cell in missing_set or x_cell in missing_set:
-            continue
-        if require_numeric_x and not _parses_as_number(x_cell):
-            raise bad_row(f"public column value {x_cell!r} is not numeric", row)
-        if not s_cell or not x_cell:
-            raise bad_row(f"{'public' if s_cell else 'sensitive'} column value is empty", row)
-        key = (s_cell, x_cell)
-        records[key] = records.get(key, 0) + count
+        width = max(s_idx, x_idx) + 1
+        records: dict[tuple[str, str], int] = {}  # retained (s, x) -> count, first appearance first
+        for row, count in rows:
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) < width:
+                raise bad_row(f"row has only {len(row)} columns", row)
+            s_cell = row[s_idx].strip()
+            x_cell = row[x_idx].strip()
+            if s_cell in missing_set or x_cell in missing_set:
+                continue
+            if require_numeric_x and not _parses_as_number(x_cell):
+                raise bad_row(f"public column value {x_cell!r} is not numeric", row)
+            if not s_cell or not x_cell:
+                raise bad_row(f"{'public' if s_cell else 'sensitive'} column value is empty", row)
+            key = (s_cell, x_cell)
+            records[key] = records.get(key, 0) + count
+    except csv.Error:  # read row by row to raise it with its physical line
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            raise _count_rows(map(tuple, reader), has_header, reader)[2] from None
     if failure is not None:
         raise failure
     if not records:
@@ -160,31 +168,36 @@ def load_csv(
     return jr, _stats(records)
 
 
-def _count_rows(reader, counts: Counter, limit: Optional[int] = None) -> Optional[IngestError]:
-    """Count up to ``limit`` more rows of ``reader`` into ``counts`` as tuples.
-
-    Returns the error that stopped the read (undecodable bytes or a CSV syntax
-    error), if any; the rows read before it stay counted.
-    """
+def _count_rows(units, has_header: bool, reader=None):
+    """``(first, data, failure)`` of ``units``, a file's lines or ``reader``'s rows
+    as tuples: the first unit, the data units counted in first-appearance order,
+    and the error that stopped the read, if any (the units before it stay
+    counted). Raises that error, or that the file is empty, if no unit reads."""
+    first: Counter = Counter()
+    data = Counter() if has_header else first
     try:
-        counts.update(map(tuple, itertools.islice(reader, limit)))
+        first.update(itertools.islice(units, 1))
+        data.update(units)
     except UnicodeDecodeError:
-        return IngestError("file is not UTF-8 text")
+        failure = IngestError("file is not UTF-8 text")
     except csv.Error as exc:
-        line = reader.line_num
-        return IngestError(f"CSV error on line {line}: {exc}", row=line)
-    return None
+        failure = IngestError(f"CSV error on line {reader.line_num}: {exc}", row=reader.line_num)
+    else:
+        failure = None
+    if not first:
+        raise failure or IngestError("file is empty")
+    return next(iter(first)), data, failure
 
 
 def _row_number(
-    path: Path, delimiter: str, has_header: bool, row: tuple[str, ...]
+    path: Path, delimiter: str, has_header: bool, row: Sequence[str]
 ) -> Optional[int]:
     """1-based number of the first data row equal to ``row``, by reading the file
     again (None if the file no longer holds it)."""
     with path.open(newline="", encoding="utf-8-sig") as fh:
         skip = 1 if has_header else 0
         data = itertools.islice(csv.reader(fh, delimiter=delimiter), skip, None)
-        return next((n for n, raw in enumerate(data, skip + 1) if tuple(raw) == row), None)
+        return next((n for n, raw in enumerate(data, skip + 1) if raw == list(row)), None)
 
 
 def _parses_as_number(token: str) -> bool:

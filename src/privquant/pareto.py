@@ -103,10 +103,7 @@ def normalize(
     leakage_raw: float, utility_raw: float, ctx: NormalizationContext, kind: UtilityKind
 ) -> tuple[float, float]:
     """(loss_norm, leakage_norm) for one point under a frontier's context."""
-    if ctx.degenerate:
-        leak = leakage_raw
-    else:
-        leak = leakage_raw / ctx.leakage_full
+    leak = leakage_raw if ctx.degenerate else leakage_raw / ctx.leakage_full
     if kind is UtilityKind.U1_RESOLUTION:
         loss = 0.0 if ctx.h0_x <= TOLERANCE else 1.0 - utility_raw / ctx.h0_x
     else:
@@ -166,12 +163,8 @@ def sweep(
     scored = sorted((leak, -util, cfgs[i].lam, key) for key, (i, leak, util) in firsts.items())
     survivors: list[tuple[float, float, float, tuple]] = []
     best_util = -math.inf
-    last_coords = None
     for leak, neg_util, lam, key in scored:
         util = -neg_util
-        if (leak, util) == last_coords:
-            continue  # same coordinates, keep the first representative
-        last_coords = (leak, util)
         if util > best_util + TOLERANCE:
             best_util = util
             survivors.append((lam, leak, util, key))

@@ -327,7 +327,7 @@ def reference_pair_cost(state, a: int, b: int):
     ca, cb = state.clusters[a], state.clusters[b]
     if not state.needs_values:
         return ca.size + cb.size
-    if state.policy is CodewordPolicy.CENTROID:
+    if state.centroid:
         cw = (ca.total + cb.total) / state.scale / (ca.size + cb.size)
     else:
         cw = state.values[min(a, b)]

@@ -116,6 +116,25 @@ class TestLoadCsv:
             load_csv(path, "age", "chol", missing=("NA",))
         assert exc.value.row == 3
 
+    def test_header_text_recurring_as_data_keeps_its_place(self, tmp_path):
+        # The header line recurs as a data row after another one: it is a
+        # record there, and the alphabets keep the data's first-appearance order.
+        path = tmp_path / "recur.csv"
+        path.write_text("s,x\na,1\ns,x\na,1\nb,2\ns,x\n")
+        jr, st = load_csv(path, "s", "x")
+        assert [sym.id for sym in jr.s_symbols] == ["a", "s", "b"]
+        assert [sym.id for sym in jr.x_symbols] == ["1", "x", "2"]
+        assert st.record_count == 5 and st.distinct_pairs == 3
+
+    def test_quoted_field_spanning_lines_is_one_row(self, tmp_path):
+        # A quoted X cell holds a line break; its second line looks like a row.
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b's,x\na,"1\nb,2"\na,"1\nb,2"\nc,3\n')
+        jr, st = load_csv(path, "s", "x")
+        assert [sym.id for sym in jr.s_symbols] == ["a", "c"]
+        assert [sym.id for sym in jr.x_symbols] == ["1\nb,2", "3"]
+        assert st.record_count == 3
+
     def test_empty_cell_under_x_numeric_is_not_numeric(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", [("40", "")])
         with pytest.raises(IngestError, match="^public column value '' is not numeric$"):

@@ -514,18 +514,28 @@ BAD_BYTES = b"\xff\xfe"
 LONG_PAD = 2500
 
 
-def _encode_rows(rows, delimiter: str) -> list[bytes]:
+TERMINATORS = ("\n", "\r\n", "\r")
+
+
+def _encode_rows(rows, delimiter: str, terminators=None) -> list[bytes]:
+    """One encoded line per row, each ended by its terminator (default CRLF)."""
     lines = []
-    for row in rows:
+    for row, end in zip(rows, terminators or ["\r\n"] * len(rows)):
         buf = io.StringIO()
-        csv.writer(buf, delimiter=delimiter).writerow(row)
+        csv.writer(buf, delimiter=delimiter, lineterminator=end).writerow(row)
         lines.append(buf.getvalue().encode())
     return lines
 
 
 @st.composite
 def csv_cases(draw):
-    """(file bytes, load_csv keyword arguments) covering the loader's branches."""
+    """(file bytes, load_csv keyword arguments) covering the loader's branches.
+
+    Besides the fuzzed cells they draw each row's line terminator, a last line
+    with or without one, the header's text recurring as a data row and one
+    data row repeated many times: the loader parses each distinct line once
+    when no line holds a quote.
+    """
     delimiter = draw(st.sampled_from((",", ";")))
     has_header = draw(st.booleans())
     header = draw(st.sampled_from((["s", "x"], ["x", " s ", "t"], ["s"])))
@@ -533,14 +543,24 @@ def csv_cases(draw):
     pad_row = draw(st.sampled_from((["a", "1"], ["b", "2", "c"], ["a"], [" ", ""])))
     pad = draw(st.sampled_from((0, 2, LONG_PAD)))
     rows = draw(st.lists(row, max_size=10))
-    split = draw(st.integers(0, len(rows)))
-    rows[split:split] = [pad_row] * pad
-    lines = _encode_rows(([header] if has_header else []) + rows, delimiter)
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), header)
+    if rows and draw(st.booleans()):
+        at = draw(st.integers(0, len(rows) - 1))
+        rows[at:at] = [rows[at]] * draw(st.sampled_from((2, 40)))
+    table = ([header] if has_header else []) + rows
+    ends = draw(st.lists(st.sampled_from(TERMINATORS), min_size=len(table), max_size=len(table)))
+    lines = _encode_rows(table, delimiter, ends)
+    split = draw(st.integers(int(has_header), len(lines)))
+    pad_end = draw(st.sampled_from(TERMINATORS))
+    lines[split:split] = _encode_rows([pad_row], delimiter, [pad_end]) * pad
     for bad in draw(st.lists(st.sampled_from((None, None, LONG_FIELD, BAD_BYTES)), max_size=2)):
         if bad is None:
             continue
         at = draw(st.sampled_from(range(len(lines) + 1)))
         lines.insert(at, bad if isinstance(bad, bytes) else _encode_rows([["a", bad]], delimiter)[0])
+    if lines and draw(st.booleans()):  # no terminator after the last line
+        lines[-1] = lines[-1].rstrip(b"\r\n")
     bom = draw(st.sampled_from((b"", b"\xef\xbb\xbf")))
     by_name = has_header and draw(st.booleans())
     kwargs = dict(
