@@ -289,6 +289,8 @@ def _cmd_quantize(args, jr: JointRange, dataset_stats: dict, config: dict) -> di
 def _parse_grid(args) -> Optional[list[float]]:
     from .pareto import MAX_GRID_COUNT, geometric_grid
 
+    if args.lambdas and args.grid:
+        raise ConfigurationError("give either --lambdas or --grid, not both")
     if args.lambdas:  # sweep caps the list's length
         try:
             return [float(tok) for tok in args.lambdas.split(",") if tok.strip()]

@@ -59,19 +59,14 @@ class UnionFind:
         return i
 
     def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # Keep the smaller root as representative for stable output order.
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+        self.parent[self.find(b)] = self.find(a)
 
-    def blocks(self, parts: Sequence[Iterable[int]]) -> tuple[frozenset[int], ...]:
-        """Union of ``parts[i]`` per set of ``i``, ordered by smallest member."""
+    def blocks(self) -> tuple[frozenset[int], ...]:
+        """The sets, ordered by smallest member (the order their roots are first found in)."""
         groups: dict[int, set[int]] = {}
-        for i, part in enumerate(parts):
-            groups.setdefault(self.find(i), set()).update(part)
-        return tuple(frozenset(g) for g in sorted(groups.values(), key=min))
+        for i in range(len(self.parent)):
+            groups.setdefault(self.find(i), set()).add(i)
+        return tuple(map(frozenset, groups.values()))
 
 
 def _canonical_clusters(q) -> tuple[frozenset[int], ...]:
@@ -179,7 +174,7 @@ def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
         first, *rest = sorted(cond_range_cluster(jr, cluster))
         for s in rest:
             uf.union(first, s)
-    return uf.blocks([(s,) for s in range(jr.n_s)])
+    return uf.blocks()
 
 
 def merge_update(dec: Decomposition, q) -> Decomposition:

@@ -353,11 +353,13 @@ def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[
 _HALF_GAP = 0.5 * (1.0 - 2.0**-50)
 
 
-def _best_partner_min_l0(state: _State, cid: int, index: list) -> Optional[int]:
+def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     """Partner giving the least-cost merged cluster (the smallest merged size
     under resolution utility, the smallest merged distortion under max
     distortion) among clusters whose conditional range differs from
-    ``cid``'s (merging equal ranges cannot raise the smallest range).
+    ``cid``'s (merging equal ranges cannot raise the smallest range). One
+    exists: ``_moves`` offers a round only when two S-masks differ, and each
+    merge of a round leaves a range larger than the smallest.
 
     Ties: smaller merged cluster, then smaller merged minimum index, then
     smaller partner id.
@@ -375,7 +377,7 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> Optional[int]:
     """
     cx = state.clusters[cid]
     if not state.needs_values:
-        return next((o for _, o in index if state.clusters[o].smask != cx.smask), None)
+        return next(o for _, o in index if state.clusters[o].smask != cx.smask)
     v = cx.vmin
     here = bisect_left(index, (v, cid))
     left, right = here - 1, here + 1
@@ -416,8 +418,6 @@ def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
         if cid in consumed:
             continue
         partner = _best_partner_min_l0(state, cid, index)
-        if partner is None:
-            continue
         consumed.add(cid)
         consumed.add(partner)
         for old in (cid, partner):

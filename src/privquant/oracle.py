@@ -11,10 +11,10 @@ table indexed by the block's member bitmask, and the depth-first RGS walker
 keeps every block's member bitmask as it steps, so scoring a partition is a
 few table lookups and a component count.
 
-A theta query skips every RGS prefix with a block that no completion can
-lift to theta: such a prefix has no feasible partition below it, so the
-result is the same as with the full walk. Only an infeasible query walks
-everything, for the best achievable utility its error reports.
+A query is one walk, and its witness the first near-optimal partition
+walked. A theta query skips every RGS prefix with a block that no
+completion can lift to theta: no feasible partition lies below it. Only an
+infeasible theta walks again, in full, for the utility its error reports.
 
 Hard-capped at 12 symbols (Bell(12) is ~4.2 million partitions); beyond
 that this stops being a desk-scale tool and the cap errors out rather than
@@ -27,11 +27,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import TOLERANCE, JointRange, h0
+from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
 from .graph import components
 from .greedy import LagrangianConfig, Problem
-from .quantize import Quantization, UtilityKind, cluster_cost, compute_codeword, require_u2
+from .quantize import (Quantization, UtilityKind, cluster_cost, compute_codeword,
+                       quantizer, require_u2)
 
 __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"]
 
@@ -126,13 +127,6 @@ def _walk_partitions(
             r += 1
 
 
-def blocks_from_rgs(rgs: tuple[int, ...]) -> list[list[int]]:
-    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
-    for x, block in enumerate(rgs):
-        blocks[block].append(x)
-    return blocks
-
-
 def oracle_min(
     jr: JointRange,
     problem: Problem,
@@ -153,11 +147,11 @@ def oracle_min(
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
 
-    A theta query walks only the RGS prefixes whose blocks can each still
-    reach ``theta`` (see the module docstring). One enumeration pass keeps
-    the optimum, the number of partitions within ``TOLERANCE`` of it and
-    the lexicographically first of them (the witness), whose own objective
-    is the reported ``value``.
+    One pass over the walk keeps the optimum, the number of partitions
+    within ``TOLERANCE`` of it and the first of them walked (the least RGS):
+    the witness, whose own objective is the reported ``value``. A theta
+    query walks only the prefixes whose blocks can still reach ``theta``;
+    only an infeasible ``theta`` runs the full walk (see the module docstring).
     """
     if theta is not None and math.isnan(theta):
         raise ConfigurationError("theta must be a number, not NaN")
@@ -205,42 +199,35 @@ def oracle_min(
                 if ext[b | 1 << j] > ext[b]:
                     ext[b] = ext[b | 1 << j]
         alive = [e >= floor for e in ext]
-    # The pruned walk visits every feasible partition; only an infeasible
-    # query walks again, unpruned, for the best achievable utility.
-    for prune in (alive, None):
-        best = math.inf
-        # Best utility over the structurally valid partitions, theta ignored:
-        # the infeasibility diagnostic.
-        best_util = -math.inf
-        any_feasible = False
-        # Objectives within TOLERANCE of the running best -> [partitions, least RGS].
-        near: dict[float, list] = {}
-        for rgs, blocks in _walk_partitions(n, prune):
-            if connected_only and len(components([smask[b] for b in blocks])) != 1:
-                continue
-            util = min([block_util[b] for b in blocks])
-            if util > best_util:
-                best_util = util
-            if floor is not None and not util >= floor:
-                continue
-            if istar:
-                privacy = math.log2(len(components([smask[b] for b in blocks])))
-            else:
-                privacy = max([leak[b] for b in blocks])
-            obj = privacy if floor is not None else privacy - lam * util
-            any_feasible = True
-            if obj < best:
-                best = obj
-                near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
-            if obj <= best + TOLERANCE:
-                tie = near.get(obj)
-                if tie is None:
-                    near[obj] = [1, tuple(rgs)]
-                else:
-                    tie[0] += 1
-        if any_feasible or prune is None:
-            break
+    best = math.inf
+    any_feasible = False
+    # Objectives within TOLERANCE of the running best -> [partitions, blocks
+    # of the first], in order of first sighting, which is walk (RGS) order.
+    near: dict[float, list] = {}
+    for _, blocks in _walk_partitions(n, alive):
+        if connected_only and len(components([smask[b] for b in blocks])) != 1:
+            continue
+        util = min([block_util[b] for b in blocks])
+        if floor is not None and not util >= floor:
+            continue
+        if istar:
+            privacy = math.log2(len(components([smask[b] for b in blocks])))
+        else:
+            privacy = max([leak[b] for b in blocks])
+        obj = privacy if floor is not None else privacy - lam * util
+        any_feasible = True
+        if obj < best:
+            best = obj
+            near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
+        if obj <= best + TOLERANCE:
+            near.setdefault(obj, [0, tuple(blocks)])[0] += 1
     if not any_feasible:
+        # The best utility of the structurally valid partitions, theta ignored.
+        best_util = max(
+            min([block_util[b] for b in blocks])
+            for _, blocks in _walk_partitions(n)
+            if not connected_only or len(components([smask[b] for b in blocks])) == 1
+        )
         raise InfeasibleError(
             f"no quantization satisfies the constraint; best achievable utility is "
             f"{best_util:.6g}",
@@ -248,6 +235,7 @@ def oracle_min(
         )
     if not near:
         raise ConfigurationError("no partition has a comparable objective; every one is NaN")
-    value, (_, witness) = min(near.items(), key=lambda item: item[1][1])
-    q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
+    # ``best`` only falls, so no entry re-enters ``near``: its first is the first walked.
+    value, (_, witness) = next(iter(near.items()))
+    q = quantizer(jr, cfg.policy)(tuple(tuple(_bits(b)) for b in witness))
     return OracleResult(value, q, sum(count for count, _ in near.values()))

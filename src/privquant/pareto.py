@@ -219,7 +219,7 @@ def sweeney_baseline(
         else:
             partner = min(others, key=lambda c: (abs(c - cid), c))
         state.merge(cid, partner)
-    return Quantization.from_clusters(jr, state.partition(), policy)
+    return quantizer(jr, policy)(state.partition())
 
 
 def frontier_csv_rows(frontier: Frontier) -> list[list[str]]:

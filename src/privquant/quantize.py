@@ -169,7 +169,7 @@ def singleton_quantization(
     jr: JointRange, policy: CodewordPolicy = CodewordPolicy.CENTROID
 ) -> Quantization:
     """The no-quantization starting point: one cluster per X symbol."""
-    return Quantization.from_clusters(jr, [{x} for x in range(jr.n_x)], policy)
+    return quantizer(jr, policy)([(x,) for x in range(jr.n_x)])
 
 
 def require_u2(values: Sequence[Optional[float]], distance: Callable[[float, float], float]):

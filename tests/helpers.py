@@ -28,7 +28,7 @@ from privquant.errors import ConfigurationError, ContractViolation, InfeasibleEr
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
 from privquant.graph import UnionFind
 from privquant.greedy import _excluding
-from privquant.oracle import OracleResult, blocks_from_rgs, enumerate_partitions
+from privquant.oracle import OracleResult, enumerate_partitions
 from privquant.pareto import (
     Frontier,
     NormalizationContext,
@@ -471,6 +471,14 @@ def reference_rgs_strings(n: int) -> list[tuple[int, ...]]:
 
     grow([0], 0)
     return out
+
+
+def blocks_from_rgs(rgs: tuple[int, ...]) -> list[list[int]]:
+    """The blocks of a restricted-growth string, each ascending, in block order."""
+    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+    for x, block in enumerate(rgs):
+        blocks[block].append(x)
+    return blocks
 
 
 def reference_oracle_min(

@@ -320,6 +320,18 @@ class TestPareto:
         lambdas = ",".join(["1"] * MAX_GRID_COUNT)
         assert len(_parse_grid(argparse.Namespace(lambdas=lambdas, grid=None))) == MAX_GRID_COUNT
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--lambdas", "0.1,1", "--grid", "5:0:1:lin"),
+         "give either --lambdas or --grid, not both"),
+        (("--lambdas", "a,b"), "bad --lambdas list: 'a,b'"),
+        (("--grid", "x:0:1"), "bad --grid spec: 'x:0:1'"),
+        (("--grid", "3:0:1"), "log spacing needs min > 0"),
+    ], ids=["lambdas-with-grid", "bad-lambdas", "bad-grid-spec", "log-from-zero"])
+    def test_grid_flag_errors_exit_3(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "pareto", "--pairs", TOY_PAIRS_ARG, *flags)
+        assert code == 3 and out == ""
+        assert err == f"error: {message}\n"  # no row: the error is not an ingest one
+
 
 class TestBaselineAndOracle:
     def test_baseline_k6_all_in_one(self, capsys):
@@ -458,9 +470,10 @@ class TestUnreadableInputAndOutput:
             b'{"clusters": [["\xff"]]}',
             None,
             "[" * 100_000 + "]" * 100_000,
+            '{"clusters": ',
         ],
         ids=["top-level-list", "top-level-string", "non-list-cluster", "nested-member",
-             "no-members-key", "non-utf8", "directory", "too-deep"],
+             "no-members-key", "non-utf8", "directory", "too-deep", "truncated"],
     )
     def test_malformed_apply_quantization_exits_3(self, capsys, tmp_path, content):
         path = tmp_path / "q.json"
@@ -477,6 +490,9 @@ class TestUnreadableInputAndOutput:
         assert err.startswith("error: ") and err.count("\n") == 1
         if content == '{"clusters": [{"id": "x1"}]}':
             assert "'members'" in err
+        if content == '{"clusters": ':
+            assert err == "error: quantization file is not valid JSON: " \
+                "Expecting value: line 1 column 14 (char 13)\n"
 
 
 class TestFlagTable:

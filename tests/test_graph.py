@@ -102,6 +102,10 @@ class TestMaximinInformation:
         q = clusters_by_id(toy, ("x1", "x3"), ("x2", "x5"), ("x4", "x6"), ("x7",))
         assert maximin_information(toy, q) == pytest.approx(1.0, abs=1e-12)
 
+    def test_empty_cluster_rejected(self, toy):
+        with pytest.raises(ContractViolation, match="^clusters must be non-empty$"):
+            maximin_information(toy, [*singletons(toy), set()])
+
 
 class TestOverlapPartitionOracle:
     def test_toy(self, toy):
@@ -176,6 +180,11 @@ class TestMergeUpdate:
         dec = Decomposition((frozenset({0, 1}),))
         with pytest.raises(ContractViolation):
             merge_update(dec, singletons(toy))
+
+    def test_empty_cluster_rejected(self, toy):
+        dec = finest_decomposition(build_graph(toy, singletons(toy)))
+        with pytest.raises(ContractViolation, match="^clusters must be non-empty$"):
+            merge_update(dec, [*singletons(toy), set()])
 
     def test_equivalent_to_rebuild(self):
         rng = random.Random(7)

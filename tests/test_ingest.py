@@ -116,6 +116,19 @@ class TestLoadCsv:
             load_csv(path, "age", "chol", missing=("NA",))
         assert exc.value.row == 3
 
+    @pytest.mark.parametrize("second, message, row", [
+        (b"a,1\n", "file is not UTF-8 text", None),
+        (b"b\n", "row has only 1 columns", 2),
+    ], ids=["good-rows", "short-row-first"])
+    def test_undecodable_bytes_after_rows(self, tmp_path, second, message, row):
+        # 2,500 rows fill more than the text decoder's first block, so the
+        # rows are checked before the bytes past them stop the read.
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"s,x\n" + second + b"a,1\n" * 2499 + b"b,\xff\xfe\n")
+        with pytest.raises(IngestError, match=f"^{message}$") as exc:
+            load_csv(path, "s", "x")
+        assert exc.value.row == row
+
     def test_header_text_recurring_as_data_keeps_its_place(self, tmp_path):
         # The header line recurs as a data row after another one: it is a
         # record there, and the alphabets keep the data's first-appearance order.

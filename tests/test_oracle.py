@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    blocks_from_rgs,
     random_joint_range,
     random_quantization,
     reference_oracle_min,
@@ -28,7 +29,7 @@ from privquant import (
     oracle_min,
 )
 from privquant import oracle as oracle_module
-from privquant.oracle import _walk_partitions, blocks_from_rgs
+from privquant.oracle import _walk_partitions
 from privquant.quantize import utility
 
 CFG = LagrangianConfig(0.3, UtilityChoice.u1())

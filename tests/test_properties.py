@@ -310,7 +310,9 @@ def _checked_searches(calls, lams):
     def checked_search(state, cid, index):
         calls["searches"] += 1
         found = search(state, cid, index)
-        assert found == reference_best_partner_min_l0(state, cid)
+        # Every cluster a round reaches has a partner with another S-mask.
+        expected = reference_best_partner_min_l0(state, cid)
+        assert expected is not None and found == expected
         return found
 
     def checked_moves(problem, state):
