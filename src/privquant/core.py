@@ -29,8 +29,8 @@ O(n^2) passes done by the graph module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import reduce
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
 
@@ -52,8 +52,7 @@ __all__ = [
 TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """One alphabet entry: a text id plus an optional numeric value.
 
     The value is required on X symbols only when distortion-based utility is
@@ -91,10 +90,11 @@ class JointRange:
     internally (dense integers); the text ids only matter at the ingestion
     and output boundaries.
 
-    Invariants enforced here: at least one pair, no out-of-range indices,
-    every symbol of either alphabet occurs in at least one pair (the
-    marginal ranges are the full alphabets), and the X values given are
-    finite with a finite ``sum(|v|)`` (see ``finite_magnitude``).
+    Invariants enforced here: at least one pair, every index an ``int``
+    (not a ``bool``, float or string) within its alphabet, every symbol of
+    either alphabet occurs in at least one pair (the marginal ranges are the
+    full alphabets), and the X values given are finite with a finite
+    ``sum(|v|)`` (see ``finite_magnitude``).
     """
 
     __slots__ = ("s_symbols", "x_symbols", "pairs", "_s_mask_by_x")
@@ -109,20 +109,19 @@ class JointRange:
         x_syms = tuple(x_symbols)
         _check_alphabet(s_syms, "S")
         _check_alphabet(x_syms, "X")
-        pair_set = frozenset((int(s), int(x)) for s, x in pairs)
-        if not pair_set:
+        pairs = list(map(tuple, pairs))
+        if not pairs:
             raise ContractViolation("a joint range needs at least one pair")
 
-        masks = [0] * len(x_syms)
-        seen_s = 0
-        for s, x in pair_set:
-            if not (0 <= s < len(s_syms)) or not (0 <= x < len(x_syms)):
-                raise ContractViolation(f"pair ({s}, {x}) is outside the alphabets")
+        n_s, n_x = len(s_syms), len(x_syms)
+        masks = [0] * n_x
+        for s, x in pairs:
+            if not (type(s) is int is type(x) and 0 <= s < n_s and 0 <= x < n_x):
+                raise ContractViolation(f"pair {(s, x)!r} needs int indices within the alphabets")
             masks[x] |= 1 << s
-            seen_s |= 1 << s
-        if seen_s != (1 << len(s_syms)) - 1:
+        if reduce(int.__or__, masks) != (1 << n_s) - 1:
             raise ContractViolation("every S symbol must occur in some pair")
-        if any(m == 0 for m in masks):
+        if not all(masks):
             raise ContractViolation("every X symbol must occur in some pair")
         numeric = [sym for sym in x_syms if sym.value is not None]
         for sym in numeric:
@@ -133,7 +132,7 @@ class JointRange:
 
         self.s_symbols = s_syms
         self.x_symbols = x_syms
-        self.pairs = pair_set
+        self.pairs = frozenset(pairs)
         self._s_mask_by_x = tuple(masks)
 
     # -- construction helpers -------------------------------------------------

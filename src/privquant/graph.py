@@ -23,8 +23,7 @@ without rebuilding the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import JointRange, _bits, cond_range_cluster
 from .errors import ContractViolation
@@ -76,8 +75,7 @@ def _canonical_clusters(q) -> tuple[frozenset[int], ...]:
     return tuple(sorted(clusters, key=min))
 
 
-@dataclass(frozen=True)
-class ConfusabilityGraph:
+class ConfusabilityGraph(NamedTuple):
     """Graph over released clusters; edge iff conditional S-ranges overlap.
 
     ``clusters`` is ordered by smallest member x-index; ``edges`` holds
@@ -93,19 +91,26 @@ class ConfusabilityGraph:
         return len(self.clusters)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class _Blocks(NamedTuple):
+    blocks: tuple[frozenset[int], ...]
+
+
+class Decomposition(_Blocks):
     """Partition of the X alphabet into mutually non-confusable blocks.
 
     Blocks are unions of cluster members, each internally connected in the
     confusability graph, with no edge crossing blocks; ordered by smallest
-    contained x-index.
+    contained x-index. ``len`` counts the blocks.
     """
 
-    blocks: tuple[frozenset[int], ...]
+    __slots__ = ()
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's checks its arity with len, the block count here
+        return cls(*iterable)
 
 
 def build_graph(jr: JointRange, q) -> ConfusabilityGraph:

@@ -48,7 +48,6 @@ import copy
 import enum
 import math
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
@@ -91,21 +90,29 @@ class Termination(enum.Enum):
     NO_ELIGIBLE_MERGE = "no-eligible-merge"
 
 
-@dataclass(frozen=True)
-class LagrangianConfig:
-    """Multiplier, utility choice and codeword policy for one greedy run."""
-
+class _Config(NamedTuple):
     lam: float
     utility: UtilityChoice
     policy: CodewordPolicy = CodewordPolicy.CENTROID
 
-    def __post_init__(self):
+
+class LagrangianConfig(_Config):
+    """Multiplier, utility choice and codeword policy for one greedy run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ConfigurationError("lambda must be a finite non-negative real")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks lambda too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """State after outer iteration ``t`` (t = 0 is the singleton start).
 
     ``delta_l`` is the reported Lagrangian change that accepted this
@@ -123,8 +130,7 @@ class TraceEntry:
     utility_value: float
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     quantization: Quantization
     trace: tuple[TraceEntry, ...]
     decomposition: Optional[Decomposition]

@@ -8,6 +8,7 @@ stays categorical and distortion-based utility is unavailable for it. A
 numeric column holding a non-finite value (``nan``, ``inf``) is an error.
 The file's lines are counted per distinct line; when no quote character
 ``"`` is in it, each line is one row, so only the distinct lines are parsed.
+A quote in the first line sends the file straight to a row-by-row read.
 
 The default sentinels are "-9" (the UCI heart-disease convention), the
 empty string and "?". The exact filter behind any reference record count
@@ -20,9 +21,8 @@ import csv
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .core import JointRange, finite_magnitude
 from .errors import ConfigurationError, IngestError
@@ -32,8 +32,7 @@ __all__ = ["DEFAULT_MISSING", "DatasetStats", "load_csv", "stats"]
 DEFAULT_MISSING: tuple[str, ...] = ("-9", "", "?")
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     """Counts describing one ingested two-column dataset."""
 
     record_count: int
@@ -43,7 +42,7 @@ class DatasetStats:
     singleton_pairs: int  # pairs occurring exactly once
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def stats(jr: JointRange, records: Sequence[tuple[str, str]]) -> DatasetStats:
@@ -131,13 +130,15 @@ def load_csv(
         x_idx = _resolve_column(x_column, header, len(first_row), "public")
         width = max(s_idx, x_idx) + 1
         records: dict[tuple[str, str], int] = {}  # retained (s, x) -> count, first appearance first
-        for row, count in rows:
-            if not any(map(str.strip, row)):
-                continue
+        for row, count in rows:  # a blank row is skipped
             if len(row) < width:
+                if not any(map(str.strip, row)):
+                    continue
                 raise bad_row(f"row has only {len(row)} columns", row)
             s_cell = row[s_idx].strip()
             x_cell = row[x_idx].strip()
+            if not (s_cell or x_cell or any(map(str.strip, row))):
+                continue
             if s_cell in missing_set or x_cell in missing_set:
                 continue
             if require_numeric_x and not _parses_as_number(x_cell):
@@ -170,14 +171,16 @@ def load_csv(
 
 def _count_rows(units, has_header: bool, reader=None):
     """``(first, data, failure)`` of ``units``, a file's lines or ``reader``'s rows
-    as tuples: the first unit, the data units counted in first-appearance order,
+    as tuples: the first unit, the data units counted in first-appearance order
+    (none when the first line holds a quote: the file is then read as rows),
     and the error that stopped the read, if any (the units before it stay
     counted). Raises that error, or that the file is empty, if no unit reads."""
     first: Counter = Counter()
     data = Counter() if has_header else first
     try:
         first.update(itertools.islice(units, 1))
-        data.update(units)
+        if reader is not None or '"' not in next(iter(first), ""):
+            data.update(units)
     except UnicodeDecodeError:
         failure = IngestError("file is not UTF-8 text")
     except csv.Error as exc:

@@ -24,8 +24,7 @@ silently grinding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
@@ -39,8 +38,7 @@ __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle
 MAX_ORACLE_SYMBOLS = 12
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """One optimal witness, its objective (within ``TOLERANCE`` of the exact
     optimum) as ``value``, and how many partitions tie."""
 

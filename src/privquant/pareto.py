@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError
@@ -52,8 +51,7 @@ __all__ = [
     "frontier_csv_rows",
 ]
 
-@dataclass(frozen=True)
-class ParetoPoint:
+class ParetoPoint(NamedTuple):
     """One frontier point; raw bits/distortion are kept next to the
     normalized coordinates so rescaling the axes never loses information."""
 
@@ -65,8 +63,7 @@ class ParetoPoint:
     quantization: Quantization
 
 
-@dataclass(frozen=True)
-class Frontier:
+class Frontier(NamedTuple):
     points: tuple[ParetoPoint, ...]
     problem: Problem
     utility_kind: UtilityKind
@@ -74,8 +71,7 @@ class Frontier:
     u2_floor: Optional[float]
 
 
-@dataclass(frozen=True)
-class NormalizationContext:
+class NormalizationContext(NamedTuple):
     """Denominators for the normalized axes of one frontier."""
 
     leakage_full: float
@@ -91,7 +87,13 @@ MAX_GRID_COUNT = 10_000
 def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
     """``count >= 2`` geometrically spaced points from ``lo > 0`` to ``hi``."""
     ratio = (hi / lo) ** (1.0 / (count - 1))
-    return [lo * ratio**i for i in range(count)]
+    try:
+        grid = [lo * ratio**i for i in range(count)]
+    except OverflowError:  # a finite ratio**i past the float range
+        grid = [math.inf]
+    if math.isinf(grid[-1]):  # the greatest point
+        raise ConfigurationError("log spacing overflows the float range: lower max or raise min")
+    return grid
 
 
 def default_lambda_grid() -> tuple[float, ...]:

@@ -28,8 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0
 from .errors import ConfigurationError, ContractViolation
@@ -68,8 +67,7 @@ class Problem(enum.Enum):
     MIN_L0_ZERO_ISTAR = "l0-zero-istar"
 
 
-@dataclass(frozen=True)
-class UtilityChoice:
+class UtilityChoice(NamedTuple):
     """Which utility to optimize, plus the distance used by U2."""
 
     kind: UtilityKind
@@ -110,8 +108,7 @@ def exact_numerators(values: Sequence[float]) -> tuple[list[int], int]:
     return [n * (scale // d) for n, d in ratios], scale
 
 
-@dataclass(frozen=True)
-class Quantization:
+class Quantization(NamedTuple):
     """A partition of the X alphabet with per-cluster codewords.
 
     ``clusters`` is canonically ordered by smallest member index and a
@@ -123,8 +120,12 @@ class Quantization:
 
     clusters: tuple[frozenset[int], ...]
     policy: CodewordPolicy
-    x_values: tuple[Optional[float], ...] = field(repr=False)
+    x_values: tuple[Optional[float], ...]
     codewords: Optional[tuple[float, ...]] = None
+
+    def __repr__(self) -> str:  # without x_values
+        return (f"Quantization(clusters={self.clusters!r}, policy={self.policy!r}, "
+                f"codewords={self.codewords!r})")
 
     @classmethod
     def from_clusters(

@@ -326,7 +326,10 @@ class TestPareto:
         (("--lambdas", "a,b"), "bad --lambdas list: 'a,b'"),
         (("--grid", "x:0:1"), "bad --grid spec: 'x:0:1'"),
         (("--grid", "3:0:1"), "log spacing needs min > 0"),
-    ], ids=["lambdas-with-grid", "bad-lambdas", "bad-grid-spec", "log-from-zero"])
+        *((("--grid", grid), "log spacing overflows the float range: lower max or raise min")
+          for grid in ("3:1e-200:1e200", "5:1:1.7976931348623157e308", "6:6:1.79769313486231e308")),
+    ], ids=["lambdas-with-grid", "bad-lambdas", "bad-grid-spec", "log-from-zero", "log-inf-ratio",
+            "log-power-overflow", "log-point-overflow"])
     def test_grid_flag_errors_exit_3(self, capsys, flags, message):
         code, out, err = run_cli(capsys, "pareto", "--pairs", TOY_PAIRS_ARG, *flags)
         assert code == 3 and out == ""

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -46,9 +47,13 @@ class TestJointRangeConstruction:
         with pytest.raises(ContractViolation):
             JointRange([Symbol("")], [Symbol("x")], [(0, 0)])
 
-    def test_rejects_out_of_range_pairs(self):
-        with pytest.raises(ContractViolation):
-            JointRange([Symbol("s1")], [Symbol("x1")], [(0, 0), (0, 5)])
+    @pytest.mark.parametrize(
+        "pair", [(0, 5), (0.9, 0), ("1", 0), (True, 0)], ids=["out-of-range", "float", "str", "bool"]
+    )
+    def test_rejects_out_of_range_pairs(self, pair):
+        # Only int indices are indices: 0.9, "1" and True are not truncated or parsed.
+        with pytest.raises(ContractViolation, match=re.escape(f"pair {pair!r}")):
+            JointRange([Symbol("s1"), Symbol("s2")], [Symbol("x1")], [(0, 0), (1, 0), pair])
 
     def test_from_id_pairs_first_appearance_order(self):
         jr = JointRange.from_id_pairs([("b", "y"), ("a", "y"), ("a", "z")])

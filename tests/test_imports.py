@@ -103,3 +103,19 @@ print(json.dumps([
     hasattr(privquant, "no_such_name"),
 ]))
 """) == [True, True, False]
+
+
+def test_algorithm_and_cli_imports_load_neither_dataclasses_nor_inspect():
+    # Every record is a typing.NamedTuple, so no import of privquant pulls in
+    # dataclasses, or the inspect module it loads, beyond what the bare
+    # interpreter already holds.
+    bare, added = fresh("""
+import sys
+bare = set(sys.modules)
+import privquant.cli, privquant.oracle, privquant.pareto
+added = set(sys.modules) - bare
+import json
+print(json.dumps([sorted(bare), sorted(added)]))
+""")
+    assert {"privquant.cli", "privquant.oracle", "privquant.pareto"} <= set(added)
+    assert not {"dataclasses", "inspect"} & set(added)

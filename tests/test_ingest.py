@@ -148,6 +148,20 @@ class TestLoadCsv:
         assert [sym.id for sym in jr.x_symbols] == ["1\nb,2", "3"]
         assert st.record_count == 3
 
+    def test_quoted_header_with_plain_rows(self, tmp_path):
+        # A quote in the header sends the file to the row-by-row read at once;
+        # rows, counts and row numbers are those of any other file.
+        path = tmp_path / "quoted_header.csv"
+        path.write_bytes(b'"s","x"\na,1\n\n"b",2\na,1\n')
+        jr, st = load_csv(path, "s", "x")
+        assert [sym.id for sym in jr.s_symbols] == ["a", "b"]
+        assert [sym.id for sym in jr.x_symbols] == ["1", "2"]
+        assert st.record_count == 3 and st.distinct_pairs == 2
+        path.write_bytes(b'"s","x"\na,1\nb\n')
+        with pytest.raises(IngestError, match="^row has only 1 columns$") as exc:
+            load_csv(path, "s", "x")
+        assert exc.value.row == 3
+
     def test_empty_cell_under_x_numeric_is_not_numeric(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", [("40", "")])
         with pytest.raises(IngestError, match="^public column value '' is not numeric$"):
