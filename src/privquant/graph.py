@@ -23,7 +23,7 @@ without rebuilding the graph.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .core import JointRange, _bits, cond_range_cluster
 from .errors import ContractViolation
@@ -33,7 +33,6 @@ __all__ = [
     "Decomposition",
     "UnionFind",
     "build_graph",
-    "component_count",
     "components",
     "finest_decomposition",
     "maximin_information",
@@ -133,7 +132,7 @@ def build_graph(jr: JointRange, q) -> ConfusabilityGraph:
 def components(masks: Iterable[int]) -> list[int]:
     """Connected components of the overlap graph on bitmasks (an edge joins
     every two masks that intersect), folded into disjoint component masks:
-    each mask absorbs every component it intersects."""
+    each mask absorbs every component it intersects and goes last."""
     comps: list[int] = []
     for m in masks:
         rest = []
@@ -147,11 +146,6 @@ def components(masks: Iterable[int]) -> list[int]:
     return comps
 
 
-def component_count(masks: Sequence[int]) -> int:
-    """Number of ``components`` of the masks."""
-    return len(components(masks))
-
-
 def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
     """Connected components of the graph, as blocks of x-indices."""
     nodes = [1 << i for i in range(g.n_nodes)]  # edge (i, j): bit j in node i meets node j
@@ -163,7 +157,7 @@ def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
 
 def maximin_information(jr: JointRange, q) -> float:
     """Bits of S perfectly distinguishable from the release: log2(#components)."""
-    return math.log2(component_count([jr.cond_mask_cluster(c) for c in _canonical_clusters(q)]))
+    return math.log2(len(components([jr.cond_mask_cluster(c) for c in _canonical_clusters(q)])))
 
 
 def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:

@@ -7,12 +7,13 @@ memory per item and lexicographic, which gives a canonical deterministic
 representative among ties (the least RGS).
 
 Each possible block's S-mask, l0 term and utility are computed once, in a
-table indexed by the block's member bitmask, and the depth-first RGS walker
-keeps every block's member bitmask as it steps, so scoring a partition is a
-few table lookups and a component count.
+table indexed by the block's member bitmask. The depth-first RGS walker steps
+through the partitions of all symbols but the last (the parents); each
+parent's extreme terms and components are computed once, and each of its
+leaves (the last symbol added to a block, or alone) is scored from them in O(1).
 
 A query is one walk, and its witness the first near-optimal partition
-walked. A theta query skips every RGS prefix with a block that no
+scored. A theta query skips every RGS prefix with a block that no
 completion can lift to theta: no feasible partition lies below it. Only an
 infeasible theta walks again, in full, for the utility its error reports.
 
@@ -54,15 +55,22 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     each value at most one above the running maximum; successive strings
     come out in lexicographic order.
     """
-    for rgs, _ in _walk_partitions(n):
-        yield tuple(rgs)
+    if n < 1:
+        raise ContractViolation("partition enumeration needs n >= 1")
+    if n > MAX_ORACLE_SYMBOLS:
+        raise SizeLimitError(
+            f"refusing to enumerate partitions of {n} > {MAX_ORACLE_SYMBOLS} symbols"
+        )
+    for rgs, blocks in _walk_partitions(n - 1):
+        for r in range(len(blocks) + 1):
+            yield (*rgs, r)
 
 
 def _walk_partitions(
     n: int, alive: Optional[list[bool]] = None
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The lexicographic RGS enumeration, depth first, carrying each block's
-    member bitmask.
+    member bitmask; ``n == 0`` yields the empty partition once.
 
     Yields the same two lists every time, updated in place: ``rgs`` and
     ``blocks``, where ``blocks[r]`` has bit x set iff ``rgs[x] == r``.
@@ -71,43 +79,22 @@ def _walk_partitions(
     opens a new block, only if ``alive[blocks[r] | 1 << i]`` holds; a prefix
     that fails skips its whole subtree, in which its blocks only gain members.
     """
-    if n < 1:
-        raise ContractViolation("partition enumeration needs n >= 1")
-    if n > MAX_ORACLE_SYMBOLS:
-        raise SizeLimitError(
-            f"refusing to enumerate partitions of {n} > {MAX_ORACLE_SYMBOLS} symbols"
-        )
     rgs = [0] * n
     blocks: list[int] = []
-    last = n - 1
-    top = 1 << last
     # Element i tries blocks r, r + 1, ..., len(blocks) (a new block).
     i = r = 0
     while i >= 0:
-        if i == last:
-            k = len(blocks)
-            for r in range(k):
-                b = blocks[r]
-                if alive is None or alive[b | top]:
-                    blocks[r] = b | top
-                    rgs[last] = r
-                    yield rgs, blocks
-                    blocks[r] = b
-            if alive is None or alive[top]:
-                blocks.append(top)
-                rgs[last] = k
-                yield rgs, blocks
-                blocks.pop()
+        if i == n:
+            yield rgs, blocks
         else:
             bit = 1 << i
             k = len(blocks)
             while r < k and not (alive is None or alive[blocks[r] | bit]):
                 r += 1
             if r < k or r == k and (alive is None or alive[bit]):
-                if r < k:
-                    blocks[r] |= bit
-                else:
-                    blocks.append(bit)
+                if r == k:
+                    blocks.append(0)
+                blocks[r] |= bit
                 rgs[i] = r
                 i += 1
                 r = 0
@@ -117,10 +104,8 @@ def _walk_partitions(
         i -= 1
         if i >= 0:
             r = rgs[i]
-            b = blocks[r] ^ (1 << i)
-            if b:
-                blocks[r] = b
-            else:
+            blocks[r] ^= 1 << i
+            if not blocks[r]:
                 blocks.pop()
             r += 1
 
@@ -145,11 +130,11 @@ def oracle_min(
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
 
-    One pass over the walk keeps the optimum, the number of partitions
-    within ``TOLERANCE`` of it and the first of them walked (the least RGS):
-    the witness, whose own objective is the reported ``value``. A theta
-    query walks only the prefixes whose blocks can still reach ``theta``;
-    only an infeasible ``theta`` runs the full walk (see the module docstring).
+    One walk over the parents, each partition scored in O(1) from its parent's
+    aggregates, keeps the optimum, the number of partitions within ``TOLERANCE``
+    of it and the first of them scored (the least RGS): the witness, whose own
+    objective is the reported ``value``. A theta query walks only the prefixes
+    that can still reach ``theta`` (see the module docstring).
     """
     if theta is not None and math.isnan(theta):
         raise ConfigurationError("theta must be a number, not NaN")
@@ -198,28 +183,51 @@ def oracle_min(
                     ext[b] = ext[b | 1 << j]
         alive = [e >= floor for e in ext]
     best = math.inf
-    any_feasible = False
     # Objectives within TOLERANCE of the running best -> [partitions, blocks
     # of the first], in order of first sighting, which is walk (RGS) order.
     near: dict[float, list] = {}
-    for _, blocks in _walk_partitions(n, alive):
-        if connected_only and len(components([smask[b] for b in blocks])) != 1:
-            continue
-        util = min([block_util[b] for b in blocks])
-        if floor is not None and not util >= floor:
-            continue
-        if istar:
-            privacy = math.log2(len(components([smask[b] for b in blocks])))
-        else:
-            privacy = max([leak[b] for b in blocks])
-        obj = privacy if floor is not None else privacy - lam * util
-        any_feasible = True
-        if obj < best:
-            best = obj
-            near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
-        if obj <= best + TOLERANCE:
-            near.setdefault(obj, [0, tuple(blocks)])[0] += 1
-    if not any_feasible:
+    top, mtop = 1 << n - 1, masks[-1]
+    # A leaf adds the last symbol to a block ``old`` (0 opens a new one) and takes
+    # its parent's extreme terms, the next ones standing in where ``old`` holds one.
+    for _, blocks in _walk_partitions(n - 1, alive):
+        lo = lo2 = math.inf
+        hi = hi2 = -math.inf
+        for b in blocks:
+            if block_util[b] < lo:
+                lo, lo2 = block_util[b], lo
+            elif block_util[b] < lo2:
+                lo2 = block_util[b]
+            if leak[b] > hi:
+                hi, hi2 = leak[b], hi
+            elif leak[b] > hi2:
+                hi2 = leak[b]
+        if istar or connected_only:
+            # The last symbol's S-range, folded in last, gives a new block's
+            # components; joining a block outside its component merges one more.
+            comps = components([smask[b] for b in blocks] + [mtop])
+            joined, reach = len(comps), comps[-1]
+        for r, old in enumerate(blocks + [0]):
+            b = old | top
+            if istar or connected_only:
+                n_comps = joined - bool(old and not smask[old] & reach)
+            if connected_only and n_comps != 1:
+                continue
+            util = min(lo2 if old and block_util[old] == lo else lo, block_util[b])
+            if floor is not None and not util >= floor:
+                continue
+            if istar:
+                privacy = math.log2(n_comps)
+            else:
+                privacy = max(hi2 if old and leak[old] == hi else hi, leak[b])
+            obj = privacy if floor is not None else privacy - lam * util
+            if obj < best:
+                best = obj
+                near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
+            if obj <= best + TOLERANCE:
+                if obj not in near:
+                    near[obj] = [0, (*blocks[:r], b, *blocks[r + 1:])]
+                near[obj][0] += 1
+    if not near and floor is not None:  # a theta objective is never NaN: none is feasible
         # The best utility of the structurally valid partitions, theta ignored.
         best_util = max(
             min([block_util[b] for b in blocks])

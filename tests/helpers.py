@@ -280,9 +280,9 @@ def reference_sweeney_baseline(
 
 
 def reference_component_count(masks: Sequence[int]) -> int:
-    """``graph.component_count`` as a union-find over every intersecting pair.
+    """The number of ``graph.components`` as a union-find over every intersecting pair.
 
-    The reference the mask-fold ``component_count`` is checked against.
+    The reference the mask fold ``components`` is checked against.
     """
     n = len(masks)
     uf = UnionFind(n)
@@ -576,6 +576,8 @@ def reference_oracle_min(
             count += 1
             if witness is None:
                 witness, value = rgs, obj
+    if witness is None:  # every feasible objective is NaN
+        raise ConfigurationError("no partition has a comparable objective; every one is NaN")
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
     return OracleResult(value, q, count)
 

@@ -23,7 +23,7 @@ from privquant import (
     overlap_partition_oracle,
 )
 from privquant.core import cond_range_cluster
-from privquant.graph import component_count
+from privquant.graph import components
 
 LOG2_5 = 2.321928094887362
 
@@ -129,7 +129,7 @@ class TestOverlapPartitionOracle:
             q = random_partition(rng, jr.n_x)
             oracle = overlap_partition_oracle(jr, q)
             assert len(finest_decomposition(build_graph(jr, q))) == len(oracle)
-            assert component_count([jr.cond_mask_cluster(c) for c in q]) == len(oracle)
+            assert len(components([jr.cond_mask_cluster(c) for c in q])) == len(oracle)
             assert maximin_information(jr, q) == math.log2(len(oracle))
 
 
@@ -145,17 +145,22 @@ class TestComponentCount:
                 rng.getrandbits(n_s) & rng.getrandbits(n_s) for _ in range(rng.randint(0, 10))
             ]
             zero_masks += masks.count(0)
-            assert component_count(masks) == reference_component_count(masks), masks
+            assert len(components(masks)) == reference_component_count(masks), masks
         assert zero_masks > 0
 
     def test_empty_and_zero_masks(self):
-        assert component_count([]) == 0
-        assert component_count([0, 0, 0]) == 3
-        assert component_count([0b11, 0, 0b10, 0]) == 3
+        assert len(components([])) == 0
+        assert len(components([0, 0, 0])) == 3
+        assert len(components([0b11, 0, 0b10, 0])) == 3
 
     def test_one_mask_joins_two_components(self):
-        assert component_count([0b001, 0b100, 0b101]) == 1
-        assert component_count([0b001, 0b100, 0b110, 0b010]) == 2
+        assert len(components([0b001, 0b100, 0b101])) == 1
+        assert len(components([0b001, 0b100, 0b110, 0b010])) == 2
+
+    def test_the_last_mask_component_comes_last(self):
+        # The oracle reads the component of the last symbol's S-range as the last one.
+        assert components([0b0001, 0b0100, 0b1000, 0b0101]) == [0b1000, 0b0101]
+        assert components([0b0001, 0b0100, 0]) == [0b0001, 0b0100, 0]
 
 
 class TestMergeUpdate:

@@ -18,12 +18,14 @@ from privquant import (
     JointRange,
     LagrangianConfig,
     Problem,
+    Quantization,
     SizeLimitError,
     TOLERANCE,
     UtilityChoice,
     algorithm2_min_istar,
     algorithm3_l0_zero_istar,
     enumerate_partitions,
+    h0,
     lagrangian_l0,
     maximin_information,
     oracle_min,
@@ -314,6 +316,71 @@ class TestIncrementalOracle:
                     )
 
 
+def _ranges(*s_ranges: str, values=None) -> JointRange:
+    """A table whose i-th X symbol ``x<i>`` has the S-range ``s_ranges[i]`` (one
+    letter per S value) and the value ``values[i]`` (default ``i``)."""
+    values = values or range(len(s_ranges))
+    return JointRange.from_id_pairs(
+        [(s, f"x{i}") for i, letters in enumerate(s_ranges) for s in letters],
+        {f"x{i}": float(v) for i, v in enumerate(values)},
+    )
+
+
+def _inf_beyond_two(a, b):
+    return math.inf if abs(a - b) > 2 else abs(a - b)
+
+
+class TestLeafScoring:
+    """Each partition is scored from its parent, the partition of all symbols
+    but the last: the edge cases of that step, against the re-scoring reference."""
+
+    TABLES = {
+        # The parent of every partition of one symbol is empty.
+        "one symbol": _ranges("ab"),
+        "one symbol on one S value": _ranges("a"),
+        "two symbols apart": _ranges("a", "b", values=(0, 5)),
+        "two symbols overlapping": _ranges("a", "ab"),
+        # The last symbol's S-range covers every other: parents {0},{1},{2},{3}
+        # tie on the greatest leak, and the last symbol joins one of the holders.
+        "tied leaks": _ranges("a", "b", "c", "d", "abcd"),
+        # Symbol 3 alone holds the greatest leak of parent {0,1,2},{3}; the last
+        # symbol, joining it, takes the block's leak below the others'.
+        "one leak holder": _ranges("ab", "bc", "ca", "d", "abc"),
+        # Blocks {0,1} and {2,3} tie on the least utility (u1 sizes, u2 spreads);
+        # the last symbol sits between them. Its S-range misses symbol 0's
+        # component, so joining {0,1} merges two components.
+        "tied utilities": _ranges("a", "a", "b", "b", "c", values=(0, 1, 10, 11, 5)),
+        # Blocks {0,1,2} (values 0, 3, 3) and {3,4} (10, 14) tie on the least u2
+        # utility, -2 under the centroid; the last symbol (0) joining {0,1,2}
+        # raises that block's utility to -1.5, so the tie still binds.
+        "tied utilities, one raised": _ranges("a", "b", "c", "d", "e", "f",
+                                              values=(0, 3, 3, 10, 14, 0)),
+        "chain": _ranges("ab", "bc", "cd", "de", "ea", values=(0, 3, 1, 4, 2)),
+        "components the last symbol misses": _ranges("a", "b", "a", "c", "bc"),
+    }
+    UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_inf_beyond_two))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_matches_reference(self, name):
+        jr = self.TABLES[name]
+        kinds = set()
+        for problem in Problem:
+            for u in self.UTILITIES:
+                for policy in CodewordPolicy:
+                    whole = Quantization.from_clusters(jr, [range(jr.n_x)], policy)
+                    one_block = utility(jr, whole, u)
+                    for lam, theta in ((0.0, None), (0.3, None), (0.3, one_block),
+                                       (0.3, h0(jr.n_x) + 1.0), (0.3, -math.inf)):
+                        cfg = LagrangianConfig(lam, u, policy)
+                        outcomes = [
+                            _outcome(oracle, jr, problem, cfg, theta)
+                            for oracle in (oracle_min, reference_oracle_min)
+                        ]
+                        assert outcomes[0] == outcomes[1], (problem, u, policy, lam, theta)
+                        kinds.add(outcomes[0][0] if isinstance(outcomes[0], tuple) else "result")
+        assert {"result", "infeasible"} <= kinds
+
+
 class TestThetaPruning:
     """A theta query walks only prefixes that can still meet theta, and
     answers exactly as the unpruned reference does."""
@@ -345,14 +412,19 @@ class TestThetaPruning:
 
     @staticmethod
     def _counting_walks(monkeypatch) -> list[list]:
-        """Wrap the oracle's walker; each walk appends [alive is None, yields]."""
+        """Wrap the oracle's walker; each walk appends [n, alive is None, yields].
+
+        A query walks the partitions of all symbols but the last (its parents,
+        Bell(7) = 877 at eight symbols) and scores their leaves inline; the
+        diagnostic of an infeasible theta walks all eight symbols.
+        """
         walks = []
         walk = oracle_module._walk_partitions
 
         def counting(n, alive=None):
-            walks.append([alive is None, 0])
+            walks.append([n, alive is None, 0])
             for item in walk(n, alive):
-                walks[-1][1] += 1
+                walks[-1][2] += 1
                 yield item
 
         monkeypatch.setattr(oracle_module, "_walk_partitions", counting)
@@ -360,20 +432,24 @@ class TestThetaPruning:
 
     # Eight symbols on one S value with values 0..7: under u2 with the
     # absolute distance, theta -1 keeps the partitions into runs of at most
-    # three neighbours, a small corner of the 4,140.
+    # three neighbours, 179 of the 4,140, under 87 of the 877 parents.
     EIGHT = JointRange.from_id_pairs(
         [("s", f"x{i}") for i in range(8)], {f"x{i}": float(i) for i in range(8)}
     )
 
     def test_theta_query_walks_far_fewer_partitions(self, monkeypatch):
-        walks = self._counting_walks(monkeypatch)
+        # The references run before the counter goes in: they walk through
+        # ``enumerate_partitions``, which uses the same walker.
         cfg = LagrangianConfig(0.3, UtilityChoice.u2())
+        expected = [repr(reference_oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=theta))
+                    for theta in (-1.0, None)]
+        walks = self._counting_walks(monkeypatch)
         res = oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=-1.0)
-        assert len(walks) == 1 and not walks[0][0]
-        assert walks[0][1] < bell_numbers(8)[-1] // 10
-        assert repr(res) == repr(reference_oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=-1.0))
-        oracle_min(self.EIGHT, Problem.MIN_L0, cfg)
-        assert walks[1] == [True, bell_numbers(8)[-1]]
+        assert walks == [[7, False, 87]]
+        assert res.optima_count == 179
+        assert repr(res) == expected[0]
+        assert repr(oracle_min(self.EIGHT, Problem.MIN_L0, cfg)) == expected[1]
+        assert walks == [[7, False, 87], [7, True, bell_numbers(7)[-1]]]
 
     def test_infeasible_query_walks_everything_once(self, monkeypatch):
         walks = self._counting_walks(monkeypatch)
@@ -381,4 +457,4 @@ class TestThetaPruning:
         with pytest.raises(InfeasibleError) as exc:
             oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=10.0)
         assert exc.value.max_achievable == 3.0
-        assert walks == [[False, 0], [True, bell_numbers(8)[-1]]]
+        assert walks == [[7, False, 0], [8, True, bell_numbers(8)[-1]]]
