@@ -31,7 +31,6 @@ from .errors import ContractViolation
 __all__ = [
     "ConfusabilityGraph",
     "Decomposition",
-    "UnionFind",
     "build_graph",
     "components",
     "finest_decomposition",
@@ -39,32 +38,6 @@ __all__ = [
     "overlap_partition_oracle",
     "merge_update",
 ]
-
-
-class UnionFind:
-    """Minimal union-find with path halving, kept for the reference ``overlap_partition_oracle``."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, a: int, b: int) -> None:
-        self.parent[self.find(b)] = self.find(a)
-
-    def blocks(self) -> tuple[frozenset[int], ...]:
-        """The sets, ordered by smallest member (the order their roots are first found in)."""
-        groups: dict[int, set[int]] = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), set()).add(i)
-        return tuple(map(frozenset, groups.values()))
 
 
 def _canonical_clusters(q) -> tuple[frozenset[int], ...]:
@@ -168,12 +141,21 @@ def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
     computed by union-find over S indices. Kept deliberately independent of
     the component search over X clusters so the two can check each other.
     """
-    uf = UnionFind(jr.n_s)
+    parent = list(range(jr.n_s))
+
+    def find(i: int) -> int:  # with path halving
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
     for cluster in _canonical_clusters(q):
         first, *rest = sorted(cond_range_cluster(jr, cluster))
         for s in rest:
-            uf.union(first, s)
-    return uf.blocks()
+            parent[find(s)] = find(first)
+    groups: dict[int, set[int]] = {}  # by root, in the order the roots are first found
+    for s in range(jr.n_s):
+        groups.setdefault(find(s), set()).add(s)
+    return tuple(map(frozenset, groups.values()))
 
 
 def merge_update(dec: Decomposition, q) -> Decomposition:

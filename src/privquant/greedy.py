@@ -220,7 +220,7 @@ class _State:
         else:
             cw = self.values[min(ca.cid, cb.cid)]
         if self.fast:
-            return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
+            return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
         members = ca.members + cb.members
         return cluster_cost([self.values[x] for x in members], cw, self.utility.distance)
 

@@ -6,11 +6,13 @@ scored, and the exact optimum is returned. RGS enumeration is constant
 memory per item and lexicographic, which gives a canonical deterministic
 representative among ties (the least RGS).
 
-Each possible block's S-mask, l0 term and utility are computed once, in a
-table indexed by the block's member bitmask. The depth-first RGS walker steps
-through the partitions of all symbols but the last (the parents); each
-parent's extreme terms and components are computed once, and each of its
-leaves (the last symbol added to a block, or alone) is scored from them in O(1).
+Each possible block's S-mask, l0 term and utility are computed once, in O(1)
+from the block without its least member (u2: from its exact value sum and
+extremes, unless a custom distance rescores the members), in a table indexed
+by member bitmask. The depth-first RGS walker steps through the parents, the
+partitions of all symbols but the last; each parent's extreme terms and
+components are computed once, and each leaf (the last symbol added to a
+block, or alone) is scored from them in O(1).
 
 A query is one walk, and its witness the first near-optimal partition
 scored. A theta query skips every RGS prefix with a block that no
@@ -31,8 +33,8 @@ from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
 from .graph import components
 from .greedy import LagrangianConfig, Problem
-from .quantize import (Quantization, UtilityKind, cluster_cost, compute_codeword,
-                       quantizer, require_u2)
+from .quantize import (CodewordPolicy, Quantization, UtilityKind, absolute_difference,
+                       cluster_cost, compute_codeword, exact_numerators, quantizer, require_u2)
 
 __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"]
 
@@ -153,17 +155,29 @@ def oracle_min(
     h0_x = h0(n)
     lam = cfg.lam
 
-    # Per-block statistics by member bitmask. A partition's l0 is its blocks'
-    # greatest term (the smallest S-range) and its utility their least.
+    # Block terms by member bitmask: a partition's l0 is its greatest, its utility its least.
     size = 1 << n
     smask = [0] * size
     leak = [0.0] * size
     block_util = [0.0] * size
+    fast = u2 and dist is absolute_difference
+    if fast:  # greedy._State's rule: exact value sums (exact_numerators), extremes
+        nums, scale = exact_numerators(values)
+        centroid = cfg.policy is CodewordPolicy.CENTROID
+        total, vmin, vmax = [0] * size, [math.inf] * size, [-math.inf] * size
     for b in range(1, size):
-        low = b & -b
-        smask[b] = sm = smask[b ^ low] | masks[low.bit_length() - 1]
+        x = (b & -b).bit_length() - 1
+        rest = b & b - 1
+        smask[b] = sm = smask[rest] | masks[x]
         leak[b] = h0_s - math.log2(sm.bit_count())
-        if u2:
+        if fast:
+            v = values[x]
+            total[b] = total[rest] + nums[x]
+            vmin[b] = v if v < vmin[rest] else vmin[rest]
+            vmax[b] = v if v > vmax[rest] else vmax[rest]
+            cw = total[b] / scale / b.bit_count() if centroid else v  # x is the representative
+            block_util[b] = -max(0.0, cw - vmin[b], vmax[b] - cw)
+        elif u2:
             vals = [values[x] for x in range(n) if b >> x & 1]
             block_util[b] = -cluster_cost(vals, compute_codeword(vals, cfg.policy), dist)
         else:
@@ -171,6 +185,7 @@ def oracle_min(
 
     istar = problem is Problem.MIN_ISTAR
     connected_only = problem is Problem.MIN_L0_ZERO_ISTAR
+    comp_bits = [0.0, *map(math.log2, range(1, n + 1))]  # istar's privacy, by component count
     floor = None if theta is None else theta - TOLERANCE
     alive = None
     if floor is not None:
@@ -187,8 +202,8 @@ def oracle_min(
     # of the first], in order of first sighting, which is walk (RGS) order.
     near: dict[float, list] = {}
     top, mtop = 1 << n - 1, masks[-1]
-    # A leaf adds the last symbol to a block ``old`` (0 opens a new one) and takes
-    # its parent's extreme terms, the next ones standing in where ``old`` holds one.
+    # A leaf adds the last symbol to a block ``old`` (0 opens a new one) and takes its parent's
+    # extreme terms, the next where ``old`` holds one; min/max by hand, first wins ties.
     for _, blocks in _walk_partitions(n - 1, alive):
         lo = lo2 = math.inf
         hi = hi2 = -math.inf
@@ -209,16 +224,20 @@ def oracle_min(
         for r, old in enumerate(blocks + [0]):
             b = old | top
             if istar or connected_only:
-                n_comps = joined - bool(old and not smask[old] & reach)
+                n_comps = joined - 1 if old and not smask[old] & reach else joined
             if connected_only and n_comps != 1:
                 continue
-            util = min(lo2 if old and block_util[old] == lo else lo, block_util[b])
+            util = lo2 if old and block_util[old] == lo else lo
+            if block_util[b] < util:
+                util = block_util[b]
             if floor is not None and not util >= floor:
                 continue
             if istar:
-                privacy = math.log2(n_comps)
+                privacy = comp_bits[n_comps]
             else:
-                privacy = max(hi2 if old and leak[old] == hi else hi, leak[b])
+                privacy = hi2 if old and leak[old] == hi else hi
+                if leak[b] > privacy:
+                    privacy = leak[b]
             obj = privacy if floor is not None else privacy - lam * util
             if obj < best:
                 best = obj

@@ -26,7 +26,6 @@ from privquant import (
 from privquant.core import TOLERANCE, finite_magnitude
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
-from privquant.graph import UnionFind
 from privquant.greedy import _excluding
 from privquant.oracle import OracleResult, enumerate_partitions
 from privquant.pareto import (
@@ -279,6 +278,25 @@ def reference_sweeney_baseline(
     return Quantization.from_clusters(jr, clusters.values(), policy)
 
 
+class UnionFind:
+    """Minimal union-find with path halving, for the component references below."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        p = self.parent
+        while p[i] != i:
+            p[i] = p[p[i]]
+            i = p[i]
+        return i
+
+    def union(self, a: int, b: int) -> None:
+        self.parent[self.find(b)] = self.find(a)
+
+
 def reference_component_count(masks: Sequence[int]) -> int:
     """The number of ``graph.components`` as a union-find over every intersecting pair.
 
@@ -332,7 +350,7 @@ def reference_pair_cost(state, a: int, b: int):
     else:
         cw = state.values[min(a, b)]
     if state.fast:
-        return max(cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
+        return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
     members = ca.members + cb.members
     return cluster_cost([state.values[x] for x in members], cw, state.utility.distance)
 

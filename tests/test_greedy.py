@@ -1,3 +1,4 @@
+import math
 import random
 from unittest import mock
 
@@ -306,6 +307,24 @@ class TestTraceBitEquality:
             assert _trace_mismatches(jr, problem, cfg) == []
         last = run(jr, Problem.MIN_ISTAR, cfg).trace[-1]
         assert (last.t, last.utility_value) == (2, -0.6766666666666667)
+
+    def test_signed_zero_utilities(self):
+        # The merged cluster of -0.0 and 0.0 costs a zero. The fast u2 cost
+        # took its sign from the order of the two clusters, so the l0 trace
+        # under the representative read [-0.0, 0.0] while utility() gives -0.0.
+        jr = JointRange.from_id_pairs(
+            [("s0", "a"), ("s1", "a"), ("s0", "b")], {"a": -0.0, "b": 0.0}
+        )
+        for problem in Problem:
+            for policy in CodewordPolicy:
+                cfg = LagrangianConfig(0.0, UtilityChoice.u2(), policy)
+                trace = run(jr, problem, cfg).trace
+                assert [math.copysign(1.0, e.utility_value) for e in trace] == [
+                    math.copysign(1.0, utility(jr, e.quantization, cfg.utility)) for e in trace
+                ], (problem, policy)
+        cfg = LagrangianConfig(0.0, UtilityChoice.u2(), CodewordPolicy.REPRESENTATIVE)
+        trace = run(jr, Problem.MIN_L0, cfg).trace
+        assert [e.utility_value.hex() for e in trace] == ["-0x0.0p+0", "-0x0.0p+0"]
 
     def test_random_corpus(self):
         rng = random.Random(3141)

@@ -123,6 +123,15 @@ class TestOracleMin:
         with pytest.raises(ConfigurationError, match="NaN"):
             oracle_min(jr, Problem.MIN_L0_ZERO_ISTAR, cfg)
 
+    def test_nan_distance_is_a_configuration_error(self, toy_v):
+        # Only the default distance takes the block table's fast rule; any other
+        # is called on every member, and a NaN from it is an error.
+        u = UtilityChoice.u2(lambda a, b: 0.0 if a == b else math.nan)
+        for policy in CodewordPolicy:
+            for theta in (None, -1.0):
+                with pytest.raises(ConfigurationError, match="non-negative number or inf"):
+                    oracle_min(toy_v, Problem.MIN_L0, LagrangianConfig(0.3, u, policy), theta)
+
     def test_nan_theta_is_a_configuration_error(self, toy):
         with pytest.raises(ConfigurationError, match="NaN"):
             oracle_min(toy, Problem.MIN_L0, CFG, theta=math.nan)
@@ -357,6 +366,17 @@ class TestLeafScoring:
                                               values=(0, 3, 3, 10, 14, 0)),
         "chain": _ranges("ab", "bc", "cd", "de", "ea", values=(0, 3, 1, 4, 2)),
         "components the last symbol misses": _ranges("a", "b", "a", "c", "bc"),
+        # u2 block utilities, each built from the block without its least member.
+        # fsum([0.1] * 3) / 3 is 0.10000000000000002, a centroid above every member.
+        "centroid outside its values": _ranges("a", "b", "ab", values=(0.1, 0.1, 0.1)),
+        # Zero spreads of either sign, whose costs fold to +0.0.
+        "signed zeros": _ranges("a", "ab", "b", "c", values=(-0.0, 0.0, -0.0, 0.0)),
+        # The representative (least member) is neither the least nor the greatest value.
+        "representative inside its values": _ranges("ab", "b", "c", "ca", values=(3, 0, 5, 1)),
+        "large magnitudes": _ranges("a", "b", "ab", values=(1e16, 1.0, 1.0)),
+        # One block, the optimum at lambda 0.3: a running float sum from the last
+        # member makes its cost 0.6766666666666669, the exact sum 0.6766666666666667.
+        "exact value sums": _ranges("a", "b", "c", values=(0.1, 1.11, 1.12)),
     }
     UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_inf_beyond_two))
 

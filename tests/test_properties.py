@@ -401,6 +401,13 @@ def _infinite_beyond_4(a, b):
     policy=st.sampled_from(CodewordPolicy),
     grid=st.lists(st.one_of(st.sampled_from((0.0, 0.3, 1.0)), lambdas), min_size=1, max_size=4),
 )
+# Values -0.0 and 0.0: a zero cost whose sign must not depend on the argument order.
+@hypothesis.example(
+    jr=JointRange.from_id_pairs([("s0", "a"), ("s1", "a"), ("s0", "b")], {"a": -0.0, "b": 0.0}),
+    u=UtilityChoice.u2(),
+    policy=CodewordPolicy.REPRESENTATIVE,
+    grid=[0.0],
+)
 def test_the_cost_rule_is_the_reference_on_every_walked_state(jr, u, policy, grid):
     moves, states = greedy._moves, []
 
