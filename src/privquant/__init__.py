@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "graph": (
         "ConfusabilityGraph", "Decomposition", "build_graph", "finest_decomposition",
-        "maximin_information", "overlap_partition_oracle", "merge_update",
+        "maximin_information", "merge_update",
     ),
     "quantize": (
         "CodewordPolicy", "UtilityKind", "UtilityChoice", "Quantization",

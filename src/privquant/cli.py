@@ -89,7 +89,9 @@ _FLAGS = {
     "--algorithm": dict(default="l0", choices=_choices(Problem)),
     "--problem": dict(default="l0", choices=_choices(Problem)),
     "--lambda": dict(dest="lam", type=float, default=0.0),
-    "--theta": dict(type=float),
+    "--theta": dict(
+        type=float, help="least utility; write a negative one in exponent form as --theta=-1e-3"
+    ),
     "--utility": dict(default="u1", choices=_choices(UtilityKind)),
     "--codeword": dict(default="centroid", choices=_choices(CodewordPolicy)),
     "--k": dict(type=int, required=True),

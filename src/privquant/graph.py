@@ -7,14 +7,10 @@ number of perfectly distinguishable pieces of S: the maximin information is
 log2 of the component count.
 
 Components are found over X clusters; edges are detected with bitmask
-intersections of the conditional ranges. Two independent routes to the same
-partition are kept side by side on purpose:
-
-* ``components`` -- a fold over disjoint component bitmasks, the one
-  component routine of production code (graph, greedy walk and oracle);
-* ``overlap_partition_oracle`` -- a definitional union-find over the S
-  alphabet (values are united whenever one released cluster covers both),
-  the reference that tests check the fold against.
+intersections of the conditional ranges. ``components``, a fold over
+disjoint component bitmasks, is the one component routine of the package
+(graph, greedy walk and oracle); the tests check it against a union-find
+over the S alphabet.
 
 ``merge_update`` coarsens an existing decomposition under a quantization
 without rebuilding the graph.
@@ -25,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .core import JointRange, _bits, cond_range_cluster
+from .core import JointRange, _bits
 from .errors import ContractViolation
 
 __all__ = [
@@ -35,7 +31,6 @@ __all__ = [
     "components",
     "finest_decomposition",
     "maximin_information",
-    "overlap_partition_oracle",
     "merge_update",
 ]
 
@@ -131,31 +126,6 @@ def finest_decomposition(g: ConfusabilityGraph) -> Decomposition:
 def maximin_information(jr: JointRange, q) -> float:
     """Bits of S perfectly distinguishable from the release: log2(#components)."""
     return math.log2(len(components([jr.cond_mask_cluster(c) for c in _canonical_clusters(q)])))
-
-
-def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
-    """Finest overlap partition of the S alphabet, straight from the definition.
-
-    All sensitive values covered by one released cluster are overlap
-    connected; the partition is the transitive closure of that relation,
-    computed by union-find over S indices. Kept deliberately independent of
-    the component search over X clusters so the two can check each other.
-    """
-    parent = list(range(jr.n_s))
-
-    def find(i: int) -> int:  # with path halving
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for cluster in _canonical_clusters(q):
-        first, *rest = sorted(cond_range_cluster(jr, cluster))
-        for s in rest:
-            parent[find(s)] = find(first)
-    groups: dict[int, set[int]] = {}  # by root, in the order the roots are first found
-    for s in range(jr.n_s):
-        groups.setdefault(find(s), set()).add(s)
-    return tuple(map(frozenset, groups.values()))
 
 
 def merge_update(dec: Decomposition, q) -> Decomposition:

@@ -20,18 +20,17 @@ privacy objective against ``lambda`` times the utility:
 All reported Lagrangians and deltas are in bits, and runs are fully
 deterministic: every argmin/argmax is tie-broken down to cluster ids.
 
-The candidate searches visit only pairs that can win (every pair under a
-custom u2 distance), pick what a scan of every pair picks, and score a pair
-by ``_State.pair_cost`` on the two ``_Cluster`` records. Algorithm 1 keeps
-a sorted index of the live clusters per round: under resolution utility its
-first entry with another S-mask is the partner; under max distortion with
-``absolute_difference`` a merged distortion is at least half the clusters'
-``vmin`` gap, so the index is walked outward in ``vmin`` until that bound
-strictly passes the best cost (see ``_best_partner_min_l0``). Algorithms 2
-and 3 pair only the records of different component buckets, in one loop
-(``_least_per_cost``). Algorithm 3 scores in full only the pairs touching
-one of its at most two extreme clusters, and offers only the moves no
-other move beats at every lambda (``_l0_zero_istar_candidates``).
+The candidate searches visit only pairs that can win, pick what a scan of
+every pair picks, and score a pair by ``_State.pair_cost`` on the two
+``_Cluster`` records. Algorithm 1 keeps a sorted index of the live clusters
+per round: under resolution utility its first entry with another S-mask is
+the partner; under max distortion a merged distortion is at least half the
+clusters' ``vmin`` gap, so the index is walked outward in ``vmin`` until
+that bound strictly passes the best cost (see ``_best_partner_min_l0``).
+Algorithms 2 and 3 pair only the records of different component buckets, in
+one loop (``_least_per_cost``). Algorithm 3 scores in full only the pairs
+touching one of its at most two extreme clusters, and offers only the moves
+no other move beats at every lambda (``_l0_zero_istar_candidates``).
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -59,8 +58,6 @@ from .quantize import (
     Quantization,
     UtilityChoice,
     UtilityKind,
-    absolute_difference,
-    cluster_cost,
     exact_numerators,
     quantizer,
     require_u2,
@@ -175,7 +172,7 @@ class _Cluster:
 
 
 class _State:
-    """Cluster bookkeeping with O(1) merged-distortion for the default metric.
+    """Cluster bookkeeping with O(1) merged distortion.
 
     Utility is decreasing in one per-cluster cost: the size under resolution
     utility, the worst member distortion under max distortion. ``pair_cost``
@@ -190,18 +187,16 @@ class _State:
         self, jr: JointRange, utility: UtilityChoice, policy: CodewordPolicy,
         track_components: bool,
     ):
-        self.utility = utility
         self.centroid = policy is CodewordPolicy.CENTROID
         self.needs_values = utility.kind is UtilityKind.U2_MAX_DISTORTION
         self.values = jr.x_values()
         if self.needs_values:
-            require_u2(self.values, utility.distance)
-        self.fast = utility.distance is absolute_difference
+            require_u2(self.values)
         self.h0_x = h0(jr.n_x)
         totals, self.scale = (
             exact_numerators(self.values) if self.needs_values else ([0] * jr.n_x, 1)
         )
-        cost = 0.0 if self.needs_values else 1  # require_u2: a singleton's d(v, v) is 0
+        cost = 0.0 if self.needs_values else 1  # a singleton's distortion is 0
         self.clusters: dict[int, _Cluster] = {}
         for x in range(jr.n_x):
             v = self.values[x]
@@ -219,10 +214,7 @@ class _State:
             cw = (ca.total + cb.total) / self.scale / (ca.size + cb.size)
         else:
             cw = self.values[min(ca.cid, cb.cid)]
-        if self.fast:
-            return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
-        members = ca.members + cb.members
-        return cluster_cost([self.values[x] for x in members], cw, self.utility.distance)
+        return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
 
     def codeword(self, cid: int) -> float:
         """``compute_codeword`` of cluster ``cid``'s members (see ``exact_numerators``)."""
@@ -352,10 +344,10 @@ def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-#: A merged distortion under ``absolute_difference`` is at least half the
-#: clusters' ``vmin`` gap. The factor is shrunk by 2**-50, more than the
-#: rounding of the gap, the product and the cost together, so the computed
-#: bound never passes a computed cost it bounds.
+#: A merged distortion is at least half the clusters' ``vmin`` gap. The
+#: factor is shrunk by 2**-50, more than the rounding of the gap, the product
+#: and the cost together, so the computed bound never passes a computed cost
+#: it bounds.
 _HALF_GAP = 0.5 * (1.0 - 2.0**-50)
 
 
@@ -375,11 +367,10 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     ``(min(cid, o), o)`` orders partners ``o`` as ``o`` does; so the partner
     is the first ``(size, cid)`` entry with another S-mask. Under max
     distortion the ``(vmin, cid)`` index is walked outward from ``cid``'s
-    entry, nearest ``vmin`` first, scoring each partner it reaches. With
-    ``absolute_difference`` the codeword lies in the merged ``[vmin, vmax]``,
-    so the walk stops once ``_HALF_GAP`` times the ``vmin`` gap strictly
-    passes the least cost so far: every partner it skips costs more, and
-    every tie is still scored. A custom distance walks the whole index.
+    entry, nearest ``vmin`` first, scoring each partner it reaches. The
+    codeword lies in the merged ``[vmin, vmax]``, so the walk stops once
+    ``_HALF_GAP`` times the ``vmin`` gap strictly passes the least cost so
+    far: every partner it skips costs more, and every tie is still scored.
     """
     cx = state.clusters[cid]
     if not state.needs_values:
@@ -395,7 +386,7 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
         else:
             gap, o = index[right][0] - v, index[right][1]
             right += 1
-        if state.fast and best_key is not None and gap * _HALF_GAP > best_key[0]:
+        if best_key is not None and gap * _HALF_GAP > best_key[0]:
             break
         other = state.clusters[o]
         if other.smask != cx.smask:
@@ -586,15 +577,9 @@ def _moves(problem: Problem, state: _State):
 
 def _pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
     """The move a run at ``lam`` takes: the least in Lagrangian change
-    ``dpriv + lam * (u_old - u_new)``, then in ``rest``. A NaN change (from
-    an infinite utility, as the oracle meets it too) comes after every number."""
-
-    def key(m):
-        change = m[0] + lam * (u_old - m[1])
-        nan = math.isnan(change)
-        return nan, 0.0 if nan else change, m[2]
-
-    return min(moves, key=key)
+    ``dpriv + lam * (u_old - u_new)``, then in ``rest``. Utilities and
+    ``lam`` are finite, so no change is NaN."""
+    return min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
 
 
 def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):

@@ -8,11 +8,10 @@ representative among ties (the least RGS).
 
 Each possible block's S-mask, l0 term and utility are computed once, in O(1)
 from the block without its least member (u2: from its exact value sum and
-extremes, unless a custom distance rescores the members), in a table indexed
-by member bitmask. The depth-first RGS walker steps through the parents, the
-partitions of all symbols but the last; each parent's extreme terms and
-components are computed once, and each leaf (the last symbol added to a
-block, or alone) is scored from them in O(1).
+extremes), in a table indexed by member bitmask. The depth-first RGS walker
+steps through the parents, the partitions of all symbols but the last; each
+parent's extreme terms and components are computed once, and each leaf (the
+last symbol added to a block, or alone) is scored from them in O(1).
 
 A query is one walk, and its witness the first near-optimal partition
 scored. A theta query skips every RGS prefix with a block that no
@@ -33,8 +32,8 @@ from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
 from .graph import components
 from .greedy import LagrangianConfig, Problem
-from .quantize import (CodewordPolicy, Quantization, UtilityKind, absolute_difference,
-                       cluster_cost, compute_codeword, exact_numerators, quantizer, require_u2)
+from .quantize import (CodewordPolicy, Quantization, UtilityKind, exact_numerators, quantizer,
+                       require_u2)
 
 __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"]
 
@@ -126,8 +125,6 @@ def oracle_min(
     partitions whose utility is at least ``theta`` (within tolerance);
     infeasible thresholds raise with the best achievable utility attached,
     and a NaN ``theta`` is a ``ConfigurationError``.
-    When every feasible objective is NaN (say, a distance returning ``inf``
-    at lambda 0) no optimum exists and a ``ConfigurationError`` says so.
 
     The zero-indistinguishability problem additionally restricts the search
     to partitions whose cluster graph is connected.
@@ -147,9 +144,8 @@ def oracle_min(
         )
     u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
     values = jr.x_values()
-    dist = cfg.utility.distance
     if u2:
-        require_u2(values, dist)
+        require_u2(values)
     masks = [jr.cond_mask_x(x) for x in range(n)]
     h0_s = h0(jr.n_s)
     h0_x = h0(n)
@@ -160,8 +156,7 @@ def oracle_min(
     smask = [0] * size
     leak = [0.0] * size
     block_util = [0.0] * size
-    fast = u2 and dist is absolute_difference
-    if fast:  # greedy._State's rule: exact value sums (exact_numerators), extremes
+    if u2:  # greedy._State's rule: exact value sums (exact_numerators), extremes
         nums, scale = exact_numerators(values)
         centroid = cfg.policy is CodewordPolicy.CENTROID
         total, vmin, vmax = [0] * size, [math.inf] * size, [-math.inf] * size
@@ -170,16 +165,13 @@ def oracle_min(
         rest = b & b - 1
         smask[b] = sm = smask[rest] | masks[x]
         leak[b] = h0_s - math.log2(sm.bit_count())
-        if fast:
+        if u2:
             v = values[x]
             total[b] = total[rest] + nums[x]
             vmin[b] = v if v < vmin[rest] else vmin[rest]
             vmax[b] = v if v > vmax[rest] else vmax[rest]
             cw = total[b] / scale / b.bit_count() if centroid else v  # x is the representative
             block_util[b] = -max(0.0, cw - vmin[b], vmax[b] - cw)
-        elif u2:
-            vals = [values[x] for x in range(n) if b >> x & 1]
-            block_util[b] = -cluster_cost(vals, compute_codeword(vals, cfg.policy), dist)
         else:
             block_util[b] = h0_x - math.log2(b.bit_count())
 
@@ -246,7 +238,7 @@ def oracle_min(
                 if obj not in near:
                     near[obj] = [0, (*blocks[:r], b, *blocks[r + 1:])]
                 near[obj][0] += 1
-    if not near and floor is not None:  # a theta objective is never NaN: none is feasible
+    if not near:  # objectives are finite, so only a theta query can find none feasible
         # The best utility of the structurally valid partitions, theta ignored.
         best_util = max(
             min([block_util[b] for b in blocks])
@@ -258,8 +250,6 @@ def oracle_min(
             f"{best_util:.6g}",
             max_achievable=best_util,
         )
-    if not near:
-        raise ConfigurationError("no partition has a comparable objective; every one is NaN")
     # ``best`` only falls, so no entry re-enters ``near``: its first is the first walked.
     value, (_, witness) = next(iter(near.items()))
     q = quantizer(jr, cfg.policy)(tuple(tuple(_bits(b)) for b in witness))

@@ -9,12 +9,10 @@ Two utilities measure how useful the release still is:
 
 * resolution (``U1``): the guaranteed uncertainty reduction about X itself,
   ``log2 |X| - log2 (largest cluster)``;
-* max distortion (``U2``): minus the worst distance between a value and its
-  cluster codeword, under a pluggable symmetric distance (default absolute
-  difference). Its contract: every X symbol has a numeric value,
-  ``d(v, v) == 0``, and every distance is a non-negative number, ``inf``
-  included (infinite distortion). A NaN or negative distance is a
-  ``ConfigurationError``; ``require_u2`` and ``cluster_cost`` enforce it.
+* max distortion (``U2``): minus the worst absolute difference between a
+  value and its cluster codeword. It needs a numeric value on every X symbol
+  (``require_u2``); ``JointRange`` keeps those finite with a finite sum of
+  magnitudes, so every distortion and utility is finite.
 
 Quantizations are immutable value types, built by ``quantizer``, which
 reuses the clusters and codewords it has built. Code that grows clusters
@@ -28,7 +26,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0
 from .errors import ConfigurationError, ContractViolation
@@ -37,16 +35,11 @@ __all__ = [
     "CodewordPolicy",
     "UtilityKind",
     "UtilityChoice",
-    "absolute_difference",
     "Quantization",
     "singleton_quantization",
     "utility",
     "Problem",
 ]
-
-
-def absolute_difference(a: float, b: float) -> float:
-    return abs(a - b)
 
 
 class CodewordPolicy(enum.Enum):
@@ -68,18 +61,17 @@ class Problem(enum.Enum):
 
 
 class UtilityChoice(NamedTuple):
-    """Which utility to optimize, plus the distance used by U2."""
+    """Which utility to optimize."""
 
     kind: UtilityKind
-    distance: Callable[[float, float], float] = absolute_difference
 
     @classmethod
     def u1(cls) -> "UtilityChoice":
         return cls(UtilityKind.U1_RESOLUTION)
 
     @classmethod
-    def u2(cls, distance: Callable[[float, float], float] = absolute_difference) -> "UtilityChoice":
-        return cls(UtilityKind.U2_MAX_DISTORTION, distance)
+    def u2(cls) -> "UtilityChoice":
+        return cls(UtilityKind.U2_MAX_DISTORTION)
 
 
 def compute_codeword(values: Sequence[float], policy: CodewordPolicy) -> float:
@@ -173,29 +165,16 @@ def singleton_quantization(
     return quantizer(jr, policy)([(x,) for x in range(jr.n_x)])
 
 
-def require_u2(values: Sequence[Optional[float]], distance: Callable[[float, float], float]):
-    """The u2 precondition: a numeric value on every X symbol and ``d(v, v) == 0``."""
+def require_u2(values: Sequence[Optional[float]]):
+    """The u2 precondition: a numeric value on every X symbol."""
     if any(v is None for v in values):
         raise ConfigurationError("max-distortion utility needs numeric values on every X symbol")
-    if any(distance(v, v) != 0.0 for v in values):
-        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
-
-
-def cluster_cost(values: Iterable[float], codeword: float, distance) -> float:
-    """A cluster's worst distortion, its greatest member-to-codeword distance,
-    folded from ``+0.0``. A NaN or negative distance is a ``ConfigurationError``."""
-    costs = [distance(v, codeword) for v in values]
-    if not all(d >= 0.0 for d in costs):
-        raise ConfigurationError("the u2 distance must return a non-negative number or inf")
-    return max(0.0, *costs)
 
 
 def utility(jr: JointRange, q: Quantization, u: UtilityChoice) -> float:
     """Worst-case utility of the release under the chosen definition."""
     if u.kind is UtilityKind.U1_RESOLUTION:
         return h0(jr.n_x) - math.log2(max(len(c) for c in q.clusters))
-    require_u2(q.x_values, u.distance)
-    return -max(
-        cluster_cost([q.x_values[x] for x in c], cw, u.distance)
-        for c, cw in zip(q.clusters, q.codewords)
-    )
+    require_u2(q.x_values)
+    return -max(max(0.0, *(abs(q.x_values[x] - cw) for x in c))
+                for c, cw in zip(q.clusters, q.codewords))

@@ -23,9 +23,10 @@ from privquant import (
     maximin_information,
     run,
 )
-from privquant.core import TOLERANCE, finite_magnitude
+from privquant.core import TOLERANCE, cond_range_cluster, finite_magnitude
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
+from privquant.graph import _canonical_clusters
 from privquant.greedy import _excluding
 from privquant.oracle import OracleResult, enumerate_partitions
 from privquant.pareto import (
@@ -39,8 +40,6 @@ from privquant.quantize import (
     CodewordPolicy,
     UtilityChoice,
     UtilityKind,
-    absolute_difference,
-    cluster_cost,
     compute_codeword,
     utility,
 )
@@ -115,12 +114,12 @@ def merge(q: Quantization, a: int, b: int) -> Quantization:
     return Quantization(tuple(parts), q.policy, q.x_values, codewords)
 
 
-def cluster_distortion(q: Quantization, cluster_id: int, distance=absolute_difference) -> float:
-    """Worst distance between a member value and the cluster codeword."""
+def cluster_distortion(q: Quantization, cluster_id: int) -> float:
+    """Worst absolute difference between a member value and the cluster codeword."""
     if q.codewords is None:
         raise ConfigurationError("distortion needs numeric values on every X symbol")
     codeword = q.codewords[cluster_ids(q).index(cluster_id)]
-    return max(distance(q.x_values[x], codeword) for x in cluster_of(q, cluster_id))
+    return max(abs(q.x_values[x] - codeword) for x in cluster_of(q, cluster_id))
 
 
 def random_joint_range(
@@ -268,7 +267,7 @@ def reference_sweeney_baseline(
                 return compute_codeword([values[x] for x in sorted(clusters[c])], policy)
 
             own = codeword(cid)
-            partner = min(others, key=lambda c: (absolute_difference(codeword(c), own), c))
+            partner = min(others, key=lambda c: (abs(codeword(c) - own), c))
         else:
             partner = min(others, key=lambda c: (abs(c - cid), c))
         keep = min(cid, partner)
@@ -295,6 +294,25 @@ class UnionFind:
 
     def union(self, a: int, b: int) -> None:
         self.parent[self.find(b)] = self.find(a)
+
+
+def overlap_partition_oracle(jr: JointRange, q) -> tuple[frozenset[int], ...]:
+    """Finest overlap partition of the S alphabet, straight from the definition.
+
+    All sensitive values covered by one released cluster are overlap
+    connected; the partition is the transitive closure of that relation,
+    computed by union-find over S indices, its blocks in order of least
+    member. The reference for ``graph.components``, the fold over X clusters.
+    """
+    uf = UnionFind(jr.n_s)
+    for cluster in _canonical_clusters(q):
+        first, *rest = sorted(cond_range_cluster(jr, cluster))
+        for s in rest:
+            uf.union(first, s)
+    groups: dict[int, set[int]] = {}
+    for s in range(jr.n_s):
+        groups.setdefault(uf.find(s), set()).add(s)
+    return tuple(map(frozenset, groups.values()))
 
 
 def reference_component_count(masks: Sequence[int]) -> int:
@@ -349,10 +367,7 @@ def reference_pair_cost(state, a: int, b: int):
         cw = (ca.total + cb.total) / state.scale / (ca.size + cb.size)
     else:
         cw = state.values[min(a, b)]
-    if state.fast:
-        return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
-    members = ca.members + cb.members
-    return cluster_cost([state.values[x] for x in members], cw, state.utility.distance)
+    return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
 
 
 def reference_top3(state, key) -> list[tuple[float, int]]:
@@ -439,13 +454,8 @@ def reference_l0_zero_istar_candidates(state) -> list[tuple]:
 
 def reference_pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
     """The move a run at ``lam`` takes from ``moves`` (``greedy._pick``' rule):
-    the least Lagrangian change ``dpriv + lam * (u_old - u_new)``, then ``rest``.
-    A NaN change loses to every number; among NaN changes the least ``rest`` wins."""
-    scored = [(m[0] + lam * (u_old - m[1]), m[2], m) for m in moves]
-    numbers = [entry for entry in scored if not math.isnan(entry[0])]
-    if numbers:
-        return min(numbers)[2]
-    return min(moves, key=lambda m: m[2])
+    the least Lagrangian change ``dpriv + lam * (u_old - u_new)``, then ``rest``."""
+    return min((m[0] + lam * (u_old - m[1]), m[2], m) for m in moves)[2]
 
 
 def sparse_joint_range(rng: random.Random, n_x: int) -> JointRange:
@@ -511,19 +521,16 @@ def reference_oracle_min(
     against: each partition's blocks, S-masks, codewords and distortions are
     rebuilt from its RGS; the first pass finds the optimum, the second
     counts the partitions within ``TOLERANCE`` of it and takes the first of
-    them as the witness, whose objective is the value. It checks the u2 distance contract inline, without
-    ``quantize``'s own checks, and raises their messages.
+    them as the witness, whose objective is the value. It checks for numeric
+    values inline, without ``quantize``'s own check, and raises its message.
     """
     n = jr.n_x
     u2 = cfg.utility.kind is UtilityKind.U2_MAX_DISTORTION
     values = jr.x_values()
-    dist = cfg.utility.distance
     if u2 and any(v is None for v in values):
         raise ConfigurationError(
             "max-distortion utility needs numeric values on every X symbol"
         )
-    if u2 and any(dist(v, v) != 0.0 for v in values):
-        raise ConfigurationError("the u2 distance must give d(v, v) == 0 for every X value")
     masks = [jr.cond_mask_x(x) for x in range(n)]
     h0_s = h0(jr.n_s)
     h0_x = h0(n)
@@ -544,13 +551,8 @@ def reference_oracle_min(
                 vals = [values[x] for x in block]
                 cw = math.fsum(vals) / len(vals) if centroid else vals[0]
                 for v in vals:
-                    d = dist(v, cw)
-                    if math.isnan(d) or d < 0.0:
-                        raise ConfigurationError(
-                            "the u2 distance must return a non-negative number or inf"
-                        )
-                    if d > worst:
-                        worst = d
+                    if abs(v - cw) > worst:
+                        worst = abs(v - cw)
             util = -worst
         else:
             util = h0_x - math.log2(max(len(b) for b in blocks))
@@ -594,8 +596,6 @@ def reference_oracle_min(
             count += 1
             if witness is None:
                 witness, value = rgs, obj
-    if witness is None:  # every feasible objective is NaN
-        raise ConfigurationError("no partition has a comparable objective; every one is NaN")
     q = Quantization.from_clusters(jr, blocks_from_rgs(witness), cfg.policy)
     return OracleResult(value, q, count)
 

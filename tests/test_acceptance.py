@@ -15,7 +15,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import id_clusters, random_joint_range, random_partition, s_ids
+from helpers import (
+    id_clusters,
+    overlap_partition_oracle,
+    random_joint_range,
+    random_partition,
+    s_ids,
+)
 from privquant import (
     LagrangianConfig,
     Problem,
@@ -34,7 +40,6 @@ from privquant import (
     maximin_information,
     merge_update,
     oracle_min,
-    overlap_partition_oracle,
     singleton_quantization,
     sweep,
     sweeney_baseline,

@@ -402,6 +402,35 @@ class TestBaselineAndOracle:
         code, _, _ = run_cli(capsys, "oracle", "--pairs", TOY_PAIRS_ARG, "--problem", "l0")
         assert code == 3
 
+    @staticmethod
+    def _argparse_takes_as_value(arg: str) -> bool:
+        """Whether this Python's argparse reads ``arg`` after an option as its value."""
+        parser = argparse.ArgumentParser(exit_on_error=False)
+        parser.add_argument("--theta")
+        try:
+            return parser.parse_args(["--theta", arg]).theta == arg
+        except argparse.ArgumentError:
+            return False
+
+    ORACLE_U2 = (
+        "oracle", "--pairs", TOY_PAIRS_ARG, "--x-values", TOY_VALUES_ARG, "--utility", "u2",
+    )
+
+    def test_equals_form_takes_a_negative_theta_in_exponent_form(self, capsys):
+        payload = run_json(capsys, *self.ORACLE_U2, "--theta=-1e-3")
+        assert payload["manifest"]["config"]["theta"] == -1e-3
+
+    @pytest.mark.parametrize("theta", ["-1e-3", "-inf"])
+    def test_spaced_negative_theta_in_exponent_form_exits_3(self, capsys, theta):
+        # u2 thetas are <= 0. Up to Python 3.13.0 argparse reads only -N and
+        # -N.N as negative numbers, so a spaced -1e-3 or -inf is taken for a
+        # flag; the --theta=VALUE form parses on every version.
+        spaced = run_cli(capsys, *self.ORACLE_U2, "--theta", theta)
+        if self._argparse_takes_as_value(theta):
+            assert spaced == run_cli(capsys, *self.ORACLE_U2, f"--theta={theta}")
+        else:
+            assert spaced == (3, "", "error: argument --theta: expected one argument\n")
+
 
 class TestUnreadableInputAndOutput:
     def test_non_utf8_csv_exits_2(self, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     clusters_by_id,
+    overlap_partition_oracle,
     random_joint_range,
     random_partition,
     reference_component_count,
@@ -20,7 +21,6 @@ from privquant import (
     l0,
     maximin_information,
     merge_update,
-    overlap_partition_oracle,
 )
 from privquant.core import cond_range_cluster
 from privquant.graph import components

@@ -24,7 +24,6 @@ from privquant import (
     maximin_information,
     run,
     singleton_quantization,
-    sweep,
 )
 from privquant import greedy
 from privquant.quantize import CodewordPolicy, utility
@@ -208,18 +207,6 @@ class TestZeroMaximin:
         for _, step, buckets in seen:
             assert step.comps == buckets
 
-    def test_pick_ranks_nan_changes_after_numbers_then_by_rest(self):
-        # An infinite distance makes a utility -inf: at lambda 0 the change
-        # dpriv + 0 * inf is NaN, and so is every change once u_old is -inf.
-        # The pick must not follow the order the moves are listed in.
-        inf = float("inf")
-        moves = [(0.0, -inf, (2, 0, 1)), (1.0, -2.0, (3, 0, 2)), (0.0, -inf, (1, 0, 3))]
-        for order in (moves, moves[::-1]):
-            assert greedy._pick(order, 0.0, -1.0) == moves[1]
-        nan_only = [moves[0], moves[2]]
-        for order in (nan_only, nan_only[::-1]):
-            assert greedy._pick(order, 1.0, -inf) == moves[2]
-
 
 class TestRunContracts:
     def test_determinism(self, toy, toy_v4):
@@ -236,21 +223,6 @@ class TestRunContracts:
         for fn in (algorithm1_min_l0, algorithm2_min_istar, algorithm3_l0_zero_istar):
             with pytest.raises(ConfigurationError):
                 fn(toy, cfg)
-
-    @pytest.mark.parametrize(
-        "distance",
-        [lambda a, b: 1.0 + abs(a - b), lambda a, b: float("nan")],
-        ids=["offset", "nan"],
-    )
-    def test_u2_distance_must_vanish_on_equal_values(self, toy_v, distance):
-        # The walk gives every singleton cluster cost 0, which such a
-        # distance contradicts, so runs and sweeps reject it up front.
-        u = UtilityChoice.u2(distance)
-        for problem in Problem:
-            with pytest.raises(ConfigurationError, match=r"d\(v, v\) == 0"):
-                run(toy_v, problem, LagrangianConfig(0.0, u))
-            with pytest.raises(ConfigurationError, match=r"d\(v, v\) == 0"):
-                sweep(toy_v, problem, u)
 
     def test_strict_descent_and_trace_consistency(self):
         rng = random.Random(34)
@@ -376,18 +348,12 @@ class TestPartnerSearchWork:
             trace = run(jr, Problem.MIN_L0, LagrangianConfig(0.0, u)).trace
         return calls, [(e.merged, e.quantization) for e in trace]
 
-    @pytest.mark.parametrize("u, bounded", [
-        (UtilityChoice.u1(), True), (UtilityChoice.u2(), True),
-        (UtilityChoice.u2(lambda a, b: abs(a - b)), False),
-    ], ids=["u1", "u2", "u2-custom-distance"])
-    def test_indexed_rounds_score_few_pairs(self, u, bounded):
+    @pytest.mark.parametrize("u", [UtilityChoice.u1(), UtilityChoice.u2()], ids=["u1", "u2"])
+    def test_indexed_rounds_score_few_pairs(self, u):
         jr = self.table()
         indexed, trace = self.scored(jr, u, greedy._best_partner_min_l0)
         full, reference_trace = self.scored(
             jr, u, lambda state, cid, index: reference_best_partner_min_l0(state, cid)
         )
         assert trace == reference_trace and len(trace) > 2
-        if bounded:
-            assert indexed < full / 10
-        else:  # a custom distance gives no bound, so every pair is scored
-            assert indexed == full
+        assert indexed < full / 10

@@ -23,7 +23,7 @@ PUBLIC = {
     "core": ("TOLERANCE", "Symbol", "JointRange", "cond_range_x", "cond_range_cluster", "h0",
              "b0", "l0", "i0_forward", "is_k_anonymous"),
     "graph": ("ConfusabilityGraph", "Decomposition", "build_graph", "finest_decomposition",
-              "maximin_information", "overlap_partition_oracle", "merge_update"),
+              "maximin_information", "merge_update"),
     "quantize": ("CodewordPolicy", "UtilityKind", "UtilityChoice", "Quantization",
                  "singleton_quantization", "utility", "Problem"),
     "greedy": ("Termination", "LagrangianConfig", "TraceEntry", "GreedyResult",

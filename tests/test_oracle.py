@@ -114,24 +114,6 @@ class TestOracleMin:
             oracle_min(toy, Problem.MIN_L0, CFG, theta=10.0)
         assert exc.value.max_achievable == pytest.approx(math.log2(7), abs=1e-9)
 
-    def test_all_nan_objectives_are_a_configuration_error(self):
-        # Two X symbols with disjoint S-ranges: the one connected partition
-        # merges both, and a distance infinite between unequal values makes
-        # its objective privacy - 0.0 * -inf, NaN.
-        jr = JointRange.from_id_pairs([("s", "a"), ("t", "b")], {"a": 1.0, "b": 2.0})
-        cfg = LagrangianConfig(0.0, UtilityChoice.u2(lambda a, b: 0.0 if a == b else math.inf))
-        with pytest.raises(ConfigurationError, match="NaN"):
-            oracle_min(jr, Problem.MIN_L0_ZERO_ISTAR, cfg)
-
-    def test_nan_distance_is_a_configuration_error(self, toy_v):
-        # Only the default distance takes the block table's fast rule; any other
-        # is called on every member, and a NaN from it is an error.
-        u = UtilityChoice.u2(lambda a, b: 0.0 if a == b else math.nan)
-        for policy in CodewordPolicy:
-            for theta in (None, -1.0):
-                with pytest.raises(ConfigurationError, match="non-negative number or inf"):
-                    oracle_min(toy_v, Problem.MIN_L0, LagrangianConfig(0.3, u, policy), theta)
-
     def test_nan_theta_is_a_configuration_error(self, toy):
         with pytest.raises(ConfigurationError, match="NaN"):
             oracle_min(toy, Problem.MIN_L0, CFG, theta=math.nan)
@@ -241,11 +223,7 @@ class TestOnePassOracle:
         assert repr(res) == repr(reference_oracle_min(jr, Problem.MIN_L0, cfg))
 
 
-def _squared(a, b):
-    return (a - b) ** 2
-
-
-UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_squared))
+UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2())
 
 
 def _outcome(oracle, jr, problem, cfg, theta):
@@ -291,12 +269,12 @@ class TestIncrementalOracle:
                             assert outcomes[0] == outcomes[1], (problem, u, policy, theta)
                             checked += 1
                             infeasible += isinstance(outcomes[0], tuple)
-        assert checked == 180 and infeasible > 0
+        assert checked == 120 and infeasible > 0
 
     def test_matches_reference_at_nine_symbols(self):
         rng = random.Random(909)
         checked = 0
-        for problem, u in zip(Problem, UTILITIES):
+        for problem, u in zip(Problem, UTILITIES * 2):
             jr = random_joint_range(rng, max_s=7, max_x=9)
             while jr.n_x != 9:
                 jr = random_joint_range(rng, max_s=7, max_x=9)
@@ -308,22 +286,6 @@ class TestIncrementalOracle:
                 checked += 1
         assert checked == 6
 
-    @pytest.mark.parametrize(
-        "distance",
-        [lambda a, b: 0.0, lambda a, b: -abs(a - b), lambda a, b: math.nan if a > 5 else 1.0],
-        ids=["zero", "negative", "nan"],
-    )
-    def test_degenerate_distances_match_reference(self, distance):
-        rng = random.Random(77)
-        for _ in range(4):
-            jr = random_joint_range(rng, max_s=5, max_x=6)
-            for problem in Problem:
-                cfg = LagrangianConfig(0.3, UtilityChoice.u2(distance))
-                for theta in (None, -0.5):
-                    assert _outcome(oracle_min, jr, problem, cfg, theta) == _outcome(
-                        reference_oracle_min, jr, problem, cfg, theta
-                    )
-
 
 def _ranges(*s_ranges: str, values=None) -> JointRange:
     """A table whose i-th X symbol ``x<i>`` has the S-range ``s_ranges[i]`` (one
@@ -333,10 +295,6 @@ def _ranges(*s_ranges: str, values=None) -> JointRange:
         [(s, f"x{i}") for i, letters in enumerate(s_ranges) for s in letters],
         {f"x{i}": float(v) for i, v in enumerate(values)},
     )
-
-
-def _inf_beyond_two(a, b):
-    return math.inf if abs(a - b) > 2 else abs(a - b)
 
 
 class TestLeafScoring:
@@ -378,14 +336,12 @@ class TestLeafScoring:
         # member makes its cost 0.6766666666666669, the exact sum 0.6766666666666667.
         "exact value sums": _ranges("a", "b", "c", values=(0.1, 1.11, 1.12)),
     }
-    UTILITIES = (UtilityChoice.u1(), UtilityChoice.u2(), UtilityChoice.u2(_inf_beyond_two))
-
     @pytest.mark.parametrize("name", TABLES)
     def test_matches_reference(self, name):
         jr = self.TABLES[name]
         kinds = set()
         for problem in Problem:
-            for u in self.UTILITIES:
+            for u in UTILITIES:
                 for policy in CodewordPolicy:
                     whole = Quantization.from_clusters(jr, [range(jr.n_x)], policy)
                     one_block = utility(jr, whole, u)
@@ -428,7 +384,8 @@ class TestThetaPruning:
                             assert outcomes[0] == outcomes[1], (problem, u, policy, theta)
                             checked += 1
                             infeasible += isinstance(outcomes[0], tuple)
-        assert checked == 216 and infeasible > 36
+        # Some boundary theta is infeasible too, not only the 24 infinite ones.
+        assert checked == 144 and infeasible > 24
 
     @staticmethod
     def _counting_walks(monkeypatch) -> list[list]:
@@ -450,9 +407,9 @@ class TestThetaPruning:
         monkeypatch.setattr(oracle_module, "_walk_partitions", counting)
         return walks
 
-    # Eight symbols on one S value with values 0..7: under u2 with the
-    # absolute distance, theta -1 keeps the partitions into runs of at most
-    # three neighbours, 179 of the 4,140, under 87 of the 877 parents.
+    # Eight symbols on one S value with values 0..7: under u2, theta -1 keeps
+    # the partitions into runs of at most three neighbours, 179 of the 4,140,
+    # under 87 of the 877 parents.
     EIGHT = JointRange.from_id_pairs(
         [("s", f"x{i}") for i in range(8)], {f"x{i}": float(i) for i in range(8)}
     )

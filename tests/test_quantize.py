@@ -9,7 +9,6 @@ from helpers import (
     cluster_ids,
     cluster_of,
     clusters_by_id,
-    make_toy,
     merge,
     random_joint_range,
     random_quantization,
@@ -17,18 +16,13 @@ from helpers import (
 from privquant import (
     ConfigurationError,
     ContractViolation,
-    JointRange,
-    LagrangianConfig,
-    Problem,
     Quantization,
     UtilityChoice,
     l0,
-    oracle_min,
-    run,
     singleton_quantization,
     utility,
 )
-from privquant.quantize import CodewordPolicy, cluster_cost, compute_codeword, exact_numerators
+from privquant.quantize import CodewordPolicy, compute_codeword, exact_numerators
 
 LOG2_7 = 2.807354922057604
 
@@ -242,56 +236,3 @@ class TestGreedySelectionReductions:
                 ) + 1e-12
                 exercised += 1
         assert exercised >= 60
-
-
-def test_custom_distance_is_pluggable():
-    jr = make_toy(TOY_VALUES)
-    q = Quantization.from_clusters(
-        jr, clusters_by_id(jr, ("x6", "x7"), ("x1", "x2", "x3", "x4", "x5"))
-    )
-    squared = UtilityChoice.u2(distance=lambda a, b: (a - b) ** 2)
-    assert cluster_distortion(q, 5, squared.distance) == pytest.approx(0.0625, abs=1e-12)
-    # {x1..x5} centroid 0.32; worst squared deviation is x5: (0.6-0.32)^2
-    assert utility(jr, q, squared) == pytest.approx(-0.0784, abs=1e-9)
-
-
-class TestDistanceContract:
-    """One u2 rule: ``d(v, v) == 0`` and every distance a non-negative number,
-    ``inf`` included; NaN or a negative distance is a ``ConfigurationError``
-    in ``utility``, the oracle and a greedy run alike."""
-
-    def test_cluster_cost_is_the_worst_distance(self):
-        assert cluster_cost([0.0, 1.0, 3.0], 1.0, lambda a, b: abs(a - b)) == 2.0
-        assert cluster_cost([0.0, 1.0], 0.5, lambda a, b: math.inf) == math.inf
-        zero = cluster_cost([1.0, 1.0], 1.0, lambda a, b: -0.0)
-        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
-
-    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
-    def test_cluster_cost_rejects_nan_and_negative_in_any_order(self, bad):
-        for values in ([0.0, 1.0, 2.0], [2.0, 1.0, 0.0]):
-            with pytest.raises(ConfigurationError, match="non-negative"):
-                cluster_cost(values, 1.0, lambda a, b: bad if a == 2.0 else abs(a - b))
-
-    @pytest.mark.parametrize(
-        "distance",
-        [lambda a, b: math.nan if abs(a - b) > 2.5 else abs(a - b), lambda a, b: -abs(a - b)],
-        ids=["nan", "negative"],
-    )
-    def test_breaking_distances_raise_everywhere(self, distance):
-        # Each of these was once scored as a number by some of the three paths.
-        jr = JointRange.from_id_pairs(
-            [("s1", "x1"), ("s1", "x2"), ("s2", "x1"), ("s3", "x3"), ("s3", "x4"), ("s4", "x5")],
-            {"x1": 0.0, "x2": 1.0, "x3": 2.0, "x4": 5.0, "x5": 7.0},
-        )
-        u = UtilityChoice.u2(distance)
-        for policy in CodewordPolicy:
-            whole = Quantization.from_clusters(jr, [range(jr.n_x)], policy)
-            with pytest.raises(ConfigurationError):
-                utility(jr, whole, u)
-            for problem in Problem:
-                for lam in (0.0, 1.0):
-                    cfg = LagrangianConfig(lam, u, policy)
-                    with pytest.raises(ConfigurationError):
-                        oracle_min(jr, problem, cfg)
-                    with pytest.raises(ConfigurationError):
-                        run(jr, problem, cfg)
