@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -428,6 +429,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         jr, dataset_stats, input_desc = _load_joint_range(args)
         config = {key: getattr(args, dest) for key, dest in args.echoed}
+        # JSON holds no infinity: an infinite value (--theta=-inf) is echoed as its text.
+        config.update([(k, str(v)) for k, v in config.items() if v in (math.inf, -math.inf)])
         body = args.handler(args, jr, dataset_stats, config)
         manifest = {
             "subcommand": args.command,

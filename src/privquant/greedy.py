@@ -132,8 +132,9 @@ class GreedyResult(NamedTuple):
     trace: tuple[TraceEntry, ...]
     decomposition: Optional[Decomposition]
     termination: Termination
-    #: The non-negative decision value that stopped the run, when it was
-    #: stopped by the acceptance test rather than by running out of merges.
+    #: The decision value that stopped the run, when it was stopped by the
+    #: acceptance test rather than by running out of merges: non-negative, or
+    #: NaN when algorithm 1's two Lagrangians both overflow to -inf.
     #: Equals the bit-valued Lagrangian change except for distortion-utility
     #: component merges, whose acceptance runs on the decimal-log scale.
     rejected_delta_l: Optional[float] = None
@@ -630,7 +631,7 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
             if problem is not Problem.MIN_L0_ZERO_ISTAR:
                 for i in branch:
                     decision = _decision(prev, taken, cfgs[i].lam, utility.kind)[0]
-                    if decision >= 0.0:
+                    if not decision < 0.0:  # a NaN change (-inf - -inf) stops the run too
                         ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
                 branch = [i for i in branch if ends[i] is None]
             if branch:

@@ -1,10 +1,10 @@
 """Exhaustive search over all quantizations of small alphabets.
 
-Ground truth for the greedy procedures: every set partition of the X
-alphabet is enumerated as a restricted-growth string (RGS), each one is
-scored, and the exact optimum is returned. RGS enumeration is constant
-memory per item and lexicographic, which gives a canonical deterministic
-representative among ties (the least RGS).
+Ground truth for the greedy procedures: the set partitions of the X
+alphabet are enumerated as restricted-growth strings (RGS), each one that
+can be optimal is scored, and the exact optimum is returned. RGS
+enumeration is constant memory per item and lexicographic, which gives a
+canonical deterministic representative among ties (the least RGS).
 
 Each possible block's S-mask, l0 term and utility are computed once, in O(1)
 from the block without its least member (u2: from its exact value sum and
@@ -13,10 +13,14 @@ steps through the parents, the partitions of all symbols but the last; each
 parent's extreme terms and components are computed once, and each leaf (the
 last symbol added to a block, or alone) is scored from them in O(1).
 
-A query is one walk, and its witness the first near-optimal partition
-scored. A theta query skips every RGS prefix with a block that no
-completion can lift to theta: no feasible partition lies below it. Only an
-infeasible theta walks again, in full, for the utility its error reports.
+A query is one branch-and-bound walk, and its witness the first
+near-optimal partition scored. Both query forms skip every RGS prefix with
+a block whose objective bound exceeds the running optimum + ``TOLERANCE``,
+or that no completion can lift to theta, so the result equals a full
+enumeration's. A block only gains members above its greatest, so its l0
+term stays above that of its join with all of them, its utility below the
+best of its joins (``ext``), and I* is at least 0. Only an infeasible theta
+walks again, in full, for the utility its error reports.
 
 Hard-capped at 12 symbols (Bell(12) is ~4.2 million partitions); beyond
 that this stops being a desk-scale tool and the cap errors out rather than
@@ -26,7 +30,8 @@ silently grinding.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional
+import sys
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
@@ -68,7 +73,7 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _walk_partitions(
-    n: int, alive: Optional[list[bool]] = None
+    n: int, bound: Optional[list[float]] = None, cut: Sequence[float] = (math.inf,)
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The lexicographic RGS enumeration, depth first, carrying each block's
     member bitmask; ``n == 0`` yields the empty partition once.
@@ -76,9 +81,10 @@ def _walk_partitions(
     Yields the same two lists every time, updated in place: ``rgs`` and
     ``blocks``, where ``blocks[r]`` has bit x set iff ``rgs[x] == r``.
 
-    With ``alive`` (indexed by member bitmask), element i joins block r, or
-    opens a new block, only if ``alive[blocks[r] | 1 << i]`` holds; a prefix
+    With ``bound`` (indexed by member bitmask), element i joins block r, or
+    opens a new block, unless ``bound[blocks[r] | 1 << i] > cut[0]``; a prefix
     that fails skips its whole subtree, in which its blocks only gain members.
+    ``cut[0]`` is read at every step, so the caller may lower it between yields.
     """
     rgs = [0] * n
     blocks: list[int] = []
@@ -90,9 +96,9 @@ def _walk_partitions(
         else:
             bit = 1 << i
             k = len(blocks)
-            while r < k and not (alive is None or alive[blocks[r] | bit]):
+            while r < k and bound is not None and bound[blocks[r] | bit] > cut[0]:
                 r += 1
-            if r < k or r == k and (alive is None or alive[bit]):
+            if r < k or r == k and (bound is None or not bound[bit] > cut[0]):
                 if r == k:
                     blocks.append(0)
                 blocks[r] |= bit
@@ -132,8 +138,10 @@ def oracle_min(
     One walk over the parents, each partition scored in O(1) from its parent's
     aggregates, keeps the optimum, the number of partitions within ``TOLERANCE``
     of it and the first of them scored (the least RGS): the witness, whose own
-    objective is the reported ``value``. A theta query walks only the prefixes
-    that can still reach ``theta`` (see the module docstring).
+    objective is the reported ``value``. Both query forms skip every prefix
+    whose objective bound exceeds the running optimum + ``TOLERANCE``, or that
+    cannot reach ``theta`` (see the module docstring), so the result equals a
+    full enumeration's.
     """
     if theta is not None and math.isnan(theta):
         raise ConfigurationError("theta must be a number, not NaN")
@@ -179,16 +187,22 @@ def oracle_min(
     connected_only = problem is Problem.MIN_L0_ZERO_ISTAR
     comp_bits = [0.0, *map(math.log2, range(1, n + 1))]  # istar's privacy, by component count
     floor = None if theta is None else theta - TOLERANCE
-    alive = None
-    if floor is not None:
-        # ext[b]: the best utility of b joined by any elements above its
-        # greatest member, the blocks an RGS prefix holding b can still end in.
-        ext = block_util[:]
-        for b in range(size - 1, 0, -1):
-            for j in range(b.bit_length(), n):
-                if ext[b | 1 << j] > ext[b]:
-                    ext[b] = ext[b | 1 << j]
-        alive = [e >= floor for e in ext]
+    # A prefix's block b ends as b joined by some symbols above its greatest member:
+    # ext[b] is the best utility of those joins, leak_lb[b] the least l0 term (I* >= 0).
+    ext = block_util[:]
+    for b in range(size - 1, 0, -1):
+        for j in range(b.bit_length(), n):
+            if ext[b | 1 << j] > ext[b]:
+                ext[b] = ext[b | 1 << j]
+    leak_lb = [0.0 if istar else leak[b | size - (1 << b.bit_length())] for b in range(size)]
+    # Every completion's objective is at least the bound, in floats too (rounding is
+    # monotone, lam finite and >= 0). A theta cutoff starts above every finite bound.
+    if floor is None:
+        bound = [lb - lam * e for lb, e in zip(leak_lb, ext)]
+        cut = [math.inf]
+    else:
+        bound = [lb if e >= floor else math.inf for lb, e in zip(leak_lb, ext)]
+        cut = [sys.float_info.max]
     best = math.inf
     # Objectives within TOLERANCE of the running best -> [partitions, blocks
     # of the first], in order of first sighting, which is walk (RGS) order.
@@ -196,7 +210,7 @@ def oracle_min(
     top, mtop = 1 << n - 1, masks[-1]
     # A leaf adds the last symbol to a block ``old`` (0 opens a new one) and takes its parent's
     # extreme terms, the next where ``old`` holds one; min/max by hand, first wins ties.
-    for _, blocks in _walk_partitions(n - 1, alive):
+    for _, blocks in _walk_partitions(n - 1, bound, cut):
         lo = lo2 = math.inf
         hi = hi2 = -math.inf
         for b in blocks:
@@ -233,6 +247,7 @@ def oracle_min(
             obj = privacy if floor is not None else privacy - lam * util
             if obj < best:
                 best = obj
+                cut[0] = best + TOLERANCE
                 near = {o: tie for o, tie in near.items() if o <= best + TOLERANCE}
             if obj <= best + TOLERANCE:
                 if obj not in near:

@@ -30,6 +30,14 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def untimed(result):
+    """A ``run_cli`` result with the manifest timestamp taken out of its JSON output."""
+    code, out, err = result
+    payload = json.loads(out)
+    del payload["manifest"]["timestamp"]
+    return code, payload, err
+
+
 @pytest.fixture
 def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
@@ -420,6 +428,14 @@ class TestBaselineAndOracle:
         payload = run_json(capsys, *self.ORACLE_U2, "--theta=-1e-3")
         assert payload["manifest"]["config"]["theta"] == -1e-3
 
+    def test_minus_infinite_theta_is_echoed_as_text(self, capsys):
+        # -inf keeps its meaning, no constraint: the least privacy of any partition.
+        code, out, err = run_cli(capsys, *self.ORACLE_U2, "--theta=-inf")
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"not JSON: {name}"))
+        assert payload["manifest"]["config"]["theta"] == "-inf"
+        assert payload["value"] == 0.0
+
     @pytest.mark.parametrize("theta", ["-1e-3", "-inf"])
     def test_spaced_negative_theta_in_exponent_form_exits_3(self, capsys, theta):
         # u2 thetas are <= 0. Up to Python 3.13.0 argparse reads only -N and
@@ -427,7 +443,9 @@ class TestBaselineAndOracle:
         # flag; the --theta=VALUE form parses on every version.
         spaced = run_cli(capsys, *self.ORACLE_U2, "--theta", theta)
         if self._argparse_takes_as_value(theta):
-            assert spaced == run_cli(capsys, *self.ORACLE_U2, f"--theta={theta}")
+            # Both forms exit 0, and only the manifest timestamps may differ.
+            equals = run_cli(capsys, *self.ORACLE_U2, f"--theta={theta}")
+            assert untimed(spaced) == untimed(equals)
         else:
             assert spaced == (3, "", "error: argument --theta: expected one argument\n")
 

@@ -81,6 +81,17 @@ class TestMinLeakage:
             ("x1", "x2", "x4"), ("x3", "x5"), ("x6", "x7")
         )
 
+    def test_overflowing_lagrangians_stop_the_run(self):
+        # At lambda 1e308, lam * u1 overflows for 8 symbols (utility 3 bits, then
+        # 2 after the first round), so both Lagrangians are -inf and their change is
+        # NaN. The round costs a bit of utility, which this lambda never accepts.
+        jr = JointRange.from_id_pairs([(f"s{i}", f"x{i}") for i in range(8)] + [("s0", "x1")])
+        r = run(jr, Problem.MIN_L0, LagrangianConfig(1e308, UtilityChoice.u1()))
+        assert not any(math.isnan(e.delta_l) for e in r.trace[1:])
+        assert [e.lagrangian for e in r.trace] == [-math.inf]
+        assert r.termination is Termination.DELTA_L_NON_NEGATIVE
+        assert math.isnan(r.rejected_delta_l)
+
     def test_shared_range_means_no_eligible_merge(self):
         jr = JointRange.from_id_pairs(
             [("s1", "x1"), ("s1", "x2"), ("s1", "x3"), ("s2", "x1"), ("s2", "x2"), ("s2", "x3")]

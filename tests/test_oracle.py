@@ -389,18 +389,18 @@ class TestThetaPruning:
 
     @staticmethod
     def _counting_walks(monkeypatch) -> list[list]:
-        """Wrap the oracle's walker; each walk appends [n, alive is None, yields].
+        """Wrap the oracle's walker; each walk appends [n, bound is None, yields].
 
         A query walks the partitions of all symbols but the last (its parents,
-        Bell(7) = 877 at eight symbols) and scores their leaves inline; the
-        diagnostic of an infeasible theta walks all eight symbols.
+        at most Bell(7) = 877 at eight symbols) and scores their leaves inline;
+        the diagnostic of an infeasible theta walks all eight symbols.
         """
         walks = []
         walk = oracle_module._walk_partitions
 
-        def counting(n, alive=None):
-            walks.append([n, alive is None, 0])
-            for item in walk(n, alive):
+        def counting(n, bound=None, cut=(math.inf,)):
+            walks.append([n, bound is None, 0])
+            for item in walk(n, bound, cut):
                 walks[-1][2] += 1
                 yield item
 
@@ -409,7 +409,8 @@ class TestThetaPruning:
 
     # Eight symbols on one S value with values 0..7: under u2, theta -1 keeps
     # the partitions into runs of at most three neighbours, 179 of the 4,140,
-    # under 87 of the 877 parents.
+    # under 87 of the 877 parents. At lambda 0.3 the singletons (objective 0)
+    # come late in RGS order, yet the running optimum cuts the walk to 44 parents.
     EIGHT = JointRange.from_id_pairs(
         [("s", f"x{i}") for i in range(8)], {f"x{i}": float(i) for i in range(8)}
     )
@@ -426,7 +427,7 @@ class TestThetaPruning:
         assert res.optima_count == 179
         assert repr(res) == expected[0]
         assert repr(oracle_min(self.EIGHT, Problem.MIN_L0, cfg)) == expected[1]
-        assert walks == [[7, False, 87], [7, True, bell_numbers(7)[-1]]]
+        assert walks == [[7, False, 87], [7, False, 44]]
 
     def test_infeasible_query_walks_everything_once(self, monkeypatch):
         walks = self._counting_walks(monkeypatch)
@@ -435,3 +436,30 @@ class TestThetaPruning:
             oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=10.0)
         assert exc.value.max_achievable == 3.0
         assert walks == [[7, False, 0], [8, True, bell_numbers(8)[-1]]]
+
+
+class TestBranchAndBound:
+    """A lambda query skips every prefix whose objective bound passes the
+    running optimum + TOLERANCE, and answers exactly as the reference does."""
+
+    def test_matches_reference_at_zero_and_overflowing_lambdas(self):
+        # At lambda 1e308, lam * utility overflows: to -inf under u1 (from 4
+        # symbols on), so objectives and bounds are -inf, and to +inf under u2
+        # for any positive distortion. Every bound must stay at or below the
+        # objective of every completion.
+        rng = random.Random(308)
+        values = set()
+        for n_x in (4, 6, 8):
+            jr = random_joint_range(rng, max_s=6, max_x=n_x)
+            while jr.n_x != n_x:
+                jr = random_joint_range(rng, max_s=6, max_x=n_x)
+            for problem in Problem:
+                for u in UTILITIES:
+                    for policy in CodewordPolicy:
+                        for lam in (0.0, 1e308):
+                            cfg = LagrangianConfig(lam, u, policy)
+                            res = oracle_min(jr, problem, cfg)
+                            assert repr(res) == repr(reference_oracle_min(jr, problem, cfg)), (
+                                n_x, problem, u, policy, lam)
+                            values.add(res.value)
+        assert -math.inf in values

@@ -28,9 +28,10 @@
 * Every trace quantization of a run and every frontier point of a sweep is
   ``reference_from_clusters`` of its clusters, codewords bit for bit, for
   numeric, categorical and partly valued X under both policies.
-* The oracle's partition walk, given an ``alive`` table, yields exactly
-  the partitions, in lexicographic order, whose every block passes the
-  table each time it gains an element; without one it yields every RGS.
+* The oracle's partition walk, given a bound table and a fixed cutoff,
+  yields exactly the partitions, in lexicographic order, no block of which
+  has a bound above the cutoff any time it gains an element (a bound equal
+  to the cutoff passes); without a table it yields every RGS.
 * ``sweeney_baseline`` returns the quantization, codewords included, of
   the set-based reference loop, for numeric and categorical X, both
   codeword policies and every feasible k.
@@ -475,28 +476,35 @@ def test_releases_are_the_reference_quantizations(jr, problem, u2, grid):
 rgs_strings = functools.lru_cache(reference_rgs_strings)
 
 
+# Levels for bounds and cutoffs: any cutoff can tie a bound, and 0.5 has its next float.
+BOUND_LEVELS = (-math.inf, 0.0, 0.5, math.nextafter(0.5, math.inf), math.inf)
+
+
 @st.composite
-def alive_tables(draw):
-    """A size n and a table over its block masks with a few dead masks."""
+def bound_tables(draw):
+    """A size n, a bound table over its block masks that sets a few masks
+    apart from the rest, and a cutoff, all drawn from ``BOUND_LEVELS``."""
     n = draw(st.integers(1, 8))
-    dead = draw(st.sets(st.integers(1, (1 << n) - 1), max_size=12))
-    return n, [b not in dead for b in range(1 << n)]
+    rest = draw(st.sampled_from(BOUND_LEVELS))
+    apart = draw(st.dictionaries(st.integers(1, (1 << n) - 1), st.sampled_from(BOUND_LEVELS),
+                                 max_size=12))
+    return n, [apart.get(b, rest) for b in range(1 << n)], draw(st.sampled_from(BOUND_LEVELS))
 
 
 @hypothesis.settings(max_examples=200, **SETTINGS)
-@hypothesis.given(case=alive_tables())
+@hypothesis.given(case=bound_tables())
 def test_partition_walk_keeps_exactly_the_alive_prefixes(case):
-    n, alive = case
+    n, bound, cut = case
     expected = []
     for rgs in rgs_strings(n):
         blocks = [0] * (max(rgs) + 1)
         for x, r in enumerate(rgs):
             blocks[r] |= 1 << x
-            if not alive[blocks[r]]:
+            if bound[blocks[r]] > cut:
                 break
         else:
             expected.append((rgs, blocks))
-    walked = [(tuple(rgs), list(blocks)) for rgs, blocks in _walk_partitions(n, alive)]
+    walked = [(tuple(rgs), list(blocks)) for rgs, blocks in _walk_partitions(n, bound, [cut])]
     assert walked == expected
     assert [tuple(rgs) for rgs, _ in _walk_partitions(n)] == rgs_strings(n)
 
