@@ -13,14 +13,15 @@ steps through the parents, the partitions of all symbols but the last; each
 parent's extreme terms and components are computed once, and each leaf (the
 last symbol added to a block, or alone) is scored from them in O(1).
 
-A query is one branch-and-bound walk, and its witness the first
-near-optimal partition scored. Both query forms skip every RGS prefix with
-a block whose objective bound exceeds the running optimum + ``TOLERANCE``,
-or that no completion can lift to theta, so the result equals a full
-enumeration's. A block only gains members above its greatest, so its l0
-term stays above that of its join with all of them, its utility below the
-best of its joins (``ext``), and I* is at least 0. Only an infeasible theta
-walks again, in full, for the utility its error reports.
+A query is one branch-and-bound walk, its witness the first near-optimal
+partition scored; a theta query is the lambda objective at lambda 0 with a
+utility floor. The walk skips every RGS prefix with a block whose objective
+bound exceeds the running optimum + ``TOLERANCE``, or that no completion can
+lift to the floor, so the result equals a full enumeration's. A block only
+gains members above its greatest, so its l0 term stays above that of its
+join with all of them, its utility below the best of its joins (``ext``),
+and I* is at least 0. An infeasible theta's utility report walks again,
+skipping each prefix that cannot reach the best utility found so far.
 
 Hard-capped at 12 symbols (Bell(12) is ~4.2 million partitions); beyond
 that this stops being a desk-scale tool and the cap errors out rather than
@@ -67,13 +68,12 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
         raise SizeLimitError(
             f"refusing to enumerate partitions of {n} > {MAX_ORACLE_SYMBOLS} symbols"
         )
-    for rgs, blocks in _walk_partitions(n - 1):
-        for r in range(len(blocks) + 1):
-            yield (*rgs, r)
+    for rgs, _ in _walk_partitions(n, [-math.inf] * (1 << n)):
+        yield tuple(rgs)
 
 
 def _walk_partitions(
-    n: int, bound: Optional[list[float]] = None, cut: Sequence[float] = (math.inf,)
+    n: int, bound: Sequence[float], cut: Sequence[float] = (math.inf,)
 ) -> Iterator[tuple[list[int], list[int]]]:
     """The lexicographic RGS enumeration, depth first, carrying each block's
     member bitmask; ``n == 0`` yields the empty partition once.
@@ -81,10 +81,10 @@ def _walk_partitions(
     Yields the same two lists every time, updated in place: ``rgs`` and
     ``blocks``, where ``blocks[r]`` has bit x set iff ``rgs[x] == r``.
 
-    With ``bound`` (indexed by member bitmask), element i joins block r, or
-    opens a new block, unless ``bound[blocks[r] | 1 << i] > cut[0]``; a prefix
-    that fails skips its whole subtree, in which its blocks only gain members.
-    ``cut[0]`` is read at every step, so the caller may lower it between yields.
+    Element i joins block r, or opens a new block, unless ``bound[blocks[r] |
+    1 << i] > cut[0]`` (``bound`` by member bitmask; ``-inf`` never prunes); a
+    prefix that fails skips its whole subtree, in which its blocks only gain
+    members. ``cut[0]`` is read at every step, so the caller may lower it.
     """
     rgs = [0] * n
     blocks: list[int] = []
@@ -96,9 +96,9 @@ def _walk_partitions(
         else:
             bit = 1 << i
             k = len(blocks)
-            while r < k and bound is not None and bound[blocks[r] | bit] > cut[0]:
+            while r < k and bound[blocks[r] | bit] > cut[0]:
                 r += 1
-            if r < k or r == k and (bound is None or not bound[bit] > cut[0]):
+            if r < k or r == k and not bound[bit] > cut[0]:
                 if r == k:
                     blocks.append(0)
                 blocks[r] |= bit
@@ -127,7 +127,7 @@ def oracle_min(
 
     With ``theta`` unset, minimizes the Lagrangian of the problem at
     ``cfg.lam`` (the same bit-valued objective the greedy runs report).
-    With ``theta`` set, minimizes the bare privacy objective over the
+    With ``theta`` set, minimizes it at lambda 0 (bare privacy) over the
     partitions whose utility is at least ``theta`` (within tolerance);
     infeasible thresholds raise with the best achievable utility attached,
     and a NaN ``theta`` is a ``ConfigurationError``.
@@ -138,8 +138,8 @@ def oracle_min(
     One walk over the parents, each partition scored in O(1) from its parent's
     aggregates, keeps the optimum, the number of partitions within ``TOLERANCE``
     of it and the first of them scored (the least RGS): the witness, whose own
-    objective is the reported ``value``. Both query forms skip every prefix
-    whose objective bound exceeds the running optimum + ``TOLERANCE``, or that
+    objective is the reported ``value``. The walk skips every prefix whose
+    objective bound exceeds the running optimum + ``TOLERANCE``, or that
     cannot reach ``theta`` (see the module docstring), so the result equals a
     full enumeration's.
     """
@@ -157,7 +157,7 @@ def oracle_min(
     masks = [jr.cond_mask_x(x) for x in range(n)]
     h0_s = h0(jr.n_s)
     h0_x = h0(n)
-    lam = cfg.lam
+    lam, floor = (cfg.lam, -math.inf) if theta is None else (0.0, theta - TOLERANCE)
 
     # Block terms by member bitmask: a partition's l0 is its greatest, its utility its least.
     size = 1 << n
@@ -186,7 +186,6 @@ def oracle_min(
     istar = problem is Problem.MIN_ISTAR
     connected_only = problem is Problem.MIN_L0_ZERO_ISTAR
     comp_bits = [0.0, *map(math.log2, range(1, n + 1))]  # istar's privacy, by component count
-    floor = None if theta is None else theta - TOLERANCE
     # A prefix's block b ends as b joined by some symbols above its greatest member:
     # ext[b] is the best utility of those joins, leak_lb[b] the least l0 term (I* >= 0).
     ext = block_util[:]
@@ -196,13 +195,10 @@ def oracle_min(
                 ext[b] = ext[b | 1 << j]
     leak_lb = [0.0 if istar else leak[b | size - (1 << b.bit_length())] for b in range(size)]
     # Every completion's objective is at least the bound, in floats too (rounding is
-    # monotone, lam finite and >= 0). A theta cutoff starts above every finite bound.
-    if floor is None:
-        bound = [lb - lam * e for lb, e in zip(leak_lb, ext)]
-        cut = [math.inf]
-    else:
-        bound = [lb if e >= floor else math.inf for lb, e in zip(leak_lb, ext)]
-        cut = [sys.float_info.max]
+    # monotone, lam finite and >= 0). A theta cutoff starts above every finite bound;
+    # a lambda one at inf, as lam * e may overflow to leave only +inf objectives.
+    bound = [lb - lam * e if e >= floor else math.inf for lb, e in zip(leak_lb, ext)]
+    cut = [math.inf if theta is None else sys.float_info.max]
     best = math.inf
     # Objectives within TOLERANCE of the running best -> [partitions, blocks
     # of the first], in order of first sighting, which is walk (RGS) order.
@@ -236,7 +232,7 @@ def oracle_min(
             util = lo2 if old and block_util[old] == lo else lo
             if block_util[b] < util:
                 util = block_util[b]
-            if floor is not None and not util >= floor:
+            if not util >= floor:
                 continue
             if istar:
                 privacy = comp_bits[n_comps]
@@ -244,7 +240,7 @@ def oracle_min(
                 privacy = hi2 if old and leak[old] == hi else hi
                 if leak[b] > privacy:
                     privacy = leak[b]
-            obj = privacy if floor is not None else privacy - lam * util
+            obj = privacy - lam * util  # privacy is never -0.0, so at lam 0 obj is privacy
             if obj < best:
                 best = obj
                 cut[0] = best + TOLERANCE
@@ -253,13 +249,15 @@ def oracle_min(
                 if obj not in near:
                     near[obj] = [0, (*blocks[:r], b, *blocks[r + 1:])]
                 near[obj][0] += 1
-    if not near:  # objectives are finite, so only a theta query can find none feasible
-        # The best utility of the structurally valid partitions, theta ignored.
-        best_util = max(
-            min([block_util[b] for b in blocks])
-            for _, blocks in _walk_partitions(n)
-            if not connected_only or len(components([smask[b] for b in blocks])) == 1
-        )
+    if not near:  # a lambda query has no floor, so only a theta query can find none
+        # The best utility of the structurally valid partitions, theta ignored, skipping
+        # each prefix whose reachable utility is below the best so far (ties are walked).
+        best_util, cut[0] = -math.inf, math.inf
+        for _, blocks in _walk_partitions(n, [-e for e in ext], cut):
+            util = min([block_util[b] for b in blocks])
+            if util > best_util and (
+                    not connected_only or len(components([smask[b] for b in blocks])) == 1):
+                best_util, cut[0] = util, -util
         raise InfeasibleError(
             f"no quantization satisfies the constraint; best achievable utility is "
             f"{best_util:.6g}",

@@ -31,6 +31,7 @@ from privquant import (
     oracle_min,
 )
 from privquant import oracle as oracle_module
+from privquant.graph import components
 from privquant.oracle import _walk_partitions
 from privquant.quantize import utility
 
@@ -246,7 +247,7 @@ class TestIncrementalOracle:
     def test_walker_block_masks_match_blocks_from_rgs(self):
         for n in range(1, 10):
             walked = 0
-            for rgs, blocks in _walk_partitions(n):
+            for rgs, blocks in _walk_partitions(n, [-math.inf] * (1 << n)):
                 expected = [sum(1 << x for x in b) for b in blocks_from_rgs(tuple(rgs))]
                 assert blocks == expected, rgs
                 walked += 1
@@ -389,7 +390,7 @@ class TestThetaPruning:
 
     @staticmethod
     def _counting_walks(monkeypatch) -> list[list]:
-        """Wrap the oracle's walker; each walk appends [n, bound is None, yields].
+        """Wrap the oracle's walker; each walk appends [n, yields].
 
         A query walks the partitions of all symbols but the last (its parents,
         at most Bell(7) = 877 at eight symbols) and scores their leaves inline;
@@ -398,10 +399,10 @@ class TestThetaPruning:
         walks = []
         walk = oracle_module._walk_partitions
 
-        def counting(n, bound=None, cut=(math.inf,)):
-            walks.append([n, bound is None, 0])
+        def counting(n, bound, cut=(math.inf,)):
+            walks.append([n, 0])
             for item in walk(n, bound, cut):
-                walks[-1][2] += 1
+                walks[-1][1] += 1
                 yield item
 
         monkeypatch.setattr(oracle_module, "_walk_partitions", counting)
@@ -423,19 +424,77 @@ class TestThetaPruning:
                     for theta in (-1.0, None)]
         walks = self._counting_walks(monkeypatch)
         res = oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=-1.0)
-        assert walks == [[7, False, 87]]
+        assert walks == [[7, 87]]
         assert res.optima_count == 179
         assert repr(res) == expected[0]
         assert repr(oracle_min(self.EIGHT, Problem.MIN_L0, cfg)) == expected[1]
-        assert walks == [[7, False, 87], [7, False, 44]]
+        assert walks == [[7, 87], [7, 44]]
 
-    def test_infeasible_query_walks_everything_once(self, monkeypatch):
+    def test_infeasible_query_diagnostic_is_a_bounded_walk(self, monkeypatch):
+        # The query walks no parent; the diagnostic skips every prefix whose
+        # reachable utility is below the best so far: 970 of the 4,140 partitions.
         walks = self._counting_walks(monkeypatch)
         cfg = LagrangianConfig(0.3, UtilityChoice.u1())
         with pytest.raises(InfeasibleError) as exc:
             oracle_min(self.EIGHT, Problem.MIN_L0, cfg, theta=10.0)
         assert exc.value.max_achievable == 3.0
-        assert walks == [[7, False, 0], [8, True, bell_numbers(8)[-1]]]
+        assert walks == [[7, 0], [8, 970]]
+
+    # Twelve symbols, the cap: five components over six S values, values 1..12.
+    TWELVE = JointRange.from_id_pairs(
+        [(s, f"x{x}") for s, x in (
+            ("s1", 1), ("s1", 2), ("s2", 1), ("s3", 3), ("s3", 4), ("s4", 5), ("s5", 6),
+            ("s6", 7), ("s6", 8), ("s1", 9), ("s2", 10), ("s3", 11), ("s4", 12))],
+        {f"x{x}": float(x) for x in range(1, 13)},
+    )
+    # max_achievable of the exhaustive diagnostic, by problem, utility and policy;
+    # u1 does not read codewords. u2's -0.0 is compared by repr.
+    TWELVE_BEST = {
+        (Problem.MIN_L0, "u1"): (3.584962500721156,) * 2,
+        (Problem.MIN_ISTAR, "u1"): (3.584962500721156,) * 2,
+        (Problem.MIN_L0_ZERO_ISTAR, "u1"): (2.584962500721156,) * 2,
+        (Problem.MIN_L0, "u2"): (-0.0, -0.0),
+        (Problem.MIN_ISTAR, "u2"): (-0.0, -0.0),
+        (Problem.MIN_L0_ZERO_ISTAR, "u2"): (-0.5, -1.0),
+    }
+
+    @pytest.mark.parametrize("problem", list(Problem), ids=lambda p: p.value)
+    @pytest.mark.parametrize("u_name", ["u1", "u2"])
+    def test_infeasible_diagnostic_at_the_symbol_cap(self, monkeypatch, problem, u_name):
+        walks = self._counting_walks(monkeypatch)
+        u, theta = {"u1": (UtilityChoice.u1(), 10.0), "u2": (UtilityChoice.u2(), 1.0)}[u_name]
+        for policy, best in zip(CodewordPolicy, self.TWELVE_BEST[problem, u_name]):
+            walks.clear()
+            with pytest.raises(InfeasibleError) as exc:
+                oracle_min(self.TWELVE, problem, LagrangianConfig(0.3, u, policy), theta=theta)
+            assert repr(exc.value.max_achievable) == repr(best), policy
+            assert str(exc.value) == (
+                f"no quantization satisfies the constraint; best achievable utility is {best:.6g}")
+            # Bell(12) is 4,213,597; the diagnostic yields a few percent at most.
+            assert walks[0] == [11, 0] and walks[1][0] == 12
+            assert walks[1][1] <= 200_000, (policy, walks)
+
+    def test_infeasible_diagnostic_matches_reference_at_nine_symbols(self):
+        # Nine symbols in more than one component, so the singletons are not
+        # connected and l0-zero-istar's best utility is not l0's.
+        rng = random.Random(9009)
+        jr = random_joint_range(rng, max_s=7, max_x=9)
+        while jr.n_x != 9 or len(components([jr.cond_mask_x(x) for x in range(9)])) == 1:
+            jr = random_joint_range(rng, max_s=7, max_x=9)
+        best = {}
+        for problem in Problem:
+            for u, theta in ((UtilityChoice.u1(), 10.0), (UtilityChoice.u2(), 1.0)):
+                for policy in CodewordPolicy:
+                    cfg = LagrangianConfig(0.3, u, policy)
+                    outcomes = [_outcome(oracle, jr, problem, cfg, theta)
+                                for oracle in (oracle_min, reference_oracle_min)]
+                    assert outcomes[0][0] == "infeasible", (problem, u, policy)
+                    assert repr(outcomes[0]) == repr(outcomes[1]), (problem, u, policy)
+                    best[problem, u.kind, policy] = outcomes[0][2]
+        assert len(best) == 12
+        for key, value in best.items():
+            if key[0] is Problem.MIN_L0_ZERO_ISTAR:
+                assert value < best[(Problem.MIN_L0, *key[1:])], key
 
 
 class TestBranchAndBound:

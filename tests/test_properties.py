@@ -506,7 +506,8 @@ def test_partition_walk_keeps_exactly_the_alive_prefixes(case):
             expected.append((rgs, blocks))
     walked = [(tuple(rgs), list(blocks)) for rgs, blocks in _walk_partitions(n, bound, [cut])]
     assert walked == expected
-    assert [tuple(rgs) for rgs, _ in _walk_partitions(n)] == rgs_strings(n)
+    never = [-math.inf] * (1 << n)
+    assert [tuple(rgs) for rgs, _ in _walk_partitions(n, never)] == rgs_strings(n)
 
 
 @hypothesis.settings(max_examples=200, **SETTINGS)
