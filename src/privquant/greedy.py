@@ -22,15 +22,16 @@ deterministic: every argmin/argmax is tie-broken down to cluster ids.
 
 The candidate searches visit only pairs that can win, pick what a scan of
 every pair picks, and score a pair by ``_State.pair_cost`` on the two
-``_Cluster`` records. Algorithm 1 keeps a sorted index of the live clusters
-per round: under resolution utility its first entry with another S-mask is
-the partner; under max distortion a merged distortion is at least half the
-clusters' ``vmin`` gap, so the index is walked outward in ``vmin`` until
-that bound strictly passes the best cost (see ``_best_partner_min_l0``).
-Algorithms 2 and 3 pair only the records of different component buckets, in
-one loop (``_least_per_cost``). Algorithm 3 scores in full only the pairs
-touching one of its at most two extreme clusters, and offers only the moves
-no other move beats at every lambda (``_l0_zero_istar_candidates``).
+``_Cluster`` records. Under resolution utility algorithm 1's partner is the
+first ``(size, cid)`` entry with another S-mask, and algorithm 2 joins two
+component buckets' least ``(size, cid)`` clusters. Under max distortion a
+merged distortion is at least half the ``vmin`` gap, so both walk a ``(vmin,
+cid)`` index nearest first and stop once that bound strictly passes the least
+cost so far. Algorithm 3 scores in full only the pairs touching one of its at
+most two extreme clusters; any other cluster reads a bucket in ascending tie
+key and keeps only pairs cheaper than every earlier one (``_least_per_cost``).
+It offers only the moves no other move beats at every lambda
+(``_l0_zero_istar_candidates``).
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -352,6 +353,19 @@ def _decision(prev: _Step, step: _Step, lam: float, kind: UtilityKind) -> tuple[
 _HALF_GAP = 0.5 * (1.0 - 2.0**-50)
 
 
+def _nearest_first(index: list, v: float, left: int, right: int):
+    """``(gap, cid)`` of the entries of the sorted ``(vmin, cid)`` ``index``
+    from position ``left`` down and from ``right`` up, in ascending ``vmin``
+    gap from ``v`` (the lower entry first on a tie)."""
+    while left >= 0 or right < len(index):
+        if right == len(index) or (left >= 0 and v - index[left][0] <= index[right][0] - v):
+            yield v - index[left][0], index[left][1]
+            left -= 1
+        else:
+            yield index[right][0] - v, index[right][1]
+            right += 1
+
+
 def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     """Partner giving the least-cost merged cluster (the smallest merged size
     under resolution utility, the smallest merged distortion under max
@@ -368,7 +382,7 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     ``(min(cid, o), o)`` orders partners ``o`` as ``o`` does; so the partner
     is the first ``(size, cid)`` entry with another S-mask. Under max
     distortion the ``(vmin, cid)`` index is walked outward from ``cid``'s
-    entry, nearest ``vmin`` first, scoring each partner it reaches. The
+    entry (``_nearest_first``), scoring each partner it reaches. The
     codeword lies in the merged ``[vmin, vmax]``, so the walk stops once
     ``_HALF_GAP`` times the ``vmin`` gap strictly passes the least cost so
     far: every partner it skips costs more, and every tie is still scored.
@@ -376,17 +390,9 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     cx = state.clusters[cid]
     if not state.needs_values:
         return next(o for _, o in index if state.clusters[o].smask != cx.smask)
-    v = cx.vmin
-    here = bisect_left(index, (v, cid))
-    left, right = here - 1, here + 1
+    here = bisect_left(index, (cx.vmin, cid))
     best_key = best = None
-    while left >= 0 or right < len(index):
-        if right == len(index) or (left >= 0 and v - index[left][0] <= index[right][0] - v):
-            gap, o = v - index[left][0], index[left][1]
-            left -= 1
-        else:
-            gap, o = index[right][0] - v, index[right][1]
-            right += 1
+    for gap, o in _nearest_first(index, cx.vmin, here - 1, here + 1):
         if best_key is not None and gap * _HALF_GAP > best_key[0]:
             break
         other = state.clusters[o]
@@ -441,39 +447,85 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _bucket_rows(state: _State, ranged: bool) -> list[tuple[int, list[tuple[_Cluster, int]]]]:
-    """The ``comps`` buckets as ``(-x_count, row)``, largest first. A row holds
-    ``(cluster, range)`` per cluster, ``range`` its S-range size (0 unless ``ranged``)."""
-    rows = []
+def _buckets(state: _State, entry) -> list[tuple[int, list[tuple]]]:
+    """The ``comps`` buckets as ``(-x_count, entries)``: the sorted ``entry`` of each cluster."""
+    buckets = []
     for cids in state.comps.values():
         cs = [state.clusters[c] for c in cids]
-        row = [(c, c.smask.bit_count() if ranged else 0) for c in cs]
-        rows.append((-sum(c.size for c in cs), row))
-    return sorted(rows, key=lambda r: r[0])
+        buckets.append((-sum(c.size for c in cs), sorted(map(entry, cs))))
+    return buckets
 
 
-def _least_per_cost(state: _State, rows, floor, shrink: bool) -> dict:
-    """``{cost: (cost, rest)}``: per merged cost (``_State.pair_cost`` of the
-    two records), clamped from below at ``floor``, the pair of two of ``rows``'
-    buckets least in ``rest = (range_sum, big, small, a, b)``, with ``(big,
-    small)`` the buckets' ``-x_count``, built only for pairs within the cut.
-    ``shrink`` skips the pairs costlier than the least so far, keeping the least.
+def _undercuts(state: _State, x: _Cluster, inner, floor, low):
+    """``(cost, range, y)`` of the pairs of ``x`` with the ``(range, cid, y)``
+    of ``inner``, in order, that cost less than every earlier one (costs
+    clamped from below at ``floor``), up to the first that costs ``low``."""
+    run = math.inf
+    for ry, _, y in inner:
+        cost = state.pair_cost(x, y)
+        cost = floor if floor > cost else cost
+        if cost < run:
+            run = cost
+            yield cost, ry, y
+            if run <= low:
+                return
+
+
+def _least_per_cost(state: _State, rows, floor) -> dict:
+    """``{cost: (cost, rest)}``: per merged cost, clamped from below at
+    ``floor``, the least ``rest = (range_sum, big, small, a, b)`` of the
+    kept pairs of two of the ``_buckets`` ``rows``, ``(big, small)`` their
+    ``-x_count``. Each cluster ``x`` of the smaller bucket reads the larger
+    in ``(range, cid)`` order, ascending ``rest``, and keeps a pair only if
+    it is cheaper than every earlier one (``_undercuts``): a dropped pair has
+    an earlier one no costlier and less in ``rest``, so the caller's walk in
+    ascending cost takes the same entries as from every pair. A read stops
+    at the least cost a pair of ``x`` can have.
     """
     best: dict = {}
-    cut = math.inf
-    for i, (big, xs) in enumerate(rows):
-        for small, ys in rows[i + 1:]:
-            for x, rx in xs:
-                for y, ry in ys:
-                    cost = state.pair_cost(x, y)
-                    cost = floor if floor > cost else cost
-                    if cost <= cut:
-                        a, b = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
-                        rest = (rx + ry, big, small, a, b)
-                        old = best.get(cost)
-                        if old is None or rest < old[1]:
-                            best[cost] = (cost, rest)
-                            cut = cost if shrink else cut
+    for i, (sa, xs) in enumerate(rows):
+        for sb, ys in rows[i + 1:]:
+            big, small = (sa, sb) if sa <= sb else (sb, sa)
+            outer, inner = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+            for rx, _, x in outer:
+                low = floor if state.needs_values else max(floor, x.size + 1)
+                for cost, ry, y in _undercuts(state, x, inner, floor, low):
+                    a, b = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
+                    rest = (rx + ry, big, small, a, b)
+                    old = best.get(cost)
+                    if old is None or rest < old[1]:
+                        best[cost] = (cost, rest)
+    return best
+
+
+def _min_istar_pair(state: _State) -> tuple:
+    """Algorithm 2's pair, as the least ``(cost, big, small, a, b)`` over the
+    pairs ``a < b`` of two ``comps`` buckets, ``(big, small)`` their
+    ``-x_count``. Under resolution utility the cost is the size sum, so the
+    least pair of two buckets joins their least ``(size, cid)`` clusters.
+    Under max distortion each cluster of the smaller bucket walks the
+    larger's ``(vmin, cid)`` index until ``_HALF_GAP`` times the gap strictly
+    passes the least cost over all bucket pairs so far, as
+    ``_best_partner_min_l0`` does: every pair it skips costs more.
+    """
+    if not state.needs_values:
+        heads = [(size, row[0]) for size, row in _buckets(state, lambda c: (c.size, c.cid))]
+        return min((na + nb, min(sa, sb), max(sa, sb), min(a, b), max(a, b))
+                   for i, (sa, (na, a)) in enumerate(heads) for sb, (nb, b) in heads[i + 1:])
+    best = (math.inf,)
+    buckets = _buckets(state, lambda c: (c.vmin, c.cid))
+    for i, (sa, xs) in enumerate(buckets):
+        for sb, ys in buckets[i + 1:]:
+            big, small = (sa, sb) if sa <= sb else (sb, sa)
+            outer, index = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+            for v, cid in outer:
+                x, here = state.clusters[cid], bisect_left(index, (v, cid))
+                for gap, o in _nearest_first(index, v, here - 1, here):
+                    if gap * _HALF_GAP > best[0]:
+                        break
+                    cost = state.pair_cost(x, state.clusters[o])
+                    if cost <= best[0]:
+                        best = min(best, (cost, big, small, min(cid, o), max(cid, o)))
     return best
 
 
@@ -506,9 +558,9 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     cost_tops = _top3(state, lambda c: c.cost)
     extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
                if len(tops) < 3 or tops[2][0] != tops[0][0]}
-    rows = _bucket_rows(state, True)
+    rows = _buckets(state, lambda c: (c.smask.bit_count(), c.cid, c))
     moves = []
-    where = {c.cid: (i, size, c, r) for i, (size, row) in enumerate(rows) for c, r in row}
+    where = {c.cid: (i, size, c, r) for i, (size, row) in enumerate(rows) for r, _, c in row}
     for x in extreme:
         i, sx, cx, rx = where[x]
         for y, (j, sy, cy, ry) in where.items():
@@ -519,9 +571,9 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
                 u_new = state.utility_of(worst)
                 dpriv = min_range_bits - math.log2(new_min)
                 moves.append((dpriv, u_new, (rx + ry, *sorted((sx, sy)), *sorted((x, y)))))
-    generic = [(size, [r for r in row if r[0].cid not in extreme]) for size, row in rows]
+    generic = [(size, [e for e in row if e[1] not in extreme]) for size, row in rows]
     least = (math.inf,)
-    for cost, rest in sorted(_least_per_cost(state, generic, cost_tops[0][0], False).values()):
+    for cost, rest in sorted(_least_per_cost(state, generic, cost_tops[0][0]).values()):
         if rest < least:  # u_new falls as cost rises, so the others are dominated
             least = rest
             moves.append((0.0, state.utility_of(cost), rest))
@@ -569,9 +621,7 @@ def _moves(problem: Problem, state: _State):
         return Termination.SINGLE_COMPONENT
     if problem is Problem.MIN_L0_ZERO_ISTAR:
         return _l0_zero_istar_candidates(state)
-    # The least (cost, *tie) key; a tie key ends with its pair.
-    least = _least_per_cost(state, _bucket_rows(state, False), -math.inf, True)
-    cost, (*_, a, b) = min(least.values())
+    cost, _, _, a, b = _min_istar_pair(state)
     u_new = state.utility_of(max(cost, _excluding(_top3(state, lambda c: c.cost), a, b, 0.0)))
     return [(math.log2((count - 1) / count), u_new, (a, b))]
 

@@ -132,10 +132,13 @@ def sweep(
     Candidates are every run's trace states by default (terminal states only
     when ``include_trace_states`` is off), each credited to the first lambda
     of the grid whose run reaches it; identical partitions and coordinate
-    ties are deduplicated and dominated points dropped. A candidate's raw
-    leakage and utility are the ones the walk computed for its state (equal
-    to ``l0`` or ``maximin_information`` and ``utility`` of its
-    quantization), and only the frontier's points get a ``Quantization``.
+    ties are deduplicated and dominated points dropped. So an
+    ``l0-zero-istar`` frontier holds every release its runs passed through,
+    with I* > 0 before a run reaches one component; its terminal states all
+    have I* = 0. A candidate's raw leakage and utility are the ones the walk
+    computed for its state (equal to ``l0`` or ``maximin_information`` and
+    ``utility`` of its quantization), and only the frontier's points get a
+    ``Quantization``.
     """
     grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
     if not grid:

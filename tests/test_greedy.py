@@ -368,3 +368,69 @@ class TestPartnerSearchWork:
         )
         assert trace == reference_trace and len(trace) > 2
         assert indexed < full / 10
+
+
+class TestComponentSearchWork:
+    """Algorithms 2 and 3 score a small share of the cross-component pairs:
+    a read of a bucket from one cluster stops once no pair left in it can
+    win, and algorithm 3 keeps only the pairs cheaper than every earlier
+    one of their read."""
+
+    @staticmethod
+    def work(jr, problem, u):
+        """Over one run at lambda 0: the pairs ``_State.pair_cost`` scores,
+        the reads (``_nearest_first`` walks and ``_undercuts`` reads), the
+        costs each ``_undercuts`` read keeps, and the cross-component pairs
+        of the states searched."""
+        calls, reads, kept, pairs = 0, 0, [], 0
+        pair_cost, walk, undercuts, moves = (
+            greedy._State.pair_cost, greedy._nearest_first, greedy._undercuts, greedy._moves)
+
+        def counted_cost(*args):
+            nonlocal calls
+            calls += 1
+            return pair_cost(*args)
+
+        def counted_walk(*args):
+            nonlocal reads
+            reads += 1
+            return walk(*args)
+
+        def recorded(*args):
+            nonlocal reads
+            reads += 1
+            kept.append([])
+            for found in undercuts(*args):
+                kept[-1].append(found[0])
+                yield found
+
+        def counted_moves(problem, state):
+            nonlocal pairs
+            ks = [len(cids) for cids in state.comps.values()]
+            pairs += (sum(ks) ** 2 - sum(k * k for k in ks)) // 2
+            return moves(problem, state)
+
+        with mock.patch.object(greedy._State, "pair_cost", counted_cost), \
+                mock.patch.object(greedy, "_nearest_first", counted_walk), \
+                mock.patch.object(greedy, "_undercuts", recorded), \
+                mock.patch.object(greedy, "_moves", counted_moves):
+            run(jr, problem, LagrangianConfig(0.0, u))
+        return calls, reads, kept, pairs
+
+    @pytest.mark.parametrize(("problem", "u", "expected"), [
+        (Problem.MIN_ISTAR, UtilityChoice.u1(), (64, 0, 0, 172691)),
+        (Problem.MIN_ISTAR, UtilityChoice.u2(), (1302, 48494, 0, 193535)),
+        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u1(), (48636, 47478, 47612, 172691)),
+        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u2(), (59160, 47478, 51795, 172691)),
+    ], ids=["istar-u1", "istar-u2", "l0-zero-istar-u1", "l0-zero-istar-u2"])
+    def test_component_searches_score_few_pairs(self, problem, u, expected):
+        # The counts pin the searches' stops: a read that goes on past the
+        # least cost its cluster can have scores more pairs, a walk that
+        # stops on a tie scores fewer, and reads from the larger bucket of
+        # a pair are more. Under resolution utility algorithm 2 scores only
+        # its merges.
+        jr = helpers.sparse_joint_range(random.Random("component-search-work"), 120)
+        calls, reads, kept, pairs = self.work(jr, problem, u)
+        assert (calls, reads, sum(map(len, kept)), pairs) == expected
+        assert calls < pairs / 2
+        assert all(a > b for costs in kept for a, b in zip(costs, costs[1:]))

@@ -3,6 +3,9 @@
 * A sweep's raw coordinates are the walk's own scores, so every frontier
   point must recompute bit for bit from its quantization with the public
   measures.
+* Every point of an ``l0-zero-istar`` frontier is a release some run at
+  its lambda passes through; with terminal states only, every point has
+  I* = 0.
 * No greedy run beats the exhaustive optimum of its problem.
 * Under u2 the oracle's value recomputes bit for bit from its witness, and
   every greedy trace utility equals ``utility()`` bit for bit.
@@ -21,7 +24,8 @@
   full-scan reference in ``helpers`` gives: algorithm 2 the same pair, and
   algorithm 3 some of the reference's move groups, from which every lambda
   of the grid and 0.0 picks the same move. Seeded sparse tables of 60 to
-  150 X values walk the default grid the same way.
+  150 X values walk the default grid the same way, and so do u2 tables
+  with values near 1e300 or mixing 1e16 with 1.0.
 * At every state of every walk, the cost rule ``_State.pair_cost`` gives
   ``reference_pair_cost`` bit for bit on every live pair, in both orders,
   under u1 and u2 and both policies.
@@ -146,6 +150,25 @@ def test_frontier_points_recompute_from_their_quantizations(
     for p in frontier.points:
         assert p.leakage_raw == measure(jr, p.quantization)
         assert p.utility_raw == utility(jr, p.quantization, u)
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=st.one_of(joint_ranges(), joint_ranges(max_s=10, max_x=12)),
+    u=st.sampled_from(UTILITIES),
+    policy=st.sampled_from(CodewordPolicy),
+    grid=st.one_of(st.none(), st.lists(lambdas, min_size=1, max_size=6)),
+)
+def test_l0_zero_istar_frontier_holds_releases_its_runs_pass_through(jr, u, policy, grid):
+    # The frontier of l0-zero-istar holds every release the runs passed
+    # through, so a point may have I* > 0; its terminal-only frontier holds
+    # the runs' ends, each one component.
+    problem = Problem.MIN_L0_ZERO_ISTAR
+    for p in sweep(jr, problem, u, grid, policy).points:
+        trace = run(jr, problem, LagrangianConfig(p.lam, u, policy)).trace
+        assert p.quantization in [e.quantization for e in trace]
+    for p in sweep(jr, problem, u, grid, policy, include_trace_states=False).points:
+        assert maximin_information(jr, p.quantization) == 0.0
 
 
 @hypothesis.settings(max_examples=100, **SETTINGS)
@@ -392,6 +415,28 @@ def test_candidate_searches_match_their_full_scans_on_sparse_tables(u, policy):
     # Seeded tables of many small components, walked as the default grid's lambda tree.
     rng = random.Random(f"{UTILITIES.index(u)}-{policy.value}")
     jr = sparse_joint_range(rng, rng.randint(60, 150))
+    _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in default_lambda_grid()])
+
+
+EXTREME_VALUES = {
+    # The 0.1 grid times 1e300: |x| sums to well under the float range, and
+    # scaled grid values tie and near-tie under rounding.
+    "1e300": lambda rng, v: v * 1e300,
+    # 1e16 next to 1.0: the ulp of 1e16 is 2, so sums with 1.0 round.
+    "1e16-and-1": lambda rng, v: rng.choice((1.0, 1e16)) * rng.randint(1, 3),
+}
+
+
+@pytest.mark.parametrize("policy", CodewordPolicy)
+@pytest.mark.parametrize("magnitude", EXTREME_VALUES)
+def test_candidate_searches_match_their_full_scans_at_extreme_magnitudes(magnitude, policy):
+    # The distortion walks of algorithms 1 and 2 stop on _HALF_GAP times a
+    # rounded vmin gap; at these magnitudes gaps, sums and centroids round.
+    rng = random.Random(f"{magnitude}-{policy.value}")
+    jr = sparse_joint_range(rng, rng.randint(60, 100))
+    x_syms = [Symbol(x.id, EXTREME_VALUES[magnitude](rng, x.value)) for x in jr.x_symbols]
+    jr = JointRange(jr.s_symbols, x_syms, jr.pairs)
+    u = UtilityChoice.u2()
     _check_searches(jr, [LagrangianConfig(lam, u, policy) for lam in default_lambda_grid()])
 
 
