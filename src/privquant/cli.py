@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from . import __version__
-from .core import JointRange, b0, h0, i0_forward, is_k_anonymous, l0, min_range_size
+from .core import JointRange, b0, h0, i0_forward, l0, min_range_size
 from .errors import (
     ConfigurationError,
     ContractViolation,
@@ -360,8 +360,8 @@ def _cmd_pareto(args, jr: JointRange, dataset_stats: dict, config: dict) -> Unio
 def _cmd_baseline(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
     from .pareto import sweeney_baseline
 
-    q = sweeney_baseline(jr, args.k, policy=CodewordPolicy(args.codeword))
-    return {**_release_json(jr, q, None), "k_anonymous": is_k_anonymous(jr, q, args.k)}
+    release = _release_json(jr, sweeney_baseline(jr, args.k, CodewordPolicy(args.codeword)), None)
+    return {**release, "k_anonymous": release["measures"]["k_anonymity_level"] >= args.k}
 
 
 def _cmd_oracle(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:

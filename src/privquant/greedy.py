@@ -354,9 +354,9 @@ _HALF_GAP = 0.5 * (1.0 - 2.0**-50)
 
 
 def _nearest_first(index: list, v: float, left: int, right: int):
-    """``(gap, cid)`` of the entries of the sorted ``(vmin, cid)`` ``index``
-    from position ``left`` down and from ``right`` up, in ascending ``vmin``
-    gap from ``v`` (the lower entry first on a tie)."""
+    """``(gap, cid)`` of the entries of the sorted ``(value, cid)`` ``index``
+    (a ``vmin``, or a codeword or id) from position ``left`` down and from
+    ``right`` up, in ascending gap from ``v`` (the lower entry first on a tie)."""
     while left >= 0 or right < len(index):
         if right == len(index) or (left >= 0 and v - index[left][0] <= index[right][0] - v):
             yield v - index[left][0], index[left][1]

@@ -21,23 +21,24 @@ Axes are normalized as plotted throughout this package's outputs:
   only known once the frontier is assembled (raw values are stored
   alongside for that reason).
 
-``sweeney_baseline`` is the classic generalization-and-suppression loop:
-keep merging the release value of smallest S-range into its nearest
-neighbor (by codeword, or by id when X is categorical) until every release
-is consistent with at least k sensitive values. It merges on the greedy
-walk's cluster state, and it has no utility term, which is exactly what the
-frontier comparison is for.
+``sweeney_baseline`` is the classic generalization-and-suppression loop,
+with no utility term, which is exactly what the frontier comparison is for:
+it merges the release value of smallest S-range into its nearest neighbor
+(a heap yields the one, a walk over a sorted codeword index the other) until
+every release is consistent with at least k sensitive values.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from typing import NamedTuple, Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError
-from .greedy import LagrangianConfig, Problem, _runs, _State
+from .greedy import LagrangianConfig, Problem, _nearest_first, _runs, _State
 from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind, quantizer
 
 __all__ = [
@@ -196,13 +197,14 @@ def sweeney_baseline(
     """Generalize under-populated release values until k-anonymity holds.
 
     While some cluster's conditional range holds fewer than k sensitive
-    values, the worst offender (smallest range, then smallest id) is merged
-    into its nearest neighbor, ties to the smallest id: nearest by absolute
-    codeword difference when X is numeric, by cluster id distance otherwise.
-    The merges run on greedy's cluster state (a u2 one for numeric X, which
-    keeps the exact value sums of its codewords). Terminates because merging
-    strictly reduces the cluster count and the single-cluster release has
-    the full range.
+    values, the worst offender (smallest range, then smallest id) merges
+    with its nearest neighbor, ties to the smallest id: nearest by absolute
+    codeword difference when X is numeric, by id distance otherwise. A heap
+    of (range size, id) yields the offender, skipping entries that no longer
+    match their cluster; greedy's ``_nearest_first`` walks a sorted (codeword
+    or id, id) index out from it, and the least id at the first gap is the
+    neighbor. Each merge updates both. The merges run on greedy's cluster
+    state (a u2 one for numeric X, which keeps exact codeword value sums).
     """
     if k < 1:
         raise ContractViolation("k must be at least 1")
@@ -213,17 +215,19 @@ def sweeney_baseline(
         )
     numeric = all(v is not None for v in jr.x_values())
     state = _State(jr, UtilityChoice.u2() if numeric else UtilityChoice.u1(), policy, False)
-    while True:
-        size, cid = min((c.smask.bit_count(), c.cid) for c in state.clusters.values())
-        if size >= k:
-            break
-        others = [c for c in state.clusters if c != cid]
-        if numeric:
-            own = state.codeword(cid)
-            partner = min(others, key=lambda c: (abs(state.codeword(c) - own), c))
-        else:
-            partner = min(others, key=lambda c: (abs(c - cid), c))
-        state.merge(cid, partner)
+    place = state.codeword if numeric else (lambda cid: cid)
+    heap = sorted((c.smask.bit_count(), c.cid) for c in state.clusters.values())
+    index = sorted((place(cid), cid) for cid in state.clusters) if heap[0][0] < k else []
+    while heap[0][0] < k:
+        size, cid = heappop(heap)
+        if cid in state.clusters and state.clusters[cid].smask.bit_count() == size:
+            here = bisect_left(index, (place(cid), cid))
+            walk = _nearest_first(index, index.pop(here)[0], here - 1, here)
+            partner = min(o for _, o in next(itertools.groupby(walk, lambda e: e[0]))[1])
+            del index[bisect_left(index, (place(partner), partner))]
+            merged = state.merge(cid, partner)
+            insort(index, (place(merged), merged))
+            heappush(heap, (state.clusters[merged].smask.bit_count(), merged))
     return quantizer(jr, policy)(state.partition())
 
 

@@ -1,9 +1,10 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 
-from helpers import random_joint_range, reference_sweep
+from helpers import random_joint_range, reference_sweep, sparse_joint_range
 from privquant import (
     ConfigurationError,
     ContractViolation,
@@ -11,6 +12,7 @@ from privquant import (
     JointRange,
     LagrangianConfig,
     Problem,
+    Symbol,
     UtilityChoice,
     b0,
     default_lambda_grid,
@@ -23,6 +25,7 @@ from privquant import (
     sweeney_baseline,
     utility,
 )
+from privquant import greedy
 from privquant.core import min_range_size
 from privquant.pareto import MAX_GRID_COUNT, NormalizationContext, frontier_csv_rows, normalize
 from privquant.quantize import UtilityKind
@@ -246,6 +249,53 @@ class TestSweeneyBaseline:
         cluster_of_x7 = next(c for c in q.clusters if 6 in c)
         assert 5 in cluster_of_x7
 
+
+
+class TestSweeneyBaselineWork:
+    """A baseline merge takes its offender off a heap and its partner from a
+    walk over a sorted codeword index, so it computes three codewords: the
+    offender's and the partner's to find their entries, and the merged
+    cluster's to insert it. Building the index computes one per symbol."""
+
+    @staticmethod
+    def work(jr, k):
+        """``_State.codeword`` calls and ``_State.merge`` calls of one baseline run."""
+        calls, merges = 0, 0
+        codeword, merge = greedy._State.codeword, greedy._State.merge
+
+        def counted_codeword(*args):
+            nonlocal calls
+            calls += 1
+            return codeword(*args)
+
+        def counted_merge(*args):
+            nonlocal merges
+            merges += 1
+            return merge(*args)
+
+        with mock.patch.object(greedy._State, "codeword", counted_codeword), \
+                mock.patch.object(greedy._State, "merge", counted_merge):
+            sweeney_baseline(jr, k)
+        return calls, merges
+
+    @pytest.mark.parametrize(("k", "expected"), [(2, (336, 72)), (3, (381, 87))])
+    def test_a_merge_computes_three_codewords(self, k, expected):
+        # 120 symbols plus three per merge. A rescan of every live cluster
+        # per merge computes 6,084 and 6,699 codewords on this table.
+        jr = sparse_joint_range(random.Random("baseline-work"), 120)
+        assert self.work(jr, k) == expected
+
+    def test_no_offender_computes_no_codeword(self):
+        # Every X value sees every S value, as in a dense release, so no
+        # cluster is below k and the partner index is never built.
+        jr = JointRange(
+            [Symbol(f"s{s}") for s in range(5)],
+            [Symbol(f"x{x}", x / 10) for x in range(40)],
+            {(s, x) for s in range(5) for x in range(40)},
+        )
+        assert self.work(jr, 5) == (0, 0)
+        jr = sparse_joint_range(random.Random("baseline-work"), 120)
+        assert self.work(jr, 1) == (0, 0)
 
 def test_frontier_csv_shape(toy):
     fr = sweep(toy, Problem.MIN_ISTAR, U1, lambda_grid=[0.0, 0.3])

@@ -38,7 +38,9 @@
   to the cutoff passes); without a table it yields every RGS.
 * ``sweeney_baseline`` returns the quantization, codewords included, of
   the set-based reference loop, for numeric and categorical X, both
-  codeword policies and every feasible k.
+  codeword policies and every feasible k; also on up to 40 X values with
+  many equal codewords and equal gaps, codewords compared down to the sign
+  of zero.
 * ``load_csv`` agrees with a row-by-row reference loader on fuzzed files,
   errors and their row numbers included, and ``privquant stats`` exits 0
   on exactly the files that load, else 2 or 3.
@@ -107,10 +109,11 @@ SETTINGS = dict(deadline=None, database=None)
 
 
 @st.composite
-def joint_ranges(draw, max_s: int = 6, max_x: int = 7) -> JointRange:
+def joint_ranges(draw, max_s: int = 6, max_x: int = 7, value=None) -> JointRange:
     """Every X symbol has an S-range of one or two values (so there are often
     several confusability components), every S value occurs, and X values
-    mix small integers (many ties) with arbitrary floats."""
+    are drawn from ``value``, by default a mix of small integers (many ties)
+    and arbitrary floats."""
     n_s = draw(st.integers(1, max_s))
     n_x = draw(st.integers(1, max_x))
     ranges = draw(st.lists(
@@ -119,9 +122,8 @@ def joint_ranges(draw, max_s: int = 6, max_x: int = 7) -> JointRange:
     pairs = {(s, x) for x, r in enumerate(ranges) for s in r}
     for s in set(range(n_s)).difference(*ranges):
         pairs.add((s, draw(st.integers(0, n_x - 1))))
-    value = st.one_of(
-        st.integers(0, 4).map(float), st.floats(-10.0, 10.0, allow_nan=False)
-    )
+    if value is None:
+        value = st.one_of(st.integers(0, 4).map(float), st.floats(-10.0, 10.0, allow_nan=False))
     values = draw(st.lists(value, min_size=n_x, max_size=n_x))
     return JointRange(
         [Symbol(f"s{i}") for i in range(n_s)],
@@ -567,6 +569,27 @@ def test_baseline_matches_the_set_based_reference(jr, categorical, policy):
     for k in range(1, jr.n_s + 1):
         # Quantization equality compares the codewords too.
         assert sweeney_baseline(jr, k, policy) == reference_sweeney_baseline(jr, k, policy)
+
+
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=st.integers(3, 4).flatmap(lambda width: joint_ranges(
+        max_s=8, max_x=40,
+        value=st.one_of(st.integers(-1, width - 2).map(float), st.sampled_from([-0.0, 0.0])),
+    )),
+    categorical=st.booleans(),
+    policy=st.sampled_from(CodewordPolicy),
+)
+def test_baseline_matches_the_set_based_reference_on_tied_codewords(jr, categorical, policy):
+    # X values on a 3- or 4-value integer range and both zeros: many clusters
+    # share a codeword, and many offenders lie at equal gaps from partners on
+    # both sides, where the partner walk must still take the least id.
+    if categorical:
+        jr = JointRange(jr.s_symbols, [Symbol(sym.id) for sym in jr.x_symbols], jr.pairs)
+    for k in range(1, jr.n_s + 1):
+        q, ref = sweeney_baseline(jr, k, policy), reference_sweeney_baseline(jr, k, policy)
+        # The codewords' repr tells -0.0 from 0.0; equality does not.
+        assert q == ref and repr(q.codewords) == repr(ref.codewords)
 
 
 # Fuzzed CSV cells: padded and bare ids, numbers, non-finite and overflowing
