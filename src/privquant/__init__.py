@@ -25,10 +25,10 @@ _EXPORTS = {
     ),
     "quantize": (
         "CodewordPolicy", "UtilityKind", "UtilityChoice", "Quantization",
-        "singleton_quantization", "utility", "Problem",
+        "singleton_quantization", "utility", "Problem", "LagrangianConfig",
     ),
     "greedy": (
-        "Termination", "LagrangianConfig", "TraceEntry", "GreedyResult", "lagrangian_l0",
+        "Termination", "TraceEntry", "GreedyResult", "lagrangian_l0",
         "algorithm1_min_l0", "algorithm2_min_istar", "algorithm3_l0_zero_istar", "run",
     ),
     "oracle": ("MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"),

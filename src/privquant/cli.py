@@ -41,6 +41,7 @@ from .errors import (
 from .ingest import DEFAULT_MISSING, load_csv, stats
 from .quantize import (
     CodewordPolicy,
+    LagrangianConfig,
     Problem,
     Quantization,
     UtilityChoice,
@@ -270,7 +271,7 @@ def _cmd_stats(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
 
 
 def _cmd_quantize(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
-    from .greedy import LagrangianConfig, run
+    from .greedy import run
 
     u = UtilityChoice(UtilityKind(args.utility))
     policy = CodewordPolicy(args.codeword)
@@ -365,7 +366,6 @@ def _cmd_baseline(args, jr: JointRange, dataset_stats: dict, config: dict) -> di
 
 
 def _cmd_oracle(args, jr: JointRange, dataset_stats: dict, config: dict) -> dict:
-    from .greedy import LagrangianConfig
     from .oracle import oracle_min
 
     if (args.lam is None) == (args.theta is None):

@@ -191,11 +191,9 @@ class JointRange:
     def cond_mask_cluster(self, cluster: Iterable[int]) -> int:
         """Bitmask of the S range compatible with a released cluster of x's."""
         mask = 0
-        empty = True
         for x in cluster:
             mask |= self._s_mask_by_x[x]
-            empty = False
-        if empty:
+        if not mask:  # every X symbol's mask is non-empty
             raise ContractViolation("conditional range of an empty cluster")
         return mask
 

@@ -51,10 +51,10 @@ from bisect import bisect_left, insort
 from typing import NamedTuple, Optional, Sequence
 
 from .core import JointRange, h0, l0
-from .errors import ConfigurationError
 from .graph import Decomposition, components
 from .quantize import (
     CodewordPolicy,
+    LagrangianConfig,
     Problem,
     Quantization,
     UtilityChoice,
@@ -86,28 +86,6 @@ class Termination(enum.Enum):
     FULLY_MERGED = "fully-merged"
     SINGLE_COMPONENT = "single-component"
     NO_ELIGIBLE_MERGE = "no-eligible-merge"
-
-
-class _Config(NamedTuple):
-    lam: float
-    utility: UtilityChoice
-    policy: CodewordPolicy = CodewordPolicy.CENTROID
-
-
-class LagrangianConfig(_Config):
-    """Multiplier, utility choice and codeword policy for one greedy run."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ConfigurationError("lambda must be a finite non-negative real")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace checks lambda too
-        return cls(*iterable)
 
 
 class TraceEntry(NamedTuple):
@@ -391,16 +369,14 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
     if not state.needs_values:
         return next(o for _, o in index if state.clusters[o].smask != cx.smask)
     here = bisect_left(index, (cx.vmin, cid))
-    best_key = best = None
+    best = (math.inf,)
     for gap, o in _nearest_first(index, cx.vmin, here - 1, here + 1):
-        if best_key is not None and gap * _HALF_GAP > best_key[0]:
+        if gap * _HALF_GAP > best[0]:
             break
         other = state.clusters[o]
         if other.smask != cx.smask:
-            key = (state.pair_cost(cx, other), cx.size + other.size, min(cid, o), o)
-            if best_key is None or key < best_key:
-                best_key, best = key, o
-    return best
+            best = min(best, (state.pair_cost(cx, other), cx.size + other.size, min(cid, o), o))
+    return best[-1]
 
 
 def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
@@ -415,15 +391,12 @@ def _min_l0_round(state: _State) -> tuple[tuple[int, int], ...]:
     entry = (lambda c: (c.vmin, c.cid)) if state.needs_values else (lambda c: (c.size, c.cid))
     index = sorted(map(entry, state.clusters.values()))
     smallest = min(c.smask.bit_count() for c in state.clusters.values())
-    pi = sorted(c.cid for c in state.clusters.values() if c.smask.bit_count() == smallest)
-    consumed: set[int] = set()
+    pi = sorted((c.cid, c) for c in state.clusters.values() if c.smask.bit_count() == smallest)
     merged_pairs: list[tuple[int, int]] = []
-    for cid in pi:
-        if cid in consumed:
+    for cid, record in pi:
+        if state.clusters.get(cid) is not record:  # merged as an earlier cluster's partner
             continue
         partner = _best_partner_min_l0(state, cid, index)
-        consumed.add(cid)
-        consumed.add(partner)
         for old in (cid, partner):
             del index[bisect_left(index, entry(state.clusters[old]))]
         insort(index, entry(state.clusters[state.merge(cid, partner)]))
@@ -622,7 +595,8 @@ def _moves(problem: Problem, state: _State):
     if problem is Problem.MIN_L0_ZERO_ISTAR:
         return _l0_zero_istar_candidates(state)
     cost, _, _, a, b = _min_istar_pair(state)
-    u_new = state.utility_of(max(cost, _excluding(_top3(state, lambda c: c.cost), a, b, 0.0)))
+    worst = max((c.cost for c in state.clusters.values() if c.cid != a and c.cid != b), default=0.0)
+    u_new = state.utility_of(max(cost, worst))
     return [(math.log2((count - 1) / count), u_new, (a, b))]
 
 
@@ -633,13 +607,14 @@ def _pick(moves: list[tuple], lam: float, u_old: float) -> tuple:
     return min(moves, key=lambda m: (m[0] + lam * (u_old - m[1]), m[2]))
 
 
-def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
+def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig], ends: list):
     """Walk the runs of several configs (one utility and policy) at once.
 
     Yields ``(runs, step)`` once per state of the tree the runs form, parent
     before child: the ascending indices of the configs whose runs reach the
     state, and its step. The walk of one config is its run, in order.
-    Returns ``ends``: each config's ``(termination, rejected_delta_l)``.
+    ``ends`` holds a None per config; where run ``i`` stops, ``ends[i]``
+    becomes ``(termination, rejected_delta_l, last)``, ``last`` its last step.
     """
     utility, policy = cfgs[0].utility, cfgs[0].policy
 
@@ -654,14 +629,13 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
     runs = list(range(len(cfgs)))
     root = step(state, (), state.utility_value(), None)
     yield runs, root
-    ends: list[Optional[tuple[Termination, Optional[float]]]] = [None] * len(cfgs)
     pending = [(state, root, runs)]
     while pending:
         state, prev, runs = pending.pop()
         moves = _moves(problem, state)
         if isinstance(moves, Termination):
             for i in runs:
-                ends[i] = (moves, None)
+                ends[i] = (moves, None, prev)
             continue
         picks = {moves[0]: runs}  # move -> the configs taking it
         if len(moves) > 1:
@@ -682,25 +656,19 @@ def _runs(jr: JointRange, problem: Problem, cfgs: Sequence[LagrangianConfig]):
                 for i in branch:
                     decision = _decision(prev, taken, cfgs[i].lam, utility.kind)[0]
                     if not decision < 0.0:  # a NaN change (-inf - -inf) stops the run too
-                        ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision)
+                        ends[i] = (Termination.DELTA_L_NON_NEGATIVE, decision, prev)
                 branch = [i for i in branch if ends[i] is None]
             if branch:
                 yield branch, taken
                 pending.append((child, taken, branch))
-    return ends
 
 
 def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult:
-    """One greedy run of the given problem: the walk of the single config ``cfg``."""
-    walk = _runs(jr, problem, [cfg])
+    """One greedy run: a trace entry per step of the walk of ``cfg`` alone, and its end."""
     lam, kind, quantize = cfg.lam, cfg.utility.kind, quantizer(jr, cfg.policy)
     trace: list[TraceEntry] = []
-    while True:
-        try:
-            _, step = next(walk)
-        except StopIteration as end:
-            ((termination, rejected),) = end.value
-            break
+    ends = [None]
+    for _, step in _runs(jr, problem, [cfg], ends):
         delta = _decision(prev, step, lam, kind)[1] if trace else None
         q = quantize(step.partition)
         trace.append(TraceEntry(
@@ -708,6 +676,7 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
             None if step.comps is None else len(step.comps), step.utility,
         ))
         prev = step
+    ((termination, rejected, _),) = ends
     decomposition = None
     if prev.comps is not None:  # the final clusters, pooled per component
         members = {c[0]: c for c in prev.partition}  # a cluster's id is its least member

@@ -37,9 +37,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .core import TOLERANCE, JointRange, _bits, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError, SizeLimitError
 from .graph import components
-from .greedy import LagrangianConfig, Problem
-from .quantize import (CodewordPolicy, Quantization, UtilityKind, exact_numerators, quantizer,
-                       require_u2)
+from .quantize import (CodewordPolicy, LagrangianConfig, Problem, Quantization, UtilityKind,
+                       exact_numerators, quantizer, require_u2)
 
 __all__ = ["MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"]
 

@@ -38,8 +38,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .core import TOLERANCE, JointRange, h0
 from .errors import ConfigurationError, ContractViolation, InfeasibleError
-from .greedy import LagrangianConfig, Problem, _nearest_first, _runs, _State
-from .quantize import CodewordPolicy, Quantization, UtilityChoice, UtilityKind, quantizer
+from .greedy import _nearest_first, _runs, _State
+from .quantize import (CodewordPolicy, LagrangianConfig, Problem, Quantization, UtilityChoice,
+                       UtilityKind, quantizer)
 
 __all__ = [
     "ParetoPoint",
@@ -130,16 +131,16 @@ def sweep(
     state once. For ``l0`` and ``istar`` lambda only decides where a run
     stops, so the tree is one merge path; ``l0-zero-istar`` picks its merges
     by lambda, so its tree branches where the runs pick differently.
-    Candidates are every run's trace states by default (terminal states only
-    when ``include_trace_states`` is off), each credited to the first lambda
-    of the grid whose run reaches it; identical partitions and coordinate
-    ties are deduplicated and dominated points dropped. So an
-    ``l0-zero-istar`` frontier holds every release its runs passed through,
-    with I* > 0 before a run reaches one component; its terminal states all
-    have I* = 0. A candidate's raw leakage and utility are the ones the walk
-    computed for its state (equal to ``l0`` or ``maximin_information`` and
-    ``utility`` of its quantization), and only the frontier's points get a
-    ``Quantization``.
+    Candidates are every run's trace states by default (with
+    ``include_trace_states`` off, each run's terminal state, taken from the
+    end the walk sets for it), each credited to the first lambda of the
+    grid whose run reaches it; identical partitions and coordinate ties are
+    deduplicated and dominated points dropped. So an ``l0-zero-istar``
+    frontier holds every release its runs passed through, with I* > 0 before
+    a run reaches one component; its terminal states all have I* = 0. A
+    candidate's raw leakage and utility are the ones the walk computed for
+    its state (equal to ``l0`` or ``maximin_information`` and ``utility`` of
+    its quantization), and only the frontier's points get a ``Quantization``.
     """
     grid = default_lambda_grid() if lambda_grid is None else tuple(lambda_grid)
     if not grid:
@@ -149,22 +150,21 @@ def sweep(
     cfgs = [LagrangianConfig(lam, utility_choice, policy) for lam in dict.fromkeys(grid)]
     # partition key -> (least config reaching it, raw leakage, utility)
     firsts: dict[tuple, tuple[int, float, float]] = {}
-    lasts: dict[int, tuple] = {}  # config -> latest step its run reached
 
     def credit(i: int, step) -> None:
         first = firsts.get(step.partition)
         if first is None or i < first[0]:
             firsts[step.partition] = (i, step.privacy, step.utility)
 
-    walk = _runs(jr, problem, cfgs)
+    ends = [None] * len(cfgs)  # each run's (termination, rejected_delta_l, last step)
+    walk = _runs(jr, problem, cfgs, ends)
     start = next(walk)  # every run's first step: the singleton state
     for runs, step in itertools.chain([start], walk):
         if include_trace_states:
             credit(runs[0], step)
-        else:
-            lasts.update(dict.fromkeys(runs, step))
-    for i, step in lasts.items():
-        credit(i, step)
+    if not include_trace_states:
+        for i, (_, _, last) in enumerate(ends):
+            credit(i, last)
 
     scored = sorted((leak, -util, cfgs[i].lam, key) for key, (i, leak, util) in firsts.items())
     survivors: list[tuple[float, float, float, tuple]] = []

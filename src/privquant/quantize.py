@@ -3,7 +3,9 @@
 A quantization is a partition of the X alphabet into clusters; releasing a
 cluster's codeword instead of the raw value is the sanitization mechanism.
 Two codeword policies are supported: the cluster centroid (arithmetic mean)
-and a representative member (the minimum-index one, for determinism).
+and a representative member (the minimum-index one, for determinism). A
+``LagrangianConfig`` is what a greedy run or an oracle query runs with: the
+multiplier lambda, a utility and a codeword policy.
 
 Two utilities measure how useful the release still is:
 
@@ -39,6 +41,7 @@ __all__ = [
     "singleton_quantization",
     "utility",
     "Problem",
+    "LagrangianConfig",
 ]
 
 
@@ -72,6 +75,28 @@ class UtilityChoice(NamedTuple):
     @classmethod
     def u2(cls) -> "UtilityChoice":
         return cls(UtilityKind.U2_MAX_DISTORTION)
+
+
+class _Config(NamedTuple):
+    lam: float
+    utility: UtilityChoice
+    policy: CodewordPolicy = CodewordPolicy.CENTROID
+
+
+class LagrangianConfig(_Config):
+    """Multiplier, utility choice and codeword policy for one greedy run or oracle query."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not (math.isfinite(self.lam) and self.lam >= 0.0):
+            raise ConfigurationError("lambda must be a finite non-negative real")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks lambda too
+        return cls(*iterable)
 
 
 def compute_codeword(values: Sequence[float], policy: CodewordPolicy) -> float:

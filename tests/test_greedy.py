@@ -211,7 +211,7 @@ class TestZeroMaximin:
             [Symbol(f"x{i}", round(rng.uniform(0.0, 10.0), 2)) for i in range(x)], pairs,
         )
         cfgs = [LagrangianConfig(lam, u) for lam in default_lambda_grid()]
-        walk = greedy._runs(jr, Problem.MIN_L0_ZERO_ISTAR, cfgs)
+        walk = greedy._runs(jr, Problem.MIN_L0_ZERO_ISTAR, cfgs, [None] * len(cfgs))
         seen = [(runs, step, dict(step.comps)) for runs, step in walk]
         assert len(seen[0][2]) == 12
         assert any(len(runs) < len(cfgs) for runs, _, _ in seen)  # the runs part

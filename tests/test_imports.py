@@ -25,8 +25,8 @@ PUBLIC = {
     "graph": ("ConfusabilityGraph", "Decomposition", "build_graph", "finest_decomposition",
               "maximin_information", "merge_update"),
     "quantize": ("CodewordPolicy", "UtilityKind", "UtilityChoice", "Quantization",
-                 "singleton_quantization", "utility", "Problem"),
-    "greedy": ("Termination", "LagrangianConfig", "TraceEntry", "GreedyResult",
+                 "singleton_quantization", "utility", "Problem", "LagrangianConfig"),
+    "greedy": ("Termination", "TraceEntry", "GreedyResult",
                "lagrangian_l0", "algorithm1_min_l0", "algorithm2_min_istar",
                "algorithm3_l0_zero_istar", "run"),
     "oracle": ("MAX_ORACLE_SYMBOLS", "OracleResult", "enumerate_partitions", "oracle_min"),
@@ -61,8 +61,9 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("privquant
     [
         (["stats"], ALGORITHM_MODULES),
         (["quantize", "--algorithm", "istar", "--lambda", "0.3"], ("oracle", "pareto")),
+        (["oracle", "--lambda", "0.3"], ("greedy", "pareto")),
     ],
-    ids=["stats", "quantize"],
+    ids=["stats", "quantize", "oracle"],
 )
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, unloaded):
     path = tmp_path / "toy.csv"

@@ -259,14 +259,9 @@ def test_no_u2_score_is_nan_at_the_edge_of_the_value_range(jr):
 
 
 def _walk(jr, problem, cfgs):
-    """Every ``(runs, step)`` the walk of ``cfgs`` yields, and its return value."""
-    walk = _runs(jr, problem, cfgs)
-    yields = []
-    while True:
-        try:
-            yields.append(next(walk))
-        except StopIteration as end:
-            return yields, end.value
+    """Every ``(runs, step)`` the walk of ``cfgs`` yields, and the ends it sets."""
+    ends = [None] * len(cfgs)
+    return list(_runs(jr, problem, cfgs, ends)), ends
 
 
 @hypothesis.settings(max_examples=200, **SETTINGS)
@@ -282,8 +277,10 @@ def test_the_walk_of_one_config_is_its_run(jr, problem, u, policy, grid):
     yields, ends = _walk(jr, problem, cfgs)
     for i, cfg in enumerate(cfgs):
         alone, (end,) = _walk(jr, problem, [cfg])
-        assert [step for runs, step in yields if i in runs] == [step for _, step in alone]
+        steps = [step for runs, step in yields if i in runs]
+        assert steps == [step for _, step in alone]
         assert ends[i] == end
+        assert ends[i][2] is steps[-1]
 
 
 def _s_ranges(jr, decomposition) -> set:
