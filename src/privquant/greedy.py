@@ -24,14 +24,17 @@ The candidate searches visit only pairs that can win, pick what a scan of
 every pair picks, and score a pair by ``_State.pair_cost`` on the two
 ``_Cluster`` records. Under resolution utility algorithm 1's partner is the
 first ``(size, cid)`` entry with another S-mask, and algorithm 2 joins two
-component buckets' least ``(size, cid)`` clusters. Under max distortion a
-merged distortion is at least half the ``vmin`` gap, so both walk a ``(vmin,
-cid)`` index nearest first and stop once that bound strictly passes the least
-cost so far. Algorithm 3 scores in full only the pairs touching one of its at
-most two extreme clusters; any other cluster reads a bucket in ascending tie
-key and keeps only pairs cheaper than every earlier one (``_least_per_cost``).
-It offers only the moves no other move beats at every lambda
-(``_l0_zero_istar_candidates``).
+components' least ``(size, cid)`` clusters. Otherwise algorithms 2 and 3
+read the cross-component pairs through ``_cross``: each cluster reads the
+clusters of the components before its own once, so each pair is met once.
+Under max distortion a merged distortion is at least half the ``vmin`` gap,
+so algorithms 1 and 2 walk a ``(vmin, cid)`` index nearest first and stop
+once that bound strictly passes the least cost so far. Algorithm 3 scores in
+full only the pairs touching one of its at most two extreme clusters; any
+other cluster reads in ascending tie key, keeps only pairs cheaper than
+every earlier one and stops at the least cost it can have
+(``_generic_pairs``). It offers only the moves no other move beats at every
+lambda (``_l0_zero_istar_candidates``).
 
 Merge acceptance in ``algorithm2_min_istar`` weighs the component-count
 drop on a decimal-log scale against the lambda-weighted utility loss.
@@ -332,15 +335,15 @@ _HALF_GAP = 0.5 * (1.0 - 2.0**-50)
 
 
 def _nearest_first(index: list, v: float, left: int, right: int):
-    """``(gap, cid)`` of the entries of the sorted ``(value, cid)`` ``index``
-    (a ``vmin``, or a codeword or id) from position ``left`` down and from
-    ``right`` up, in ascending gap from ``v`` (the lower entry first on a tie)."""
+    """``(gap, entry)`` of the entries of the sorted ``(value, cid, ...)`` ``index``
+    (a ``vmin``, or a codeword or id) from position ``left`` down and from ``right``
+    up, in ascending gap from ``v`` (the lower entry first on a tie)."""
     while left >= 0 or right < len(index):
         if right == len(index) or (left >= 0 and v - index[left][0] <= index[right][0] - v):
-            yield v - index[left][0], index[left][1]
+            yield v - index[left][0], index[left]
             left -= 1
         else:
-            yield index[right][0] - v, index[right][1]
+            yield index[right][0] - v, index[right]
             right += 1
 
 
@@ -370,7 +373,7 @@ def _best_partner_min_l0(state: _State, cid: int, index: list) -> int:
         return next(o for _, o in index if state.clusters[o].smask != cx.smask)
     here = bisect_left(index, (cx.vmin, cid))
     best = (math.inf,)
-    for gap, o in _nearest_first(index, cx.vmin, here - 1, here + 1):
+    for gap, (_, o) in _nearest_first(index, cx.vmin, here - 1, here + 1):
         if gap * _HALF_GAP > best[0]:
             break
         other = state.clusters[o]
@@ -420,85 +423,45 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _buckets(state: _State, entry) -> list[tuple[int, list[tuple]]]:
-    """The ``comps`` buckets as ``(-x_count, entries)``: the sorted ``entry`` of each cluster."""
-    buckets = []
-    for cids in state.comps.values():
-        cs = [state.clusters[c] for c in cids]
-        buckets.append((-sum(c.size for c in cs), sorted(map(entry, cs))))
-    return buckets
+def _components(state: _State) -> list[tuple]:
+    """``(-x_count, mask, cids)`` of each of the ``comps``, ascending."""
+    comps = state.comps.items()
+    return sorted((-sum(state.clusters[c].size for c in cs), m, cs) for m, cs in comps)
 
 
-def _undercuts(state: _State, x: _Cluster, inner, floor, low):
-    """``(cost, range, y)`` of the pairs of ``x`` with the ``(range, cid, y)``
-    of ``inner``, in order, that cost less than every earlier one (costs
-    clamped from below at ``floor``), up to the first that costs ``low``."""
-    run = math.inf
-    for ry, _, y in inner:
-        cost = state.pair_cost(x, y)
-        cost = floor if floor > cost else cost
-        if cost < run:
-            run = cost
-            yield cost, ry, y
-            if run <= low:
-                return
-
-
-def _least_per_cost(state: _State, rows, floor) -> dict:
-    """``{cost: (cost, rest)}``: per merged cost, clamped from below at
-    ``floor``, the least ``rest = (range_sum, big, small, a, b)`` of the
-    kept pairs of two of the ``_buckets`` ``rows``, ``(big, small)`` their
-    ``-x_count``. Each cluster ``x`` of the smaller bucket reads the larger
-    in ``(range, cid)`` order, ascending ``rest``, and keeps a pair only if
-    it is cheaper than every earlier one (``_undercuts``): a dropped pair has
-    an earlier one no costlier and less in ``rest``, so the caller's walk in
-    ascending cost takes the same entries as from every pair. A read stops
-    at the least cost a pair of ``x`` can have.
-    """
-    best: dict = {}
-    for i, (sa, xs) in enumerate(rows):
-        for sb, ys in rows[i + 1:]:
-            big, small = (sa, sb) if sa <= sb else (sb, sa)
-            outer, inner = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
-            for rx, _, x in outer:
-                low = floor if state.needs_values else max(floor, x.size + 1)
-                for cost, ry, y in _undercuts(state, x, inner, floor, low):
-                    a, b = (x.cid, y.cid) if x.cid < y.cid else (y.cid, x.cid)
-                    rest = (rx + ry, big, small, a, b)
-                    old = best.get(cost)
-                    if old is None or rest < old[1]:
-                        best[cost] = (cost, rest)
-    return best
+def _cross(state: _State, comps, entry, skip=()):
+    """``(size, x, seen)`` per cluster ``x`` outside ``skip`` of the ``_components``
+    ``comps``, ``size`` its component's ``-x_count`` and ``seen`` (never empty) the
+    sorted ``entry(size, c)`` of the clusters ``c`` outside ``skip`` of the
+    components before (no greater ``-x_count``): each pair is met once."""
+    seen: list = []
+    for size, _, cids in comps:
+        cs = [state.clusters[c] for c in cids if c not in skip]
+        yield from ((size, x, seen) for x in cs if seen)
+        seen = sorted(seen + [entry(size, c) for c in cs])
 
 
 def _min_istar_pair(state: _State) -> tuple:
     """Algorithm 2's pair, as the least ``(cost, big, small, a, b)`` over the
-    pairs ``a < b`` of two ``comps`` buckets, ``(big, small)`` their
+    cross-component pairs ``a < b``, ``(big, small)`` their components'
     ``-x_count``. Under resolution utility the cost is the size sum, so the
-    least pair of two buckets joins their least ``(size, cid)`` clusters.
-    Under max distortion each cluster of the smaller bucket walks the
-    larger's ``(vmin, cid)`` index until ``_HALF_GAP`` times the gap strictly
-    passes the least cost over all bucket pairs so far, as
-    ``_best_partner_min_l0`` does: every pair it skips costs more.
+    least pair of two components joins their least ``(size, cid)`` clusters.
+    Under max distortion each cluster walks its ``_cross`` ``(vmin, cid)``
+    index until ``_HALF_GAP`` times the gap strictly passes the least cost so
+    far, as ``_best_partner_min_l0`` does: every pair it skips costs more.
     """
+    comps = _components(state)
     if not state.needs_values:
-        heads = [(size, row[0]) for size, row in _buckets(state, lambda c: (c.size, c.cid))]
-        return min((na + nb, min(sa, sb), max(sa, sb), min(a, b), max(a, b))
+        heads = [(size, min((state.clusters[c].size, c) for c in cids)) for size, _, cids in comps]
+        return min((na + nb, sa, sb, min(a, b), max(a, b))
                    for i, (sa, (na, a)) in enumerate(heads) for sb, (nb, b) in heads[i + 1:])
     best = (math.inf,)
-    buckets = _buckets(state, lambda c: (c.vmin, c.cid))
-    for i, (sa, xs) in enumerate(buckets):
-        for sb, ys in buckets[i + 1:]:
-            big, small = (sa, sb) if sa <= sb else (sb, sa)
-            outer, index = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
-            for v, cid in outer:
-                x, here = state.clusters[cid], bisect_left(index, (v, cid))
-                for gap, o in _nearest_first(index, v, here - 1, here):
-                    if gap * _HALF_GAP > best[0]:
-                        break
-                    cost = state.pair_cost(x, state.clusters[o])
-                    if cost <= best[0]:
-                        best = min(best, (cost, big, small, min(cid, o), max(cid, o)))
+    for sx, x, index in _cross(state, comps, lambda size, c: (c.vmin, c.cid, size, c)):
+        here = bisect_left(index, (x.vmin, x.cid))
+        for gap, (_, y, sy, cy) in _nearest_first(index, x.vmin, here - 1, here):
+            if gap * _HALF_GAP > best[0]:
+                break
+            best = min(best, (state.pair_cost(x, cy), sy, sx, min(x.cid, y), max(x.cid, y)))
     return best
 
 
@@ -512,6 +475,28 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     non-negative or one component remains.
     """
     return run(jr, Problem.MIN_ISTAR, cfg)
+
+
+def _generic_pairs(state: _State, comps, skip, floor):
+    """``(cost, rest)`` of the kept cross-component pairs of clusters outside
+    ``skip``, ``rest = (range_sum, big, small, a, b)`` and costs clamped from
+    below at ``floor``. Each cluster ``x`` reads its ``_cross`` list in
+    ``(range, -x_count, cid)`` order, ascending ``rest``, and keeps a pair only
+    if it is cheaper than every earlier one, up to the least cost a pair of
+    ``x`` can have: each dropped pair has a kept one no costlier and less in
+    ``rest``, so the kept pairs have the skyline of all pairs."""
+    entry = lambda size, c: (c.smask.bit_count(), size, c.cid, c)
+    for sx, x, seen in _cross(state, comps, entry, skip):
+        rx, run = x.smask.bit_count(), math.inf
+        low = floor if state.needs_values else max(floor, x.size + 1)
+        for ry, sy, y, cy in seen:
+            cost = state.pair_cost(x, cy)
+            cost = floor if floor > cost else cost
+            if cost < run:
+                run = cost
+                yield cost, (rx + ry, sy, sx, *((x.cid, y) if x.cid < y else (y, x.cid)))
+                if run <= low:
+                    break
 
 
 def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
@@ -531,22 +516,21 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     cost_tops = _top3(state, lambda c: c.cost)
     extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
                if len(tops) < 3 or tops[2][0] != tops[0][0]}
-    rows = _buckets(state, lambda c: (c.smask.bit_count(), c.cid, c))
+    comps = _components(state)
+    where = {c: (size, m, state.clusters[c]) for size, m, cids in comps for c in cids}
     moves = []
-    where = {c.cid: (i, size, c, r) for i, (size, row) in enumerate(rows) for r, _, c in row}
     for x in extreme:
-        i, sx, cx, rx = where[x]
-        for y, (j, sy, cy, ry) in where.items():
-            if i != j and (y not in extreme or x < y):
+        sx, mx, cx = where[x]
+        for y, (sy, my, cy) in where.items():
+            if mx != my and (y not in extreme or x < y):
                 merged = (cx.smask | cy.smask).bit_count()
                 new_min = min(merged, -_excluding(neg_range_tops, x, y, -math.inf))
                 worst = max(state.pair_cost(cx, cy), _excluding(cost_tops, x, y, 0.0))
-                u_new = state.utility_of(worst)
-                dpriv = min_range_bits - math.log2(new_min)
-                moves.append((dpriv, u_new, (rx + ry, *sorted((sx, sy)), *sorted((x, y)))))
-    generic = [(size, [e for e in row if e[1] not in extreme]) for size, row in rows]
+                ranges = cx.smask.bit_count() + cy.smask.bit_count()
+                rest = (ranges, *sorted((sx, sy)), *sorted((x, y)))
+                moves.append((min_range_bits - math.log2(new_min), state.utility_of(worst), rest))
     least = (math.inf,)
-    for cost, rest in sorted(_least_per_cost(state, generic, cost_tops[0][0]).values()):
+    for cost, rest in sorted(_generic_pairs(state, comps, extreme, cost_tops[0][0])):
         if rest < least:  # u_new falls as cost rises, so the others are dominated
             least = rest
             moves.append((0.0, state.utility_of(cost), rest))

@@ -223,7 +223,7 @@ def sweeney_baseline(
         if cid in state.clusters and state.clusters[cid].smask.bit_count() == size:
             here = bisect_left(index, (place(cid), cid))
             walk = _nearest_first(index, index.pop(here)[0], here - 1, here)
-            partner = min(o for _, o in next(itertools.groupby(walk, lambda e: e[0]))[1])
+            partner = min(o for _, (_, o) in next(itertools.groupby(walk, lambda e: e[0]))[1])
             del index[bisect_left(index, (place(partner), partner))]
             merged = state.merge(cid, partner)
             insort(index, (place(merged), merged))

@@ -396,11 +396,11 @@ def reference_cross_component_pairs(state):
     """Every cluster pair ``(a, b)``, ``a < b``, in different components, with
     its tie key ``(-larger x_count, -smaller x_count, a, b)``.
 
-    The pairs the bucket loop ``greedy._least_per_cost`` visits, as a scan
-    over every cluster pair, in ascending ``(a, b)`` order. It reads only
-    the live clusters, not the state's component record: components come
-    from a union-find over every pair of intersecting S-masks, and a
-    component's size is the sum of its clusters' sizes.
+    The pairs ``greedy._cross`` meets, each once, as a scan over every
+    cluster pair, in ascending ``(a, b)`` order. It reads only the live
+    clusters, not the state's component record: components come from a
+    union-find over every pair of intersecting S-masks, and a component's
+    size is the sum of its clusters' sizes.
     """
     cids = sorted(state.clusters)
     uf = UnionFind(len(cids))

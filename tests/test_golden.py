@@ -3,8 +3,10 @@
 Each greedy result and frontier is reduced to a canonical record (partition
 keys, ``float.hex`` of every float, termination, merged pairs, component
 counts, decomposition blocks) and the records of one problem are hashed
-together, so a change to a merge pick, an acceptance decision, a tie-break,
-a crediting rule or any float of any output changes a digest.
+together; a fourth digest hashes every problem on tables of many small
+components, where algorithms 2 and 3 search across many components. So a
+change to a merge pick, an acceptance decision, a tie-break, a crediting
+rule or any float of any output changes a digest.
 
 To regenerate after an intended change of output, run this file as a script:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -18,7 +20,7 @@ import random
 
 import pytest
 
-from helpers import random_joint_range
+from helpers import random_joint_range, sparse_joint_range
 from privquant import JointRange, LagrangianConfig, Problem, Symbol, run, sweep
 from privquant.quantize import CodewordPolicy, UtilityChoice
 
@@ -26,6 +28,7 @@ GOLDEN = {
     "l0": "f04fdf6d335929a1e8fd0079c76f45ec3156df091e50376f26c296e65b67b772",
     "istar": "f95df2fb650639224673b0fd858fdbba04d9ee56a828613ee6da7bd3cf527428",
     "l0-zero-istar": "64561437492e0767efba1b900d3bac2485ee8001510e51b738c576768f6403ef",
+    "sparse-components": "6cd418d4071f4d9e24972bffa3fad842c4a5d69f35a3a0bbca49bf537e094033",
 }
 
 LAMBDAS = (0.0, 0.3, 2.5)
@@ -77,12 +80,10 @@ def _frontier(f) -> list:
     return [points, f.problem.value, f.utility_kind.value, f.degenerate, _hex(f.u2_floor)]
 
 
-def digests() -> dict[str, str]:
-    """One sha256 per problem over the records of every run and sweep."""
-    instances = _instances()
-    out = {}
-    for problem in Problem:
-        h = hashlib.sha256()
+def _digest(instances: list[JointRange], problems) -> str:
+    """A sha256 over the records of every run and sweep of ``problems`` on ``instances``."""
+    h = hashlib.sha256()
+    for problem in problems:
         for jr in instances:
             for u in UTILITIES:
                 for policy in CodewordPolicy:
@@ -92,7 +93,17 @@ def digests() -> dict[str, str]:
                     for include in (True, False):
                         f = sweep(jr, problem, u, GRID, policy, include_trace_states=include)
                         h.update(json.dumps(_frontier(f)).encode() + b"\n")
-        out[problem.value] = h.hexdigest()
+    return h.hexdigest()
+
+
+def digests() -> dict[str, str]:
+    """One digest per problem over the random tables, and one over every problem
+    on tables of many small components, where algorithms 2 and 3 search
+    across many components."""
+    instances = _instances()
+    out = {problem.value: _digest(instances, [problem]) for problem in Problem}
+    rng = random.Random(4848)
+    out["sparse-components"] = _digest([sparse_joint_range(rng, 48) for _ in range(4)], Problem)
     return out
 
 
@@ -101,9 +112,9 @@ def computed() -> dict[str, str]:
     return digests()
 
 
-@pytest.mark.parametrize("problem", [p.value for p in Problem])
-def test_golden_digest(computed, problem):
-    assert computed[problem] == GOLDEN[problem]
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_digest(computed, name):
+    assert computed[name] == GOLDEN[name]
 
 
 if __name__ == "__main__":

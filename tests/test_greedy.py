@@ -372,35 +372,34 @@ class TestPartnerSearchWork:
 
 class TestComponentSearchWork:
     """Algorithms 2 and 3 score a small share of the cross-component pairs:
-    a read of a bucket from one cluster stops once no pair left in it can
-    win, and algorithm 3 keeps only the pairs cheaper than every earlier
-    one of their read."""
+    each cluster starts one read of the components before its own, the read
+    stops once no pair left in it can win, and algorithm 3 keeps only the
+    pairs cheaper than every earlier one of their read."""
 
     @staticmethod
     def work(jr, problem, u):
         """Over one run at lambda 0: the pairs ``_State.pair_cost`` scores,
-        the reads (``_nearest_first`` walks and ``_undercuts`` reads), the
-        costs each ``_undercuts`` read keeps, and the cross-component pairs
+        the reads (the clusters ``_cross`` yields, each one read), the costs
+        each read keeps in ``_generic_pairs``, and the cross-component pairs
         of the states searched."""
         calls, reads, kept, pairs = 0, 0, [], 0
-        pair_cost, walk, undercuts, moves = (
-            greedy._State.pair_cost, greedy._nearest_first, greedy._undercuts, greedy._moves)
+        pair_cost, cross, generic, moves = (
+            greedy._State.pair_cost, greedy._cross, greedy._generic_pairs, greedy._moves)
 
         def counted_cost(*args):
             nonlocal calls
             calls += 1
             return pair_cost(*args)
 
-        def counted_walk(*args):
+        def counted_cross(*args):
             nonlocal reads
-            reads += 1
-            return walk(*args)
+            for found in cross(*args):
+                reads += 1
+                kept.append([])
+                yield found
 
         def recorded(*args):
-            nonlocal reads
-            reads += 1
-            kept.append([])
-            for found in undercuts(*args):
+            for found in generic(*args):
                 kept[-1].append(found[0])
                 yield found
 
@@ -411,26 +410,79 @@ class TestComponentSearchWork:
             return moves(problem, state)
 
         with mock.patch.object(greedy._State, "pair_cost", counted_cost), \
-                mock.patch.object(greedy, "_nearest_first", counted_walk), \
-                mock.patch.object(greedy, "_undercuts", recorded), \
+                mock.patch.object(greedy, "_cross", counted_cross), \
+                mock.patch.object(greedy, "_generic_pairs", recorded), \
                 mock.patch.object(greedy, "_moves", counted_moves):
             run(jr, problem, LagrangianConfig(0.0, u))
         return calls, reads, kept, pairs
 
     @pytest.mark.parametrize(("problem", "u", "expected"), [
         (Problem.MIN_ISTAR, UtilityChoice.u1(), (64, 0, 0, 172691)),
-        (Problem.MIN_ISTAR, UtilityChoice.u2(), (1302, 48494, 0, 193535)),
-        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u1(), (48636, 47478, 47612, 172691)),
-        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u2(), (59160, 47478, 51795, 172691)),
+        (Problem.MIN_ISTAR, UtilityChoice.u2(), (1268, 2884, 0, 193535)),
+        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u1(), (3091, 2413, 2467, 172691)),
+        (Problem.MIN_L0_ZERO_ISTAR, UtilityChoice.u2(), (11348, 2413, 3280, 172691)),
     ], ids=["istar-u1", "istar-u2", "l0-zero-istar-u1", "l0-zero-istar-u2"])
     def test_component_searches_score_few_pairs(self, problem, u, expected):
         # The counts pin the searches' stops: a read that goes on past the
         # least cost its cluster can have scores more pairs, a walk that
-        # stops on a tie scores fewer, and reads from the larger bucket of
-        # a pair are more. Under resolution utility algorithm 2 scores only
-        # its merges.
+        # stops on a tie scores fewer, and reads from the first component,
+        # which has no component before it, are more. Under resolution
+        # utility algorithm 2 scores only its merges.
+        # A search once read each pair of components apart, one read per
+        # cluster of the smaller: istar-u2 walked 48,494 times to score
+        # 1,302 pairs, and l0-zero-istar scored 48,636 (u1) and 59,160 (u2)
+        # pairs in 47,478 reads. Now each cluster reads every component
+        # before its own at once, so it starts one read per state, its
+        # running least cost spans those components and its stop ends the
+        # whole read. istar-u2 meets its pairs in another order, so its
+        # least cost so far falls at another pace (1,302 -> 1,268 pairs).
         jr = helpers.sparse_joint_range(random.Random("component-search-work"), 120)
         calls, reads, kept, pairs = self.work(jr, problem, u)
         assert (calls, reads, sum(map(len, kept)), pairs) == expected
         assert calls < pairs / 2
         assert all(a > b for costs in kept for a, b in zip(costs, costs[1:]))
+
+
+class TestCrossReader:
+    """``greedy._cross`` meets each cross-component pair once, from the
+    cluster of the later component, and hands out sorted entries."""
+
+    @staticmethod
+    def states(jr, problem, u):
+        """A snapshot of each state a run at lambda 0 searches."""
+        found, moves = [], greedy._moves
+
+        def recorded(problem, state):
+            found.append(state.copy())  # clusters and ``comps`` are never changed in place
+            return moves(problem, state)
+
+        with mock.patch.object(greedy, "_moves", recorded):
+            run(jr, problem, LagrangianConfig(0.0, u))
+        return found
+
+    @pytest.mark.parametrize("u", [UtilityChoice.u1(), UtilityChoice.u2()], ids=["u1", "u2"])
+    @pytest.mark.parametrize("problem", [Problem.MIN_ISTAR, Problem.MIN_L0_ZERO_ISTAR],
+                             ids=["istar", "l0-zero-istar"])
+    def test_reader_meets_each_cross_pair_once(self, problem, u):
+        rng = random.Random(f"cross-reader-{problem.value}-{u.kind.value}")
+        jr = helpers.sparse_joint_range(rng, 40)
+        states, tied = self.states(jr, problem, u), False
+        assert len(states) > 10
+        for state in states:
+            comps = greedy._components(state)
+            sizes = [size for size, _, _ in comps]
+            tied |= len(set(sizes)) < len(sizes)
+            expected = {(a, b): tie for a, b, tie in helpers.reference_cross_component_pairs(state)}
+            for skip in (set(), set(rng.sample(sorted(state.clusters), 2))):
+                met = []
+                for sx, x, seen in greedy._cross(
+                        state, comps, lambda size, c: (c.smask.bit_count(), size, c.cid), skip):
+                    assert seen == sorted(seen)
+                    for _, sy, y in seen:
+                        a, b = min(x.cid, y), max(x.cid, y)
+                        met.append((a, b, (sy, sx, a, b)))
+                assert len(met) == len(set(met))
+                assert not any(a in skip or b in skip for a, b, _ in met)
+                assert {(a, b): tie for a, b, tie in met} == {
+                    pair: tie for pair, tie in expected.items() if not skip & set(pair)}
+        assert tied  # some state holds components of equal size
