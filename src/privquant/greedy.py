@@ -161,8 +161,9 @@ class _State:
     utility, the worst member distortion under max distortion. ``pair_cost``
     (of two ``_Cluster`` records) and ``utility_of`` are the only places the
     two differ. For the component-driven problems (None for algorithm 1)
-    ``comps`` maps each component's S-mask to its clusters' ids; one fold of
-    the singleton S-masks seeds it. ``merge`` builds a new dict, never
+    ``comps`` lists each component as ``(-x_count, mask, cids)``, ascending:
+    minus its X-value count, its S-mask and its clusters' ids. One fold of
+    the singleton S-masks seeds it. ``merge`` builds a new list, never
     changing one in place, so copies of the state and the walk's steps share it.
     """
 
@@ -187,7 +188,8 @@ class _State:
         self.comps = None
         if track_components:  # a singleton's id is its X index
             ms = [c.smask for c in self.clusters.values()]
-            self.comps = {m: tuple(x for x in range(jr.n_x) if ms[x] & m) for m in components(ms)}
+            cids = {m: tuple(x for x in range(jr.n_x) if ms[x] & m) for m in components(ms)}
+            self.comps = sorted((-len(xs), m, xs) for m, xs in cids.items())
 
     def pair_cost(self, ca: _Cluster, cb: _Cluster):
         """Cost of the cluster that fusing ``ca`` and ``cb`` would give."""
@@ -214,12 +216,13 @@ class _State:
 
     def merge(self, a: int, b: int) -> int:
         if self.comps is not None:
-            ma, mb = (next(m for m in self.comps if m & self.clusters[c].smask) for c in (a, b))
+            (na, ma, ia), (nb, mb, ib) = (
+                next(e for e in self.comps if e[1] & self.clusters[c].smask) for c in (a, b))
             if ma == mb:
                 raise AssertionError("candidate pair was not cross-component")
-            comps = {m: cids for m, cids in self.comps.items() if m != ma and m != mb}
-            cids = self.comps[ma] + self.comps[mb]
-            comps[ma | mb] = (*(c for c in cids if c != a and c != b), min(a, b))
+            comps = [e for e in self.comps if e[1] != ma and e[1] != mb]
+            fused = (*(c for c in ia + ib if c != a and c != b), min(a, b))
+            insort(comps, (na + nb, ma | mb, fused))
             self.comps = comps
         ca = self.clusters.pop(a)
         cb = self.clusters.pop(b)
@@ -292,15 +295,16 @@ class _Step(NamedTuple):
     is log2 of the component count for algorithm 2 and L0 otherwise.
     ``dpriv`` is the privacy change of a component merge: log2((P-1)/P) for
     algorithm 2, the change in L0 for algorithm 3; None for algorithm 1.
-    ``comps`` and ``partition`` are the state's ``_State.comps`` and
-    ``Quantization.partition_key()``.
+    ``comps`` is the state's ascending ``(-x_count, mask, cids)`` component
+    list (``_State.comps``, shared, None for algorithm 1) and ``partition``
+    its ``Quantization.partition_key()``.
     """
 
     merged: tuple[tuple[int, int], ...]
     privacy: float
     utility: float
     dpriv: Optional[float]
-    comps: Optional[dict[int, tuple[int, ...]]]
+    comps: Optional[list[tuple[int, int, tuple[int, ...]]]]
     partition: tuple[tuple[int, ...], ...]
 
 
@@ -423,19 +427,14 @@ def algorithm1_min_l0(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
 # ---------------------------------------------------------------------------
 
 
-def _components(state: _State) -> list[tuple]:
-    """``(-x_count, mask, cids)`` of each of the ``comps``, ascending."""
-    comps = state.comps.items()
-    return sorted((-sum(state.clusters[c].size for c in cs), m, cs) for m, cs in comps)
-
-
-def _cross(state: _State, comps, entry, skip=()):
-    """``(size, x, seen)`` per cluster ``x`` outside ``skip`` of the ``_components``
-    ``comps``, ``size`` its component's ``-x_count`` and ``seen`` (never empty) the
-    sorted ``entry(size, c)`` of the clusters ``c`` outside ``skip`` of the
-    components before (no greater ``-x_count``): each pair is met once."""
+def _cross(state: _State, entry, skip=()):
+    """``(size, x, seen)`` per cluster ``x`` outside ``skip`` of the state's
+    ``comps``, ``size`` its component's ``-x_count`` and ``seen`` (never empty)
+    the sorted ``entry(size, c)`` of the clusters ``c`` outside ``skip`` of the
+    components before it in ``comps`` (no greater ``-x_count``): each pair is
+    met once."""
     seen: list = []
-    for size, _, cids in comps:
+    for size, _, cids in state.comps:
         cs = [state.clusters[c] for c in cids if c not in skip]
         yield from ((size, x, seen) for x in cs if seen)
         seen = sorted(seen + [entry(size, c) for c in cs])
@@ -450,13 +449,13 @@ def _min_istar_pair(state: _State) -> tuple:
     index until ``_HALF_GAP`` times the gap strictly passes the least cost so
     far, as ``_best_partner_min_l0`` does: every pair it skips costs more.
     """
-    comps = _components(state)
     if not state.needs_values:
-        heads = [(size, min((state.clusters[c].size, c) for c in cids)) for size, _, cids in comps]
+        heads = [(size, min((state.clusters[c].size, c) for c in cids))
+                 for size, _, cids in state.comps]
         return min((na + nb, sa, sb, min(a, b), max(a, b))
                    for i, (sa, (na, a)) in enumerate(heads) for sb, (nb, b) in heads[i + 1:])
     best = (math.inf,)
-    for sx, x, index in _cross(state, comps, lambda size, c: (c.vmin, c.cid, size, c)):
+    for sx, x, index in _cross(state, lambda size, c: (c.vmin, c.cid, size, c)):
         here = bisect_left(index, (x.vmin, x.cid))
         for gap, (_, y, sy, cy) in _nearest_first(index, x.vmin, here - 1, here):
             if gap * _HALF_GAP > best[0]:
@@ -477,7 +476,7 @@ def algorithm2_min_istar(jr: JointRange, cfg: LagrangianConfig) -> GreedyResult:
     return run(jr, Problem.MIN_ISTAR, cfg)
 
 
-def _generic_pairs(state: _State, comps, skip, floor):
+def _generic_pairs(state: _State, skip, floor):
     """``(cost, rest)`` of the kept cross-component pairs of clusters outside
     ``skip``, ``rest = (range_sum, big, small, a, b)`` and costs clamped from
     below at ``floor``. Each cluster ``x`` reads its ``_cross`` list in
@@ -486,7 +485,7 @@ def _generic_pairs(state: _State, comps, skip, floor):
     ``x`` can have: each dropped pair has a kept one no costlier and less in
     ``rest``, so the kept pairs have the skyline of all pairs."""
     entry = lambda size, c: (c.smask.bit_count(), size, c.cid, c)
-    for sx, x, seen in _cross(state, comps, entry, skip):
+    for sx, x, seen in _cross(state, entry, skip):
         rx, run = x.smask.bit_count(), math.inf
         low = floor if state.needs_values else max(floor, x.size + 1)
         for ry, sy, y, cy in seen:
@@ -516,8 +515,7 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
     cost_tops = _top3(state, lambda c: c.cost)
     extreme = {tops[0][1] for tops in (neg_range_tops, cost_tops)
                if len(tops) < 3 or tops[2][0] != tops[0][0]}
-    comps = _components(state)
-    where = {c: (size, m, state.clusters[c]) for size, m, cids in comps for c in cids}
+    where = {c: (size, m, state.clusters[c]) for size, m, cids in state.comps for c in cids}
     moves = []
     for x in extreme:
         sx, mx, cx = where[x]
@@ -530,7 +528,7 @@ def _l0_zero_istar_candidates(state: _State) -> list[tuple]:
                 rest = (ranges, *sorted((sx, sy)), *sorted((x, y)))
                 moves.append((min_range_bits - math.log2(new_min), state.utility_of(worst), rest))
     least = (math.inf,)
-    for cost, rest in sorted(_generic_pairs(state, comps, extreme, cost_tops[0][0])):
+    for cost, rest in sorted(_generic_pairs(state, extreme, cost_tops[0][0])):
         if rest < least:  # u_new falls as cost rises, so the others are dominated
             least = rest
             moves.append((0.0, state.utility_of(cost), rest))
@@ -664,6 +662,6 @@ def run(jr: JointRange, problem: Problem, cfg: LagrangianConfig) -> GreedyResult
     decomposition = None
     if prev.comps is not None:  # the final clusters, pooled per component
         members = {c[0]: c for c in prev.partition}  # a cluster's id is its least member
-        blocks = (frozenset().union(*map(members.get, cids)) for cids in prev.comps.values())
+        blocks = (frozenset().union(*map(members.get, cids)) for *_, cids in prev.comps)
         decomposition = Decomposition(tuple(sorted(blocks, key=min)))
     return GreedyResult(q, tuple(trace), decomposition, termination, rejected_delta_l=rejected)

@@ -17,9 +17,9 @@ Axes are normalized as plotted throughout this package's outputs:
   information when that is the objective. A zero denominator makes the
   frontier "degenerate": raw bits are reported instead.
 * utility-loss axis: ``1 - U1/h0(X)`` for resolution utility; for max
-  distortion, ``U2 / (min U2 over the frontier)``, so the normalizer is
-  only known once the frontier is assembled (raw values are stored
-  alongside for that reason).
+  distortion, ``U2 / (min U2 over the frontier)``, known only once the
+  frontier is assembled (raw values are stored alongside for that reason).
+  A zero denominator (one X symbol, or a zero floor) gives a loss of 0.
 
 ``sweeney_baseline`` is the classic generalization-and-suppression loop,
 with no utility term, which is exactly what the frontier comparison is for:
@@ -47,8 +47,6 @@ __all__ = [
     "Frontier",
     "default_lambda_grid",
     "sweep",
-    "normalize",
-    "NormalizationContext",
     "sweeney_baseline",
     "frontier_csv_rows",
 ]
@@ -73,15 +71,6 @@ class Frontier(NamedTuple):
     u2_floor: Optional[float]
 
 
-class NormalizationContext(NamedTuple):
-    """Denominators for the normalized axes of one frontier."""
-
-    leakage_full: float
-    h0_x: float
-    u2_floor: Optional[float]
-    degenerate: bool
-
-
 #: The most lambdas a grid may hold; the default grid has 65.
 MAX_GRID_COUNT = 10_000
 
@@ -101,19 +90,6 @@ def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
 def default_lambda_grid() -> tuple[float, ...]:
     """lambda = 0 plus 64 geometrically spaced points on [1e-3, 1e2]."""
     return (0.0, *geometric_grid(1e-3, 1e2, 64))
-
-
-def normalize(
-    leakage_raw: float, utility_raw: float, ctx: NormalizationContext, kind: UtilityKind
-) -> tuple[float, float]:
-    """(loss_norm, leakage_norm) for one point under a frontier's context."""
-    leak = leakage_raw if ctx.degenerate else leakage_raw / ctx.leakage_full
-    if kind is UtilityKind.U1_RESOLUTION:
-        loss = 0.0 if ctx.h0_x <= TOLERANCE else 1.0 - utility_raw / ctx.h0_x
-    else:
-        floor = ctx.u2_floor
-        loss = 0.0 if floor is None or abs(floor) <= TOLERANCE else utility_raw / floor
-    return loss, leak
 
 
 def sweep(
@@ -177,15 +153,18 @@ def sweep(
 
     singleton_leak = start[1].privacy
     degenerate = singleton_leak <= TOLERANCE
-    u2_floor = None
+    u2_floor, h0_x = None, h0(jr.n_x)
     if utility_choice.kind is UtilityKind.U2_MAX_DISTORTION:
         u2_floor = min(util for _, _, util, _ in survivors)
-    ctx = NormalizationContext(singleton_leak, h0(jr.n_x), u2_floor, degenerate)
 
     quantize = quantizer(jr, policy)
     points = []
     for lam, leak, util, key in survivors:
-        loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
+        if u2_floor is None:
+            loss = 0.0 if h0_x <= TOLERANCE else 1.0 - util / h0_x
+        else:
+            loss = 0.0 if abs(u2_floor) <= TOLERANCE else util / u2_floor
+        leak_norm = leak if degenerate else leak / singleton_leak
         points.append(ParetoPoint(lam, leak, leak_norm, util, loss, quantize(key)))
     points.sort(key=lambda p: p.loss_norm)
     return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import heapq
 import itertools
 import random
 
@@ -27,15 +26,8 @@ from privquant.core import TOLERANCE, cond_range_cluster, finite_magnitude
 from privquant.errors import ConfigurationError, ContractViolation, InfeasibleError, IngestError
 from privquant.ingest import DEFAULT_MISSING, DatasetStats, _parses_as_number, _resolve_column
 from privquant.graph import _canonical_clusters
-from privquant.greedy import _excluding
 from privquant.oracle import OracleResult, enumerate_partitions
-from privquant.pareto import (
-    Frontier,
-    NormalizationContext,
-    ParetoPoint,
-    default_lambda_grid,
-    normalize,
-)
+from privquant.pareto import Frontier, ParetoPoint, default_lambda_grid
 from privquant.quantize import (
     CodewordPolicy,
     UtilityChoice,
@@ -223,11 +215,19 @@ def reference_sweep(
     u2_floor = None
     if utility_choice.kind is UtilityKind.U2_MAX_DISTORTION:
         u2_floor = min(util for _, _, util, _ in survivors)
-    ctx = NormalizationContext(singleton_leak, h0(jr.n_x), u2_floor, degenerate)
 
+    # The axes of docs/schemas.md: leakage over the singleton leakage (raw
+    # bits when that is 0), loss 1 - U1/h0(X) or U2/u2_floor (0 when the
+    # denominator is 0).
     points = []
     for lam, leak, util, q in survivors:
-        loss, leak_norm = normalize(leak, util, ctx, utility_choice.kind)
+        leak_norm = leak if degenerate else leak / singleton_leak
+        if u2_floor is not None:
+            loss = 0.0 if abs(u2_floor) <= TOLERANCE else util / u2_floor
+        elif jr.n_x == 1:
+            loss = 0.0
+        else:
+            loss = 1.0 - util / h0(jr.n_x)
         points.append(ParetoPoint(lam, leak, leak_norm, util, loss, q))
     points.sort(key=lambda p: p.loss_norm)
     return Frontier(tuple(points), problem, utility_choice.kind, degenerate, u2_floor)
@@ -370,11 +370,6 @@ def reference_pair_cost(state, a: int, b: int):
     return max(0.0, cw - min(ca.vmin, cb.vmin), max(ca.vmax, cb.vmax) - cw)
 
 
-def reference_top3(state, key) -> list[tuple[float, int]]:
-    """The three greatest ``(key(cluster), cid)`` of ``state``, by ``heapq.nlargest``."""
-    return heapq.nlargest(3, ((key(c), c.cid) for c in state.clusters.values()))
-
-
 def reference_best_partner_min_l0(state, cid: int) -> Optional[int]:
     """``greedy._best_partner_min_l0`` as a scan that scores every live cluster.
 
@@ -435,14 +430,20 @@ def reference_l0_zero_istar_candidates(state) -> list[tuple]:
     move from these groups as from the search's.
     """
     min_range_bits = math.log2(min(c.smask.bit_count() for c in state.clusters.values()))
-    neg_range_tops = reference_top3(state, lambda c: -c.smask.bit_count())
-    cost_tops = reference_top3(state, lambda c: c.cost)
+    by_range = sorted(state.clusters.values(), key=lambda c: c.smask.bit_count())
+    by_cost = sorted(state.clusters.values(), key=lambda c: c.cost, reverse=True)
     groups: dict[tuple[float, float], tuple] = {}
     for a, b, tie in reference_cross_component_pairs(state):
         ca, cb = state.clusters[a], state.clusters[b]
-        merged_range = (ca.smask | cb.smask).bit_count()
-        new_min = min(merged_range, -_excluding(neg_range_tops, a, b, -math.inf))
-        cost = max(reference_pair_cost(state, a, b), _excluding(cost_tops, a, b, 0.0))
+        new_min = (ca.smask | cb.smask).bit_count()
+        cost = reference_pair_cost(state, a, b)
+        # The least range and the greatest cost outside the pair: the first
+        # cluster outside it in ascending range, and in descending cost.
+        least, costliest = (next((c for c in order if c.cid != a and c.cid != b), None)
+                            for order in (by_range, by_cost))
+        if least is not None:  # some cluster lies outside the pair
+            new_min = min(new_min, least.smask.bit_count())
+            cost = max(cost, costliest.cost)
         u_new = state.utility_of(cost)
         dpriv = min_range_bits - math.log2(new_min)
         rest = (ca.smask.bit_count() + cb.smask.bit_count(), *tie)

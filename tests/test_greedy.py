@@ -155,6 +155,19 @@ class TestMinMaximin:
             counts = [e.component_count for e in r.trace]
             assert all(a - b == 1 for a, b in zip(counts, counts[1:]))
 
+    def test_a_merge_inside_one_component_is_refused(self, toy):
+        # The toy's components are {x1, x2}, {x3, x4}, {x5}, {x6} and {x7}
+        # (X indices 0 to 6). After x1 joins x3, neither x2 nor x4 may join
+        # the fused cluster, and a refused merge leaves the state as it was.
+        state = greedy._State(toy, UtilityChoice.u1(), CodewordPolicy.CENTROID, True)
+        fused = state.merge(0, 2)
+        comps, clusters = state.comps, dict(state.clusters)
+        for other in (1, 3):
+            with pytest.raises(AssertionError, match="not cross-component"):
+                state.merge(fused, other)
+            assert state.comps is comps and state.clusters == clusters
+        assert [cids for *_, cids in comps] == [(1, 3, 0), (4,), (5,), (6,)]
+
     def test_within_component_merges_cannot_shrink_the_decomposition(self):
         # the candidate filter's justification, checked directly
         rng = random.Random(32)
@@ -212,7 +225,7 @@ class TestZeroMaximin:
         )
         cfgs = [LagrangianConfig(lam, u) for lam in default_lambda_grid()]
         walk = greedy._runs(jr, Problem.MIN_L0_ZERO_ISTAR, cfgs, [None] * len(cfgs))
-        seen = [(runs, step, dict(step.comps)) for runs, step in walk]
+        seen = [(runs, step, list(step.comps)) for runs, step in walk]
         assert len(seen[0][2]) == 12
         assert any(len(runs) < len(cfgs) for runs, _, _ in seen)  # the runs part
         for _, step, buckets in seen:
@@ -405,7 +418,7 @@ class TestComponentSearchWork:
 
         def counted_moves(problem, state):
             nonlocal pairs
-            ks = [len(cids) for cids in state.comps.values()]
+            ks = [len(cids) for *_, cids in state.comps]
             pairs += (sum(ks) ** 2 - sum(k * k for k in ks)) // 2
             return moves(problem, state)
 
@@ -469,14 +482,13 @@ class TestCrossReader:
         states, tied = self.states(jr, problem, u), False
         assert len(states) > 10
         for state in states:
-            comps = greedy._components(state)
-            sizes = [size for size, _, _ in comps]
+            sizes = [size for size, _, _ in state.comps]
             tied |= len(set(sizes)) < len(sizes)
             expected = {(a, b): tie for a, b, tie in helpers.reference_cross_component_pairs(state)}
             for skip in (set(), set(rng.sample(sorted(state.clusters), 2))):
                 met = []
                 for sx, x, seen in greedy._cross(
-                        state, comps, lambda size, c: (c.smask.bit_count(), size, c.cid), skip):
+                        state, lambda size, c: (c.smask.bit_count(), size, c.cid), skip):
                     assert seen == sorted(seen)
                     for _, sy, y in seen:
                         a, b = min(x.cid, y), max(x.cid, y)

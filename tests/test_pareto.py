@@ -27,8 +27,7 @@ from privquant import (
 )
 from privquant import greedy
 from privquant.core import min_range_size
-from privquant.pareto import MAX_GRID_COUNT, NormalizationContext, frontier_csv_rows, normalize
-from privquant.quantize import UtilityKind
+from privquant.pareto import MAX_GRID_COUNT, frontier_csv_rows
 
 U1 = UtilityChoice.u1()
 U2 = UtilityChoice.u2()
@@ -204,19 +203,36 @@ class TestLambdaPathSweep:
         assert all(branching.values()), branching
 
 
-class TestNormalize:
-    def test_endpoints(self, toy):
-        ctx = NormalizationContext(
-            leakage_full=l0(toy, singleton_quantization(toy)),
-            h0_x=math.log2(7),
-            u2_floor=None,
-            degenerate=False,
-        )
-        loss, leak = normalize(ctx.leakage_full, math.log2(7), ctx, UtilityKind.U1_RESOLUTION)
-        assert (loss, leak) == (pytest.approx(0.0), pytest.approx(1.0))
-        loss, leak = normalize(0.0, math.log2(7 / 3), ctx, UtilityKind.U1_RESOLUTION)
-        assert leak == pytest.approx(0.0)
-        assert loss == pytest.approx(0.5646, abs=1e-4)
+class TestAxes:
+    """The normalized coordinates of docs/schemas.md, on real frontiers."""
+
+    def test_toy_frontier_points(self, toy):
+        # Leakage over the singleton release's, loss 1 - U1/h0(X): the
+        # singleton point reads (0, 1), and the zero-leakage point keeps
+        # log2(7/3) bits of resolution.
+        fr = sweep(toy, Problem.MIN_ISTAR, U1)
+        first, last = fr.points[0], fr.points[-1]
+        assert first.quantization == singleton_quantization(toy)
+        for p in fr.points:
+            assert p.leakage_norm == p.leakage_raw / first.leakage_raw
+            assert p.loss_norm == 1.0 - p.utility_raw / math.log2(toy.n_x)
+        assert (first.loss_norm, first.leakage_norm) == (0.0, 1.0)
+        assert (last.leakage_norm, last.utility_raw) == (0.0, pytest.approx(math.log2(7 / 3)))
+        assert last.loss_norm == pytest.approx(0.5646, abs=1e-4)
+
+    def test_zero_denominators(self):
+        # One S value: no leakage, so raw bits. One X symbol: h0(X) = 0.
+        # Equal X values: every distortion is 0, so u2_floor is 0. Each
+        # zero loss denominator gives a loss of 0.
+        no_leak = sweep(JointRange.from_id_pairs([("s1", "x1"), ("s1", "x2")]), Problem.MIN_L0, U1)
+        assert no_leak.degenerate
+        assert all(p.leakage_norm == p.leakage_raw for p in no_leak.points)
+        one_x = sweep(JointRange.from_id_pairs([("s1", "x1"), ("s2", "x1")]), Problem.MIN_L0, U1)
+        flat = JointRange.from_id_pairs([("s1", "x1"), ("s2", "x2")], {"x1": 1.0, "x2": 1.0})
+        flat_u2 = sweep(flat, Problem.MIN_L0, U2)
+        assert flat_u2.u2_floor == 0.0 and not flat_u2.degenerate
+        for fr in (one_x, flat_u2):
+            assert fr.points and all(p.loss_norm == 0.0 for p in fr.points)
 
 
 class TestSweeneyBaseline:

@@ -6,7 +6,8 @@
 * Every point of an ``l0-zero-istar`` frontier is a release some run at
   its lambda passes through; with terminal states only, every point has
   I* = 0.
-* No greedy run beats the exhaustive optimum of its problem.
+* No greedy run beats the exhaustive optimum of its problem, and no sweep
+  point leaks less than the oracle's least leakage at its own utility.
 * Under u2 the oracle's value recomputes bit for bit from its witness, and
   every greedy trace utility equals ``utility()`` bit for bit.
 * With X values at the edge of ``finite_magnitude`` and lambda up to 1e308,
@@ -190,6 +191,24 @@ def test_greedy_never_beats_the_oracle(jr, u, lam):
         assert achieved >= oracle_min(jr, problem, cfg).value - 1e-9
 
 
+@hypothesis.settings(max_examples=100, **SETTINGS)
+@hypothesis.given(
+    jr=joint_ranges(max_s=8, max_x=8),
+    u=st.sampled_from(UTILITIES),
+    policy=st.sampled_from(CodewordPolicy),
+    grid=st.one_of(st.none(), st.lists(lambdas, min_size=1, max_size=6)),
+)
+def test_no_frontier_point_beats_the_oracle_at_its_utility(jr, u, policy, grid):
+    # A theta query is the least leakage over the partitions of at least that
+    # utility. For l0-zero-istar the oracle counts only connected partitions,
+    # so its sweep keeps only the runs' ends, each one component.
+    cfg = LagrangianConfig(0.0, u, policy)
+    for problem in Problem:
+        trace_states = problem is not Problem.MIN_L0_ZERO_ISTAR
+        for p in sweep(jr, problem, u, grid, policy, trace_states).points:
+            assert p.leakage_raw >= oracle_min(jr, problem, cfg, theta=p.utility_raw).value
+
+
 @hypothesis.settings(max_examples=150, **SETTINGS)
 @hypothesis.given(
     jr=joint_ranges(max_x=6),
@@ -341,11 +360,15 @@ def test_tracked_component_counts_are_the_overlap_partition(jr, problem, u, grid
     for _, step in yields:
         # The buckets hold each live cluster id once, and each bucket's
         # clusters' S-ranges union to exactly one block of the overlap
-        # partition, a block per bucket.
+        # partition, a block per bucket. The record is ascending, and each
+        # bucket's -x_count is minus the summed sizes of its clusters.
         members = {c[0]: c for c in step.partition}
-        assert sorted(c for cids in step.comps.values() for c in cids) == sorted(members)
+        assert step.comps == sorted(step.comps)
+        for neg_count, _, cids in step.comps:
+            assert neg_count == -sum(len(members[c]) for c in cids)
+        assert sorted(c for *_, cids in step.comps for c in cids) == sorted(members)
         s_ranges = [frozenset().union(*(cond_range_cluster(jr, members[c]) for c in cids))
-                    for cids in step.comps.values()]
+                    for *_, cids in step.comps]
         blocks = overlap_partition_oracle(jr, step.partition)
         assert len(s_ranges) == len(blocks) and set(s_ranges) == set(blocks)
 
